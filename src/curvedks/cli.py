@@ -21,8 +21,8 @@ import numpy as np
 
 from .domain import AnnulusSpec, CartesianGrid
 from .energy import lambda_scan, log_hls_deficit
-from .flow import (BlowUpDetected, CFLViolation, diagnostics_to_csv, run_flow,
-                   virial_rate)
+from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
+                   run_flow, virial_rate)
 from .geometry import ConformalFactor
 from .potential import newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (CFLViolation, BlowUpDetected, StagnationError) as exc:
+    except (CFLViolation, BlowUpDetected, StepLimitReached, StagnationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

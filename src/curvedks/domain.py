@@ -4,11 +4,14 @@ Two grid types cover everything downstream: a uniform cell-centered
 Cartesian grid on a square (midpoint rule, weight h^2 per cell) and a
 latitude-longitude sphere grid with Gauss-Legendre nodes in sin(latitude)
 (exact for low-degree polynomials in sin(latitude), which the degree-one
-spherical-harmonic integrands require).
+spherical-harmonic integrands require). Sampled fields on either grid share
+one lattice CSV format: a header row, then one `a,b,value` row per node in
+row-major ('ij') order, axes as %.12g and values as %.17g.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,48 @@ class CartesianGrid:
 
     def contains_radius(self, r: float) -> bool:
         return r <= self.half_width
+
+
+def write_lattice_csv(path, header: str, a: np.ndarray, b: np.ndarray,
+                      values: np.ndarray, meta: str | None = None) -> None:
+    """Write values[i, j] as rows `a[i],b[j],value`, row-major.
+
+    Each axis label is formatted once per call, not once per cell.
+    """
+    a_labels = [f"{v:.12g}," for v in a.tolist()]
+    b_labels = [f"{v:.12g}," for v in b.tolist()]
+    with open(path, "w", newline="") as fh:
+        if meta:
+            fh.write(f"# {meta}\n")
+        fh.write(f"{header}\n")
+        for a_label, row in zip(a_labels, values.tolist()):
+            fh.writelines(f"{a_label}{b_label}{v:.17g}\n" for b_label, v in zip(b_labels, row))
+
+
+def read_lattice_csv(path) -> tuple[CartesianGrid, np.ndarray]:
+    """Grid and (n, n) samples from x,y,value rows of a full square lattice.
+
+    Rows may come in any order; header and `#` comment rows are skipped.
+    """
+    xs, ys, vs = [], [], []
+    with open(path, newline="") as fh:
+        for row in csv.reader(fh):
+            if not row or row[0].lstrip().startswith(("x", "#")):
+                continue
+            xs.append(float(row[0]))
+            ys.append(float(row[1]))
+            vs.append(float(row[2]))
+    ux, uy = np.unique(xs), np.unique(ys)
+    n = len(ux)
+    if n < 2 or n != len(uy) or n * n != len(vs):
+        raise ValueError("csv does not describe a complete square lattice")
+    grid = CartesianGrid(center=(float(ux.mean()), float(uy.mean())),
+                         half_width=n * (ux[1] - ux[0]) / 2.0, n=n)
+    samples = np.full((n, n), np.nan)
+    samples[np.searchsorted(ux, xs), np.searchsorted(uy, ys)] = vs
+    if np.isnan(samples).any():
+        raise ValueError("csv lattice has missing entries")
+    return grid, samples
 
 
 def make_cartesian_grid(center: tuple[float, float], half_width: float, n: int) -> CartesianGrid:

@@ -9,11 +9,15 @@ minmod-limited second-order upwind advective flux, explicit Euler, zero-flux
 box boundary. The update is flux-form, so the curved mass
 sum rho e^{2 phi} h^2  telescopes and is conserved to roundoff; the limited
 upwind reconstruction under the CFL bound preserves positivity.
+
+The factor phi is fixed for a run, so flow_init samples it once: every state
+of the run shares e^{-2 phi} on the grid, min e^{2 phi} for the CFL bound,
+and the area weights e^{2 phi} h^2 of its density field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -29,12 +33,21 @@ class BlowUpDetected(RuntimeError):
     """Mass concentrated into a single cell; the run cannot continue."""
 
 
+class StepLimitReached(RuntimeError):
+    """The step budget ran out before the run reached its end time."""
+
+
 @dataclass
 class FlowState:
+    """One time level; e_m2phi (e^{-2 phi} on the grid) and min_e2phi are
+    sampled once per run by flow_init and shared by every state of the run."""
+
     t: float
     field: DensityField
     c: PotentialField
     dt: float
+    e_m2phi: np.ndarray = dc_field(repr=False)
+    min_e2phi: float
     step_count: int = 0
 
 
@@ -69,15 +82,14 @@ def second_moment(field: DensityField) -> float:
     return float(np.sum((X**2 + Y**2) * field.samples) * field.grid.cell_area)
 
 
-def cfl_bound(field: DensityField, c: PotentialField, cfl: float = 0.2) -> float:
-    """dt <= cfl * h^2 * min(e^{2 phi}) / (1 + max|grad c| h)."""
-    grid = field.grid
-    h = grid.h
-    phis = field.phi.on_grid(grid)
+def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float,
+              cfl: float = 0.2) -> float:
+    """dt <= cfl * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
+    h = field.grid.h
     gx = np.diff(c.samples, axis=0) / h
     gy = np.diff(c.samples, axis=1) / h
     vmax = max(float(np.max(np.abs(gx))), float(np.max(np.abs(gy))), 0.0)
-    return cfl * h * h * float(np.exp(2.0 * phis.min())) / (1.0 + vmax * h)
+    return cfl * h * h * min_e2phi / (1.0 + vmax * h)
 
 
 def flow_init(field: DensityField, dt: float | None = None, cfl: float = 0.2,
@@ -89,11 +101,13 @@ def flow_init(field: DensityField, dt: float | None = None, cfl: float = 0.2,
     same lattice sum is the default here (it matches the direct path to
     roundoff and turns a quadratic per-step cost into a log-linear one).
     """
+    phis = field.phi.on_grid(field.grid)
+    min_e2phi = float(np.exp(2.0 * phis.min()))
     c = field.potential(method=method)
-    bound = cfl_bound(field, c, cfl)
     if dt is None:
-        dt = safety * bound
-    return FlowState(t=0.0, field=field, c=c, dt=float(dt), step_count=0)
+        dt = safety * cfl_bound(field, c, min_e2phi, cfl)
+    return FlowState(t=0.0, field=field, c=c, dt=float(dt), e_m2phi=np.exp(-2.0 * phis),
+                     min_e2phi=min_e2phi)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,37 +167,49 @@ def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
     bound, and BlowUpDetected once a single cell holds the bulk of the mass.
     """
     field = state.field
-    grid = field.grid
-    bound = cfl_bound(field, state.c, cfl)
+    bound = cfl_bound(field, state.c, state.min_e2phi, cfl)
     if state.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {state.dt:.3e} exceeds CFL bound {bound:.3e}")
 
-    phis = field.phi.on_grid(grid)
-    rho_new = field.samples + state.dt * np.exp(-2.0 * phis) * flux_divergence(field, state.c)
+    rho_new = field.samples + state.dt * state.e_m2phi * flux_divergence(field, state.c)
 
     if np.any(rho_new < 0):
         worst = float(rho_new.min())
         raise CFLViolation(f"negativity after update (min rho = {worst:.3e}); "
                            "reduce dt")
-    new_field = DensityField(grid=grid, samples=rho_new, phi=field.phi)
-    if float(rho_new.max()) * grid.cell_area > 0.5 * new_field.mass:
+    new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi,
+                             area_weights=field.area_weights)
+    if float(np.max(rho_new * new_field.area_weights)) > 0.5 * new_field.mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
-    return FlowState(t=state.t + state.dt, field=new_field,
-                     c=new_field.potential(method=state.c.method),
-                     dt=state.dt, step_count=state.step_count + 1)
+    return replace(state, t=state.t + state.dt, field=new_field,
+                   c=new_field.potential(method=state.c.method),
+                   step_count=state.step_count + 1)
 
 
 def run_flow(field: DensityField, t_end: float, dt: float | None = None,
              snapshot_every: int = 1, method: str = "fft", cfl: float = 0.2,
              with_energy: bool = False, max_steps: int = 10**6
              ) -> tuple[FlowState, FlowDiagnostics, list[FlowState]]:
-    """March to t_end collecting diagnostics every snapshot_every steps."""
+    """March to t_end collecting diagnostics every snapshot_every steps.
+
+    The last step is shortened so the run ends exactly at t_end. Raises
+    StepLimitReached if t_end needs more than max_steps steps.
+    """
     state = flow_init(field, dt=dt, cfl=cfl, method=method)
     diag = FlowDiagnostics(phi_is_flat=(field.phi.kind == "zero"))
     snapshots = [state]
     _record(diag, state, with_energy)
-    while state.t < t_end - 1e-15 and state.step_count < max_steps:
-        state = flow_step(state, cfl=cfl)
+    while state.t < t_end:
+        if state.step_count >= max_steps:
+            raise StepLimitReached(f"{max_steps} steps reached t = {state.t:.6g}, "
+                                   f"short of t_end = {t_end:.6g}")
+        remaining = t_end - state.t
+        if remaining > state.dt * (1.0 + 1e-12):
+            state = flow_step(state, cfl=cfl)
+        else:
+            # a remainder within roundoff of dt is taken whole, not as an extra sliver
+            last = flow_step(replace(state, dt=remaining), cfl=cfl)
+            state = replace(last, t=t_end, dt=state.dt)
         if state.step_count % snapshot_every == 0:
             _record(diag, state, with_energy)
             snapshots.append(state)

@@ -8,12 +8,11 @@ dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CartesianGrid
+from .domain import CartesianGrid, read_lattice_csv
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
@@ -79,27 +78,7 @@ class ConformalFactor:
     @classmethod
     def from_csv(cls, path) -> "ConformalFactor":
         """Load a grid-sampled factor from rows of x, y, phi on a full lattice."""
-        xs, ys, vs = [], [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith(("x", "#")):
-                    continue
-                xs.append(float(row[0]))
-                ys.append(float(row[1]))
-                vs.append(float(row[2]))
-        ux, uy = np.unique(xs), np.unique(ys)
-        n = len(ux)
-        if n != len(uy) or n * n != len(vs):
-            raise ValueError("csv does not describe a complete square lattice")
-        h = ux[1] - ux[0]
-        grid = CartesianGrid(center=(float(ux.mean()), float(uy.mean())),
-                             half_width=n * h / 2.0, n=n)
-        samples = np.full((n, n), np.nan)
-        ix = np.searchsorted(ux, xs)
-        iy = np.searchsorted(uy, ys)
-        samples[ix, iy] = vs
-        if np.isnan(samples).any():
-            raise ValueError("csv lattice has missing entries")
+        grid, samples = read_lattice_csv(path)
         return cls.from_samples(grid, samples)
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

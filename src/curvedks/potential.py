@@ -8,16 +8,19 @@ with the singular j = i term replaced by rho_i e^{2 phi_i} W(h), where W(h) is
 the exact integral of G over one grid cell centered at the singularity.
 Direct O(N^2) summation is the reference path; the FFT path (zero-padded
 circulant convolution) evaluates the identical lattice sum and is used for
-large grids.
+large grids; resolve_method holds the one policy that picks between them.
+The truncation tail of a potential is estimated from its density on first
+read of PotentialField.tail, so callers that never read it never pay for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid
+from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
 from .geometry import ConformalFactor
 
 # grids above this size fall back to FFT under method="auto"
@@ -98,21 +101,25 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
 
 @dataclass
 class PotentialField:
-    """Sampled Newtonian potential with the quadrature metadata that made it."""
+    """Sampled Newtonian potential with the quadrature metadata that made it.
+
+    rho is the density the potential was computed from (the caller's array,
+    not a copy); the truncation tail is estimated from it on first read.
+    """
 
     grid: CartesianGrid
     samples: np.ndarray
     mass_used: float
     self_cell_weight: float
-    tail: TruncationReport
     method: str
+    rho: np.ndarray = field(repr=False)
+
+    @cached_property
+    def tail(self) -> TruncationReport:
+        return estimate_tail(self.rho, self.grid)
 
     def to_csv(self, path) -> None:
-        X, Y = self.grid.meshes()
-        with open(path, "w", newline="") as fh:
-            fh.write("x,y,c\n")
-            for xi, yi, ci in zip(X.ravel(), Y.ravel(), self.samples.ravel()):
-                fh.write(f"{xi:.12g},{yi:.12g},{ci:.17g}\n")
+        write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)
 
 
 def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
@@ -170,10 +177,16 @@ def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     return conv[:n, :n]
 
 
+def resolve_method(method: str, grid: CartesianGrid) -> str:
+    """The lattice-sum path that `method` selects on this grid ("auto" by size)."""
+    if method == "auto":
+        return "direct" if grid.n <= _DIRECT_LIMIT else "fft"
+    return method
+
+
 def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "auto") -> np.ndarray:
     """Potential of per-cell charges q_j (already including area weights)."""
-    if method == "auto":
-        method = "direct" if grid.n <= _DIRECT_LIMIT else "fft"
+    method = resolve_method(method, grid)
     if method == "direct":
         return _direct_convolve(q, grid)
     if method == "fft":
@@ -188,12 +201,10 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
     if rho.shape != (grid.n, grid.n):
         raise ValueError("density shape does not match grid")
     q = rho * np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
-    if method == "auto":
-        method = "direct" if grid.n <= _DIRECT_LIMIT else "fft"
+    method = resolve_method(method, grid)
     c = lattice_potential(q, grid, method=method)
     return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()),
-                          self_cell_weight=self_cell_weight(grid.h),
-                          tail=estimate_tail(rho, grid), method=method)
+                          self_cell_weight=self_cell_weight(grid.h), method=method, rho=rho)
 
 
 def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid, SphereGrid
+from .domain import AnnulusSpec, CartesianGrid, SphereGrid, write_lattice_csv
 from .geometry import ConformalFactor
 from .profiles import ScaledCauchyProfile
 from .stationary import RHO_FLOOR, DensityField, decay_envelope
@@ -66,11 +66,7 @@ class SphereField:
             raise ValueError("field shape does not match sphere grid")
 
     def to_csv(self, path) -> None:
-        T, P = self.grid.meshes()
-        with open(path, "w", newline="") as fh:
-            fh.write("theta,psi,value\n")
-            for th, ps, v in zip(T.ravel(), P.ravel(), self.values.ravel()):
-                fh.write(f"{th:.12g},{ps:.12g},{v:.17g}\n")
+        write_lattice_csv(path, "theta,psi,value", self.grid.theta, self.grid.psi, self.values)
 
 
 # ---------------------------------------------------------------------------

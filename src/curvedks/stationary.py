@@ -10,12 +10,11 @@ rho * grad f against a bank of compactly supported test fields.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid
+from .domain import AnnulusSpec, CartesianGrid, read_lattice_csv, write_lattice_csv
 from .geometry import ConformalFactor, boundary_mask, conformal_area_element, grad_flat
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
 from .profiles import ScaledCauchyProfile
@@ -26,12 +25,16 @@ RHO_FLOOR = 1e-300
 
 @dataclass
 class DensityField:
-    """Nonnegative density samples on a grid, together with its metric factor."""
+    """Nonnegative density samples on a grid, together with its metric factor.
+
+    area_weights are the per-cell weights e^{2 phi} h^2; they are computed
+    from phi unless given, as the flow does to carry them from step to step.
+    """
 
     grid: CartesianGrid
     samples: np.ndarray
     phi: ConformalFactor
-    area_weights: np.ndarray = dc_field(init=False, repr=False)
+    area_weights: np.ndarray | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -39,7 +42,8 @@ class DensityField:
             raise ValueError("density shape does not match grid")
         if np.any(self.samples < 0):
             raise ValueError("density must be nonnegative")
-        self.area_weights = conformal_area_element(self.phi, self.grid)
+        if self.area_weights is None:
+            self.area_weights = conformal_area_element(self.phi, self.grid)
         if not self.mass > 0:
             raise ValueError("density must have positive mass")
 
@@ -61,30 +65,11 @@ class DensityField:
         return newtonian_potential(self.samples, self.phi, self.grid, method=method)
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        X, Y = self.grid.meshes()
-        with open(path, "w", newline="") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            fh.write("x,y,rho\n")
-            for xi, yi, ri in zip(X.ravel(), Y.ravel(), self.samples.ravel()):
-                fh.write(f"{xi:.12g},{yi:.12g},{ri:.17g}\n")
+        write_lattice_csv(path, "x,y,rho", self.grid.x, self.grid.y, self.samples, meta=meta)
 
     @classmethod
     def from_csv(cls, path, phi: ConformalFactor) -> "DensityField":
-        xs, vs = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith(("x", "#")):
-                    continue
-                xs.append((float(row[0]), float(row[1])))
-                vs.append(float(row[2]))
-        ux = np.unique([p[0] for p in xs])
-        n = len(ux)
-        if n * n != len(vs):
-            raise ValueError("csv does not describe a complete square lattice")
-        grid = CartesianGrid(center=(float(ux.mean()), float(ux.mean())),
-                             half_width=n * (ux[1] - ux[0]) / 2.0, n=n)
-        samples = np.asarray(vs, dtype=float).reshape(n, n)
+        grid, samples = read_lattice_csv(path)
         return cls(grid=grid, samples=samples, phi=phi)
 
 

@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 from .domain import CartesianGrid
 from .geometry import ConformalFactor, grad_flat, laplacian_flat
-from .potential import PotentialField
+from .potential import PotentialField, resolve_method
 from .stationary import DensityField
 
 
@@ -308,9 +308,7 @@ def potential_gradient(rho: DensityField, method: str = "auto") -> tuple[np.ndar
     """
     grid = rho.grid
     q = rho.samples * rho.area_weights
-    if method == "auto":
-        method = "direct" if grid.n <= 96 else "fft"
-    if method == "direct":
+    if resolve_method(method, grid) == "direct":
         X, Y = grid.meshes()
         px, py = X.ravel(), Y.ravel()
         qf = q.ravel()

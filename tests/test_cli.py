@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from curvedks import cli
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
+from curvedks.flow import StepLimitReached
 
 
 def _write_config(tmp_path, name, payload):
@@ -161,6 +163,16 @@ def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
     rc, _ = _run(tmp_path, "flow",
                  {"grid": {"half_width": 12.0, "n": 96},
                   "t_end": 0.02, "dt": 1.0}, monkeypatch)
+    assert rc == 3
+
+
+def test_flow_step_limit_exit_code(tmp_path, monkeypatch):
+    def out_of_steps(*args, **kwargs):
+        raise StepLimitReached("10 steps reached t = 0.01, short of t_end = 0.02")
+
+    monkeypatch.setattr(cli, "run_flow", out_of_steps)
+    rc, _ = _run(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02},
+                 monkeypatch)
     assert rc == 3
 
 

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from curvedks.domain import AnnulusSpec, make_cartesian_grid, make_sphere_grid
+from curvedks.geometry import ConformalFactor
 from curvedks.profiles import ScaledCauchyProfile
+from curvedks.sphere import SphereField
+from curvedks.stationary import density_from_profile
 
 
 def test_spacing_forced_by_definition():
@@ -96,3 +99,34 @@ def test_annulus_validation_and_mask():
     assert np.all(r[mask] >= 3.0) and np.all(r[mask] <= 6.0)
     with pytest.raises(ValueError):
         AnnulusSpec(R=6.0).mask(g)  # outer radius 12 leaves the grid
+
+
+def _per_cell_csv(header, A, B, values, meta=None):
+    """Reference: one formatted row per cell from the full coordinate meshes."""
+    lines = [f"# {meta}\n"] if meta else []
+    lines.append(header + "\n")
+    for a, b, v in zip(A.ravel(), B.ravel(), values.ravel()):
+        lines.append(f"{a:.12g},{b:.12g},{v:.17g}\n")
+    return "".join(lines)
+
+
+def test_lattice_csv_writer_matches_per_cell_rows(tmp_path):
+    g = make_cartesian_grid((0.3, 5.0), 7.0, 32)
+    phi = ConformalFactor.radial_bump(0.2, 3.0, (0.3, 5.0))
+    fld = density_from_profile(8 * np.pi, 1.0, (0.3, 5.0), phi, g)
+    X, Y = g.meshes()
+    c = fld.potential()
+    sg = make_sphere_grid(8, 16)
+    T, P = sg.meshes()
+    u = SphereField(grid=sg, values=np.sin(T) * np.cos(P) - 1e-7, role="u")
+    cases = [
+        (lambda p: fld.to_csv(p, meta="t=0.1"),
+         _per_cell_csv("x,y,rho", X, Y, fld.samples, meta="t=0.1")),
+        (fld.to_csv, _per_cell_csv("x,y,rho", X, Y, fld.samples)),
+        (c.to_csv, _per_cell_csv("x,y,c", X, Y, c.samples)),
+        (u.to_csv, _per_cell_csv("theta,psi,value", T, P, u.values)),
+    ]
+    for write, expected in cases:
+        p = tmp_path / "field.csv"
+        write(p)
+        assert p.read_bytes() == expected.encode()

@@ -4,8 +4,8 @@ import pytest
 from conftest import lstsq_order
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
-from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, cfl_bound,
-                           energy_trace, flow_init, flow_step, flux_divergence,
+from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, StepLimitReached,
+                           cfl_bound, energy_trace, flow_init, flow_step, flux_divergence,
                            run_flow, second_moment, virial_rate)
 from curvedks.stationary import DensityField, density_from_profile
 
@@ -22,7 +22,7 @@ def test_cfl_rejection():
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
     fld = _gaussian_field(g, 4 * np.pi)
     state = flow_init(fld)
-    state.dt = 10.0 * cfl_bound(fld, state.c)
+    state.dt = 10.0 * cfl_bound(fld, state.c, state.min_e2phi)
     with pytest.raises(CFLViolation):
         flow_step(state)
 
@@ -144,6 +144,41 @@ def test_blow_up_detection():
     with pytest.raises((BlowUpDetected, CFLViolation)):
         for _ in range(5000):
             state = flow_step(state)
+
+
+def test_blow_up_measures_cell_mass_with_curved_area():
+    # one cell holds 60% of the curved mass but only ~20% of the flat-measure mass
+    phi = ConformalFactor.radial_bump(1.0, 6.0)
+    g = CartesianGrid(center=(0, 0), half_width=4.0, n=16)
+    w = np.exp(2.0 * phi.on_grid(g)) * g.cell_area
+    rho = np.ones((16, 16))
+    rest = np.sum(w) - w[8, 8]
+    rho[8, 8] = 1.5 * rest / w[8, 8]
+    assert rho[8, 8] * g.cell_area < 0.5 * (rest + rho[8, 8] * w[8, 8])
+    state = flow_init(DensityField(grid=g, samples=rho, phi=phi), dt=1e-12)
+    with pytest.raises(BlowUpDetected):
+        flow_step(state)
+
+
+def test_run_flow_lands_on_t_end():
+    g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
+    fld = _gaussian_field(g, 4 * np.pi)
+    final, diag, _ = run_flow(fld, 0.1, dt=0.03)
+    assert (final.t, final.step_count, final.dt) == (0.1, 4, 0.03)
+    assert diag.t[-1] == 0.1
+    # a t_end that is a whole number of steps up to roundoff takes no extra sliver step
+    final, _, _ = run_flow(fld, 0.1, dt=0.01)
+    assert (final.t, final.step_count) == (0.1, 10)
+
+
+def test_run_flow_raises_when_steps_run_out():
+    g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
+    fld = _gaussian_field(g, 4 * np.pi)
+    with pytest.raises(StepLimitReached):
+        run_flow(fld, 0.1, dt=0.03, max_steps=3)
+    assert issubclass(StepLimitReached, RuntimeError)
+    final, _, _ = run_flow(fld, 0.09, dt=0.03, max_steps=3)
+    assert final.step_count == 3
 
 
 def test_second_moment_definition():

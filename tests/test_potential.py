@@ -5,8 +5,10 @@ from scipy import integrate
 from conftest import lstsq_order
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor
-from curvedks.potential import (coulomb_quadratic_form, far_field_report, green_kernel,
-                                lattice_potential, newtonian_potential, self_cell_weight)
+from curvedks import potential
+from curvedks.potential import (coulomb_quadratic_form, estimate_tail, far_field_report,
+                                green_kernel, lattice_potential, newtonian_potential,
+                                self_cell_weight)
 from curvedks.profiles import ScaledCauchyProfile
 
 
@@ -186,6 +188,23 @@ def test_truncation_tail_reported(flat_phi):
     # analytic tail mass of the critical profile beyond the grid: 8 pi lam^2 / R^2
     assert c.tail.finite
     assert c.tail.m_tail == pytest.approx(8 * np.pi / 30.0**2, rel=0.3)
+
+
+def test_tail_estimated_on_first_read_only(monkeypatch, flat_phi, grid64):
+    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(grid64)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return estimate_tail(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "estimate_tail", counted)
+    c = newtonian_potential(rho, flat_phi, grid64, method="fft")
+    assert calls == []
+    first = c.tail
+    assert c.tail is first
+    assert len(calls) == 1
+    assert first == estimate_tail(rho, grid64)
 
 
 def test_potential_csv_export(tmp_path, flat_phi, grid64):
