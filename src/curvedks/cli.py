@@ -30,7 +30,8 @@ from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
 from .sphere import nonexistence_certificate
 from .stationary import (DensityField, decay_envelope, density_from_profile,
                          membership_check, reduced_residual)
-from .virial import StagnationError, assemble_virial, export_virial_csv
+from .virial import (StagnationError, WeightedEllipticProblem, assemble_virial,
+                     export_virial_csv, solve_aux_pde)
 
 OUTPUT_DIR_ENV = "CURVEDKS_OUTPUT_DIR"
 
@@ -120,8 +121,33 @@ SCHEMAS = {
 }
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; bools and strings are not numbers."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
+
+
+def _checked(value, typ, where: str):
+    """`value` as `typ`, or ConfigError; nothing is coerced across kinds.
+
+    An int key takes only integral values; a float key also takes ints,
+    because JSON `1` loads as int. Every list key holds numbers, kept as
+    given so the config hash does not change.
+    """
+    if typ is list:
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+    elif typ is str:
+        ok = isinstance(value, str)
+    else:
+        ok = _is_number(value) and (typ is float or value == int(value))
+    if not ok:
+        want = "a list of numbers" if typ is list else typ.__name__
+        raise ConfigError(f"bad value for {where}: expected {want}, got {value!r}")
+    return typ(value)
+
+
 def _validate(config: dict, schema: dict, path: str = "") -> dict:
-    """Fill defaults and reject unknown keys anywhere in the tree."""
+    """Fill defaults and reject unknown keys and mistyped values anywhere in the tree."""
     if not isinstance(config, dict):
         raise ConfigError(f"expected an object at {path or 'top level'}")
     out = {}
@@ -131,13 +157,7 @@ def _validate(config: dict, schema: dict, path: str = "") -> dict:
             out[key] = _validate(sub if sub is not None else {}, spec, f"{path}{key}.")
         else:
             typ, default = spec
-            if sub is None:
-                out[key] = default
-            else:
-                try:
-                    out[key] = typ(sub)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"bad value for {path}{key}: {exc}") from exc
+            out[key] = default if sub is None else _checked(sub, typ, f"{path}{key}")
     unknown = set(config) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
@@ -340,7 +360,9 @@ def cmd_virial(cfg: dict, cfg_hash: str) -> int:
     grid = _grid(cfg)
     phi = _phi(cfg)
     field = _density(cfg, grid, phi)
-    reports = assemble_virial(field, cfg["radii"])
+    # a curved factor closes I3 through the auxiliary solve; flat leaves f = 0
+    f = None if phi.kind == "zero" else solve_aux_pde(WeightedEllipticProblem.build(field)).f
+    reports = assemble_virial(field, cfg["radii"], f=f)
     out = os.path.join(_outdir(cfg), "virial.csv")
     export_virial_csv(reports, out, meta=f"config_hash={cfg_hash}")
     last = reports[-1]

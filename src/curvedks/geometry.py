@@ -135,14 +135,6 @@ class ConformalFactor:
         return np.where(outside, 0.0, vals)
 
 
-@dataclass
-class MetricOpsReport:
-    """Per-cell area weights e^{2 phi} h^2 and Gauss curvature samples."""
-
-    area_weights: np.ndarray
-    curvature: np.ndarray
-
-
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     """Per-cell integration weights e^{2 phi(x_cell)} h^2."""
     return np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
@@ -170,11 +162,6 @@ def gauss_curvature(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     """kappa_phi = e^{-2 phi} Delta0 phi on cell centers."""
     phis = phi.on_grid(grid)
     return np.exp(-2.0 * phis) * laplacian_flat(phis, grid)
-
-
-def metric_ops(phi: ConformalFactor, grid: CartesianGrid) -> MetricOpsReport:
-    return MetricOpsReport(area_weights=conformal_area_element(phi, grid),
-                           curvature=gauss_curvature(phi, grid))
 
 
 def grad_flat(field: np.ndarray, grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -324,8 +324,7 @@ class CertificateReport:
 
 
 def _radial_profile_samples(phi: ConformalFactor, n_samples: int = 512):
-    rmax = phi.support_radius * (1.0 if phi.kind != "grid_sampled" else 1.0)
-    r = np.linspace(0.0, rmax, n_samples)
+    r = np.linspace(0.0, phi.support_radius, n_samples)
     if phi.kind == "grid_sampled":
         # check radial symmetry by comparing several azimuths; the tolerance
         # absorbs the bilinear-interpolation anisotropy of genuinely radial data

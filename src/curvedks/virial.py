@@ -24,7 +24,8 @@ from scipy.sparse.linalg import splu
 
 from .domain import CartesianGrid
 from .geometry import ConformalFactor, grad_flat, laplacian_flat
-from .potential import PotentialField, resolve_method
+from .potential import (PotentialField, _circulant_sums, _offset_table, _toeplitz_sum,
+                        resolve_method)
 from .stationary import DensityField
 
 
@@ -284,16 +285,7 @@ def _grad_kernel_ffts(grid: CartesianGrid):
     hit = _grad_kernel_cache.get(key)
     if hit is not None:
         return hit
-    n, h = grid.n, grid.h
-    m = 2 * n
-    idx = np.arange(m)
-    d = np.where(idx < n, idx, idx - m).astype(float) * h
-    DX, DY = np.meshgrid(d, d, indexing="ij")
-    R2 = DX**2 + DY**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)  # self term: odd kernel
-        KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
-    out = (np.fft.rfft2(KX), np.fft.rfft2(KY))
+    out = tuple(np.fft.rfft2(np.fft.ifftshift(K)) for K in _offset_table("grad", grid))
     if len(_grad_kernel_cache) > 8:
         _grad_kernel_cache.clear()
     _grad_kernel_cache[key] = out
@@ -309,31 +301,8 @@ def potential_gradient(rho: DensityField, method: str = "auto") -> tuple[np.ndar
     grid = rho.grid
     q = rho.samples * rho.area_weights
     if resolve_method(method, grid) == "direct":
-        X, Y = grid.meshes()
-        px, py = X.ravel(), Y.ravel()
-        qf = q.ravel()
-        gx = np.zeros_like(qf)
-        gy = np.zeros_like(qf)
-        chunk = max(1, 2**22 // qf.size)
-        for start in range(0, qf.size, chunk):
-            stop = min(start + chunk, qf.size)
-            dx = px[start:stop, None] - px[None, :]
-            dy = py[start:stop, None] - py[None, :]
-            r2 = dx**2 + dy**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kx = np.where(r2 > 0, -dx / (2.0 * np.pi * r2), 0.0)
-                ky = np.where(r2 > 0, -dy / (2.0 * np.pi * r2), 0.0)
-            gx[start:stop] = kx @ qf
-            gy[start:stop] = ky @ qf
-        return gx.reshape(grid.n, grid.n), gy.reshape(grid.n, grid.n)
-    KXf, KYf = _grad_kernel_ffts(grid)
-    m = 2 * grid.n
-    qpad = np.zeros((m, m))
-    qpad[: grid.n, : grid.n] = q
-    qf2 = np.fft.rfft2(qpad)
-    gx = np.fft.irfft2(qf2 * KXf, s=(m, m))[: grid.n, : grid.n]
-    gy = np.fft.irfft2(qf2 * KYf, s=(m, m))[: grid.n, : grid.n]
-    return gx, gy
+        return tuple(_toeplitz_sum(q, K) for K in _offset_table("grad", grid))
+    return tuple(_circulant_sums(q, _grad_kernel_ffts(grid)))
 
 
 def assemble_virial(rho: DensityField, R_list, f: np.ndarray | None = None,
@@ -377,6 +346,8 @@ def assemble_virial(rho: DensityField, R_list, f: np.ndarray | None = None,
 def i2_double_sum(rho: DensityField, antisymmetrized: bool = False) -> float:
     """Direct O(N^2) evaluation of the uncut I2 kernel sum (oracle path).
 
+    The kernel -x.(x-y)/(2pi |x-y|^2) is x . grad G, so the sum is
+    sum_i q_i x_i . (grad c)_i with grad c from the direct lattice sum.
     With antisymmetrized=True the kernel x.(x-y)/|x-y|^2 is replaced by its
     antisymmetric part 1/2, which collapses the sum to -(sum q)^2 minus the
     diagonal; agreement between the two confirms the cancellation used in
@@ -387,21 +358,9 @@ def i2_double_sum(rho: DensityField, antisymmetrized: bool = False) -> float:
     if antisymmetrized:
         total = float(q.sum())
         return -(total * total - float(q @ q)) / (4.0 * np.pi)
+    gx, gy = potential_gradient(rho, method="direct")
     X, Y = grid.meshes()
-    px, py = X.ravel(), Y.ravel()
-    acc = 0.0
-    chunk = max(1, 2**22 // q.size)
-    for start in range(0, q.size, chunk):
-        stop = min(start + chunk, q.size)
-        dx = px[start:stop, None] - px[None, :]
-        dy = py[start:stop, None] - py[None, :]
-        r2 = dx**2 + dy**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k = np.where(r2 > 0,
-                         -(px[start:stop, None] * dx + py[start:stop, None] * dy)
-                         / (2.0 * np.pi * r2), 0.0)
-        acc += float(q[start:stop] @ (k @ q))
-    return acc
+    return float(q @ (X * gx + Y * gy).ravel())
 
 
 def export_virial_csv(reports: list[VirialReport], path, meta: str | None = None) -> None:

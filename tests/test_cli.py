@@ -118,6 +118,18 @@ def test_virial_subcommand(tmp_path, monkeypatch):
     assert len(lines) == 5
 
 
+def test_virial_curved_factor_closes_i3(tmp_path, monkeypatch):
+    # I3 needs f from the auxiliary solve; with f = 0 it sits near -3.8 here
+    rc, outdir = _run(tmp_path, "virial",
+                      {"grid": {"half_width": 16.0, "n": 64},
+                       "phi": {"kind": "radial_bump", "amplitude": 0.1,
+                               "support_radius": 2.0},
+                       "radii": [4.0]}, monkeypatch)
+    assert rc == EXIT_OK
+    payload = json.loads((outdir / "virial.json").read_text())
+    assert abs(payload["I3"]) < 0.1
+
+
 def test_flow_subcommand(tmp_path, monkeypatch):
     rc, outdir = _run(tmp_path, "flow",
                       {"grid": {"half_width": 12.0, "n": 96},
@@ -185,6 +197,30 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     assert (override / "identities.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"radii": "abc"},                              # string for a list
+    {"grid": {"center": ["a", 0.0]}},              # string inside a list
+    {"radii": [4.0, float("nan")]},
+    {"grid": {"n": True}},                         # bool for an int
+    {"grid": {"half_width": False}},               # bool for a float
+    {"grid": {"n": 64.7}},                         # non-integral int
+    {"grid": {"half_width": float("nan")}},
+    {"grid": {"half_width": float("inf")}},
+    {"grid": {"half_width": -float("inf")}},
+    {"grid": {"n": "64"}},                         # string for a number
+    {"output_dir": 5},                             # number for a string
+])
+def test_validate_rejects_instead_of_coercing(config):
+    with pytest.raises(cli.ConfigError):
+        cli._validate(config, cli.SCHEMAS["virial"])
+
+
+def test_validate_takes_int_for_float():
+    cfg = cli._validate({"grid": {"half_width": 20, "n": 64}}, cli.SCHEMAS["virial"])
+    assert cfg["grid"]["half_width"] == 20.0
+    assert isinstance(cfg["grid"]["half_width"], float)
 
 
 def test_default_config_loads():

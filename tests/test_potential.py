@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from conftest import lstsq_order
@@ -10,6 +12,8 @@ from curvedks.potential import (coulomb_quadratic_form, estimate_tail, far_field
                                 green_kernel, lattice_potential, newtonian_potential,
                                 self_cell_weight)
 from curvedks.profiles import ScaledCauchyProfile
+from curvedks.stationary import DensityField
+from curvedks.virial import potential_gradient
 
 
 def test_kernel_zero_at_unit_distance():
@@ -75,6 +79,44 @@ def test_fft_matches_direct_summation(flat_phi):
     cd = lattice_potential(q, g, method="direct")
     cf = lattice_potential(q, g, method="fft")
     assert np.max(np.abs(cd - cf)) <= 1e-8 * np.max(np.abs(cd))
+
+
+@pytest.mark.parametrize("n, center, half_width", [(8, (0.7, -1.3), 3.0),
+                                                   (10, (-2.1, 0.4), 6.5)])
+def test_direct_sum_matches_pairwise_loop(n, center, half_width):
+    # brute force over green_kernel and self_cell_weight, independent of the offset table
+    g = CartesianGrid(center=center, half_width=half_width, n=n)
+    q = np.random.default_rng(n).standard_normal((n, n))
+    pts = [(x, y) for x in g.x for y in g.y]   # row-major, like q.ravel()
+    qf = q.ravel()
+    expect = np.empty(n * n)
+    for i, p in enumerate(pts):
+        acc = qf[i] * self_cell_weight(g.h) / g.h**2
+        for j, r in enumerate(pts):
+            if j != i:
+                acc += green_kernel(p, r) * qf[j]
+        expect[i] = acc
+    got = lattice_potential(q, g, method="direct").ravel()
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(4, 24), cx=st.floats(-10.0, 10.0), cy=st.floats(-10.0, 10.0),
+       half_width=st.floats(0.5, 80.0), seed=st.integers(0, 2**32 - 1))
+def test_fft_equals_direct_property(k, cx, cy, half_width, seed):
+    g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
+    rng = np.random.default_rng(seed)
+    rho = rng.random((g.n, g.n)) ** rng.uniform(0.5, 4.0)
+    q = rho * g.cell_area
+    cd = lattice_potential(q, g, method="direct")
+    cf = lattice_potential(q, g, method="fft")
+    assert np.max(np.abs(cd - cf)) <= 1e-8 * np.max(np.abs(cd))
+    fld = DensityField(grid=g, samples=rho, phi=ConformalFactor.zero())
+    gxd, gyd = potential_gradient(fld, method="direct")
+    gxf, gyf = potential_gradient(fld, method="fft")
+    scale = np.max(np.abs(gxd)) + np.max(np.abs(gyd))
+    assert np.max(np.abs(gxd - gxf)) <= 1e-10 * scale
+    assert np.max(np.abs(gyd - gyf)) <= 1e-10 * scale
 
 
 def test_cauchy_profile_potential_closed_form(flat_phi):

@@ -3,10 +3,10 @@ import pytest
 
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
-from curvedks.stationary import density_from_profile
+from curvedks.stationary import DensityField, density_from_profile
 from curvedks.virial import (StagnationError, WeightedEllipticProblem, assemble_virial,
                              coercivity_probe, continuity_probe, cutoff_function,
-                             i2_double_sum, solve_aux_pde)
+                             i2_double_sum, potential_gradient, solve_aux_pde)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,38 @@ def test_potential_gradient_fft_matches_direct(flat_phi):
     scale = np.max(np.abs(gxd)) + np.max(np.abs(gyd))
     assert np.max(np.abs(gxd - gxf)) <= 1e-10 * scale
     assert np.max(np.abs(gyd - gyf)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("n, center, half_width", [(8, (0.7, -1.3), 3.0),
+                                                   (10, (-2.1, 0.4), 6.5)])
+def test_direct_gradient_matches_pairwise_loop(n, center, half_width, bump_phi):
+    g = CartesianGrid(center=center, half_width=half_width, n=n)
+    fld = DensityField(grid=g, samples=np.random.default_rng(n).random((n, n)), phi=bump_phi)
+    qf = (fld.samples * fld.area_weights).ravel()
+    pts = [(x, y) for x in g.x for y in g.y]   # row-major, like qf
+    expect = np.zeros((2, n * n))
+    for i, (xi, yi) in enumerate(pts):
+        for j, (xj, yj) in enumerate(pts):
+            if j != i:
+                r2 = (xi - xj) ** 2 + (yi - yj) ** 2
+                expect[:, i] -= np.array([xi - xj, yi - yj]) / (2 * np.pi * r2) * qf[j]
+    got = np.stack([c.ravel() for c in potential_gradient(fld, method="direct")])
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def test_i2_double_sum_matches_pair_loop(bump_phi):
+    g = CartesianGrid(center=(0.4, -0.3), half_width=6.0, n=16)
+    fld = density_from_profile(8 * np.pi, 1.0, (0.5, 0.2), bump_phi, g)
+    # the kernel -x.(x-y) / (2pi |x-y|^2) summed over all pairs, as one dense matrix
+    q = (fld.samples * fld.area_weights).ravel()
+    X, Y = g.meshes()
+    px, py = X.ravel(), Y.ravel()
+    dx = px[:, None] - px[None, :]
+    dy = py[:, None] - py[None, :]
+    r2 = dx**2 + dy**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = np.where(r2 > 0, -(px[:, None] * dx + py[:, None] * dy) / (2.0 * np.pi * r2), 0.0)
+    assert i2_double_sum(fld) == pytest.approx(float(q @ (k @ q)), rel=1e-12)
 
 
 def test_antisymmetrization_oracle(flat_phi):
