@@ -28,8 +28,8 @@ from .potential import newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
                        mu_entropy_identity, mu_potential_identity)
 from .sphere import nonexistence_certificate
-from .stationary import (DensityField, decay_envelope, density_from_profile,
-                         membership_check, reduced_residual)
+from .stationary import (DensityField, MaskedDensityError, decay_envelope,
+                         density_from_profile, membership_check, reduced_residual)
 from .virial import (StagnationError, WeightedEllipticProblem, assemble_virial,
                      export_virial_csv, solve_aux_pde)
 
@@ -55,7 +55,11 @@ _PROFILE_SCHEMA = {"lam": (float, 1.0), "x_star": (list, [0.0, 0.0]),
 
 SCHEMAS = {
     "identities": {
-        "grid": _GRID_SCHEMA,
+        # grid: potential probes; entropy_grid and double_grid (Coulomb) share
+        # its centre and scale with lambda: their half_width is per unit lambda
+        "grid": {"half_width": (float, 60.0), "n": (int, 1024),
+                 "center": (list, [0.0, 0.0])},
+        "entropy_grid": {"half_width": (float, 250.0), "n": (int, 1024)},
         "double_grid": {"half_width": (float, 60.0), "n": (int, 512)},
         "lambdas": (list, [0.5, 1.0, 2.0]),
         "tolerance": (float, 1e-2),
@@ -221,6 +225,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_identities(cfg: dict, cfg_hash: str) -> int:
     grid = _grid(cfg)
+    eg = cfg["entropy_grid"]
     dg = cfg["double_grid"]
     tol = cfg["tolerance"]
     results = []
@@ -229,14 +234,15 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         lam = float(lam)
         mu = ScaledCauchyProfile(lam=lam, normalization="mu")
         m = 8.0 * np.pi
-        samples = mu.on_grid(grid)
 
+        egrid = CartesianGrid(center=grid.center, half_width=eg["half_width"] * lam, n=eg["n"])
         closed_e = mu_entropy_identity(m, lam)
-        vals = m * samples
+        vals = m * mu.on_grid(egrid)
         live = vals > 0
         numeric_e = float(np.sum(np.where(live, vals * np.log(np.where(live, vals, 1.0)), 0.0))
-                          * grid.cell_area)
+                          * egrid.cell_area)
 
+        samples = mu.on_grid(grid)
         cfield = newtonian_potential(samples, ConformalFactor.zero(), grid)
         probes = []
         for rfrac in (1.5, 2.0, 3.0, 5.0, 8.0):
@@ -246,7 +252,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
             closed_p = float(mu_potential_identity(lam, (grid.x[i], grid.y[j])))
             probes.append((closed_p, float(cfield.samples[i, j])))
 
-        dgrid = CartesianGrid(center=grid.center, half_width=dg["half_width"], n=dg["n"])
+        dgrid = CartesianGrid(center=grid.center, half_width=dg["half_width"] * lam, n=dg["n"])
         dsamples = mu.on_grid(dgrid)
         cD = newtonian_potential(dsamples, ConformalFactor.zero(), dgrid)
         numeric_c = float(np.sum(dsamples * cD.samples) * dgrid.cell_area)
@@ -269,8 +275,8 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         entry["pass"] = bool(max(errs) <= tol)
         failed = failed or not entry["pass"]
         results.append(entry)
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
-               "double_grid": cfg["double_grid"], "tolerance": tol,
+    payload = {"config_hash": cfg_hash, "grid": cfg["grid"], "entropy_grid": eg,
+               "double_grid": dg, "tolerance": tol,
                "identities": results}
     _write_json(os.path.join(_outdir(cfg), "identities.json"), payload)
     if failed:
@@ -449,15 +455,13 @@ def main(argv=None) -> int:
     try:
         cfg, cfg_hash = load_config(args.config, args.command)
         return COMMANDS[args.command](cfg, cfg_hash)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except (CFLViolation, BlowUpDetected, StepLimitReached, StagnationError) as exc:
+    except (CFLViolation, BlowUpDetected, StepLimitReached, StagnationError,
+            MaskedDensityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, FileNotFoundError) as exc:   # ConfigError included
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

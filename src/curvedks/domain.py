@@ -69,16 +69,18 @@ def write_lattice_csv(path, header: str, a: np.ndarray, b: np.ndarray,
                       values: np.ndarray, meta: str | None = None) -> None:
     """Write values[i, j] as rows `a[i],b[j],value`, row-major.
 
-    Each axis label is formatted once per call, not once per cell.
+    Each axis label is formatted once per call, not once per cell, and each
+    lattice row is one %-format over its values. The labels are numbers, so
+    they hold no `%`.
     """
     a_labels = [f"{v:.12g}," for v in a.tolist()]
-    b_labels = [f"{v:.12g}," for v in b.tolist()]
+    row_tail = [f"{v:.12g},%.17g\n" for v in b.tolist()]   # "b[j],value" after a[i]
     with open(path, "w", newline="") as fh:
         if meta:
             fh.write(f"# {meta}\n")
         fh.write(f"{header}\n")
         for a_label, row in zip(a_labels, values.tolist()):
-            fh.writelines(f"{a_label}{b_label}{v:.17g}\n" for b_label, v in zip(b_labels, row))
+            fh.write((a_label + a_label.join(row_tail)) % tuple(row))
 
 
 def read_lattice_csv(path) -> tuple[CartesianGrid, np.ndarray]:

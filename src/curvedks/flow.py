@@ -114,18 +114,6 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def _limited_slopes(rho: np.ndarray, axis: int) -> np.ndarray:
-    """Minmod-limited one-cell slopes along an axis, zero at the edge cells."""
-    d = np.diff(rho, axis=axis)
-    pad_b = [(0, 0), (0, 0)]
-    pad_b[axis] = (1, 0)
-    backward = np.pad(d, pad_b, mode="constant")
-    pad_f = [(0, 0), (0, 0)]
-    pad_f[axis] = (0, 1)
-    forward = np.pad(d, pad_f, mode="constant")
-    return _minmod(backward, forward)
-
-
 def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
     """-div(F) with F = -grad rho + rho_face grad c on interior faces.
 
@@ -144,19 +132,25 @@ def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
     # face-centered advective velocity (gradient of c across the face)
     vx = (cs[1:, :] - cs[:-1, :]) / h
     vy = (cs[:, 1:] - cs[:, :-1]) / h
-    sx = _limited_slopes(rho, 0)
-    sy = _limited_slopes(rho, 1)
+    dx = np.diff(rho, axis=0)
+    dy = np.diff(rho, axis=1)
+    # minmod-limited one-cell slopes; zero at the edge cells, which have one neighbour
+    sx = np.zeros_like(rho)
+    sx[1:-1, :] = _minmod(dx[:-1, :], dx[1:, :])
+    sy = np.zeros_like(rho)
+    sy[:, 1:-1] = _minmod(dy[:, :-1], dy[:, 1:])
     rho_face_x = np.where(vx > 0, rho[:-1, :] + 0.5 * sx[:-1, :],
                           rho[1:, :] - 0.5 * sx[1:, :])
     rho_face_y = np.where(vy > 0, rho[:, :-1] + 0.5 * sy[:, :-1],
                           rho[:, 1:] - 0.5 * sy[:, 1:])
-    Fx = -(rho[1:, :] - rho[:-1, :]) / h + rho_face_x * vx
-    Fy = -(rho[:, 1:] - rho[:, :-1]) / h + rho_face_y * vy
+    # face fluxes, already divided by h for the divergence
+    Fx = (-dx / h + rho_face_x * vx) / h
+    Fy = (-dy / h + rho_face_y * vy) / h
     div = np.zeros_like(rho)
-    div[1:, :] += Fx / h
-    div[:-1, :] -= Fx / h
-    div[:, 1:] += Fy / h
-    div[:, :-1] -= Fy / h
+    div[1:, :] += Fx
+    div[:-1, :] -= Fx
+    div[:, 1:] += Fy
+    div[:, :-1] -= Fy
     return div
 
 

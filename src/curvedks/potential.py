@@ -7,10 +7,13 @@ The potential of a density rho on the curved plane is the lattice sum
 with the singular j = i term replaced by rho_i e^{2 phi_i} W(h), where W(h) is
 the exact integral of G over one grid cell centered at the singularity.
 On a uniform lattice a kernel depends only on the offset i - j, so each kernel
-(G, and the gradient kernel the virial uses) is one table over offsets
-(_offset_table), evaluated by FFT as a zero-padded circulant convolution (the
-working path for large grids) or by direct block-Toeplitz summation (the
-O(N^2) reference path); resolve_method holds the one policy that picks.
+(G, and the gradient kernel the virial uses) is one table over offsets at
+unit spacing (_offset_table), evaluated by FFT as a zero-padded circulant
+convolution (the working path for large grids) or by direct block-Toeplitz
+summation (the O(N^2) reference path); resolve_method holds the one policy
+that picks. The spacing h is applied to the sum, exactly: G(h x) = G(x) -
+ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at spacing h the
+log sum shifts by -(ln h / 2pi) sum q, and the gradient sum scales by 1/h.
 The truncation tail of a potential is estimated from its density on first
 read of PotentialField.tail, so callers that never read it never pay for it.
 """
@@ -18,7 +21,7 @@ read of PotentialField.tail, so callers that never read it never pay for it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -27,12 +30,11 @@ from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
 from .geometry import ConformalFactor
 
 # grids above this size use FFT under method="auto". One BLAS thread, kernel
-# FFT cached: direct 2.4 ms vs FFT 0.39 ms at n = 64, 7.8 vs 0.78 ms at n = 96.
-# The limit stays 96 because the benchmark's `coarse` workload is where the
-# direct sum runs, as the oracle, through "auto".
+# spectrum cached: direct 2.4 ms vs FFT 0.39 ms at n = 64, 7.8 vs 0.78 ms at
+# n = 96. Both paths sum the same unit-spacing table, so the choice changes
+# cost, not the spacing law. The limit stays 96 because the benchmark's
+# `coarse` workload is where the direct sum runs, as the oracle, through "auto".
 _DIRECT_LIMIT = 96
-
-_kernel_fft_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
 def green_kernel(x, y) -> np.ndarray | float:
@@ -128,32 +130,39 @@ class PotentialField:
         write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)
 
 
-def _offset_table(kind: str, grid: CartesianGrid):
-    """Kernel values over lattice offsets -n..n-1 in each axis, shape (2n, 2n).
+def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """Kernel values over lattice offsets -n..n-1 at unit spacing, each (2n, 2n).
 
-    Entry [a + n, b + n] is the kernel at offset (a h, b h). "log" gives G,
-    with W(h)/h^2 at offset 0; "grad" gives (KX, KY), the two components of
+    Entry [a + n, b + n] is the kernel at offset (a, b). "log" gives (G,),
+    with W(1) at offset 0; "grad" gives (KX, KY), the two components of
     grad G = -(x - y) / (2pi |x - y|^2), with 0 at offset 0 (the self-cell
     term vanishes by oddness of the kernel).
     """
-    n, h = grid.n, grid.h
     d = np.arange(-n, n, dtype=float)
+    DX, DY = np.meshgrid(d, d, indexing="ij")
     if kind == "log":
-        DX, DY = np.meshgrid(d, d, indexing="ij")
-        R = np.hypot(DX, DY) * h
+        R = np.hypot(DX, DY)
         T = np.empty((2 * n, 2 * n))
         nz = R > 0
         T[nz] = -np.log(R[nz]) / (2.0 * np.pi)
-        T[n, n] = self_cell_weight(h) / (h * h)
-        return T
+        T[n, n] = self_cell_weight(1.0)
+        return (T,)
     if kind == "grad":
-        DX, DY = np.meshgrid(d * h, d * h, indexing="ij")
         R2 = DX**2 + DY**2
         with np.errstate(divide="ignore", invalid="ignore"):
             KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)
             KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
         return KX, KY
     raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+@lru_cache(maxsize=8)
+def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only rfft2 of each unit offset table; one per (kind, n), for any h and centre."""
+    out = tuple(np.fft.rfft2(np.fft.ifftshift(T)) for T in _offset_table(kind, n))
+    for Kf in out:
+        Kf.flags.writeable = False
+    return out
 
 
 def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -173,23 +182,6 @@ def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    """Reference O(N^2) summation of the log kernel (block-Toeplitz, no FFT)."""
-    return _toeplitz_sum(q, _offset_table("log", grid))
-
-
-def _kernel_fft(grid: CartesianGrid) -> np.ndarray:
-    key = (grid.n, grid.h)
-    cached = _kernel_fft_cache.get(key)
-    if cached is not None:
-        return cached
-    Kf = np.fft.rfft2(np.fft.ifftshift(_offset_table("log", grid)))
-    if len(_kernel_fft_cache) > 8:
-        _kernel_fft_cache.clear()
-    _kernel_fft_cache[key] = Kf
-    return Kf
-
-
 def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     """FFT lattice sums of q, zero-padded to 2n x 2n, with each kernel's rfft2."""
     n = q.shape[0]
@@ -200,8 +192,19 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     return [np.fft.irfft2(qf * Kf, s=(m, m))[:n, :n] for Kf in kernel_ffts]
 
 
+def _log_shift(c: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
+    """Unit-spacing log sum c to spacing h, in place: c - (ln h / 2pi) sum q."""
+    c -= np.log(h) / (2.0 * np.pi) * q.sum()
+    return c
+
+
+def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
+    """Reference O(N^2) summation of the log kernel (block-Toeplitz, no FFT)."""
+    return _log_shift(_toeplitz_sum(q, _offset_table("log", grid.n)[0]), q, grid.h)
+
+
 def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    return _circulant_sums(q, [_kernel_fft(grid)])[0]
+    return _log_shift(_circulant_sums(q, _kernel_spectra("log", grid.n))[0], q, grid.h)
 
 
 def resolve_method(method: str, grid: CartesianGrid) -> str:

@@ -23,6 +23,14 @@ from .profiles import ScaledCauchyProfile
 RHO_FLOOR = 1e-300
 
 
+class MaskedDensityError(ValueError):
+    """The density is floored (masked) on every cell a diagnostic needs.
+
+    A property of the data, not a malformed argument; the CLI reports it as
+    a numerical failure.
+    """
+
+
 @dataclass
 class DensityField:
     """Nonnegative density samples on a grid, together with its metric factor.
@@ -114,7 +122,7 @@ def reduced_residual(field: DensityField, probe_frac: float = 0.4,
     """
     low, bmask, probe = _interior_probe(field, probe_frac, layers=2)
     if probe.sum() == 0:
-        raise ValueError("no usable interior cells: field is all-masked")
+        raise MaskedDensityError("no usable interior cells: field is all-masked")
     cfield = field.potential(method=method)
     f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR))) - cfield.samples
 
@@ -232,7 +240,7 @@ def decay_envelope(field: DensityField, annulus: AnnulusSpec) -> EnvelopeReport:
     mask = annulus.mask(field.grid)
     rho = field.samples[mask]
     if np.any(rho <= RHO_FLOOR):
-        raise ValueError("annulus touches masked (zero-density) cells")
+        raise MaskedDensityError("annulus touches masked (zero-density) cells")
     r = field.grid.radius()[mask]
     expo = field.mass / (4.0 * np.pi)
     q = rho * (1.0 + r * r) ** expo

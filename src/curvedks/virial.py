@@ -24,8 +24,8 @@ from scipy.sparse.linalg import splu
 
 from .domain import CartesianGrid
 from .geometry import ConformalFactor, grad_flat, laplacian_flat
-from .potential import (PotentialField, _circulant_sums, _offset_table, _toeplitz_sum,
-                        resolve_method)
+from .potential import (PotentialField, _circulant_sums, _kernel_spectra, _offset_table,
+                        _toeplitz_sum, resolve_method)
 from .stationary import DensityField
 
 
@@ -277,32 +277,26 @@ class VirialReport:
         return 4.0 * self.I1 + 2.0 * self.I2 + self.I3
 
 
-_grad_kernel_cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _grad_kernel_ffts(grid: CartesianGrid):
-    key = (grid.n, grid.h)
-    hit = _grad_kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    out = tuple(np.fft.rfft2(np.fft.ifftshift(K)) for K in _offset_table("grad", grid))
-    if len(_grad_kernel_cache) > 8:
-        _grad_kernel_cache.clear()
-    _grad_kernel_cache[key] = out
-    return out
+def _grad_kernel_ffts(grid: CartesianGrid) -> tuple[np.ndarray, ...]:
+    return _kernel_spectra("grad", grid.n)
 
 
 def potential_gradient(rho: DensityField, method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """grad c by convolution with the kernel gradient -(x - y) / (2pi |x - y|^2).
 
     The self-cell term is zero by oddness of the kernel around the
-    singularity.
+    singularity. The sums use the unit-spacing kernel, which is h times the
+    kernel at spacing h, so they are divided by h.
     """
     grid = rho.grid
     q = rho.samples * rho.area_weights
     if resolve_method(method, grid) == "direct":
-        return tuple(_toeplitz_sum(q, K) for K in _offset_table("grad", grid))
-    return tuple(_circulant_sums(q, _grad_kernel_ffts(grid)))
+        sums = [_toeplitz_sum(q, K) for K in _offset_table("grad", grid.n)]
+    else:
+        sums = _circulant_sums(q, _grad_kernel_ffts(grid))
+    for s in sums:
+        s /= grid.h
+    return tuple(sums)
 
 
 def assemble_virial(rho: DensityField, R_list, f: np.ndarray | None = None,

@@ -178,6 +178,15 @@ def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command, extra", [("residual", {}), ("envelope", {"annulus_R": 5.0})])
+def test_masked_density_is_numerical_failure(tmp_path, monkeypatch, command, extra):
+    # a profile centred 1e76 away is floored on every cell near the grid:
+    # the data, not the config, is what fails (exit 3, not 2)
+    rc, _ = _run(tmp_path, command, {"grid": {"half_width": 20.0, "n": 64},
+                                     "profile": {"x_star": [1e76, 0.0]}, **extra}, monkeypatch)
+    assert rc == 3
+
+
 def test_flow_step_limit_exit_code(tmp_path, monkeypatch):
     def out_of_steps(*args, **kwargs):
         raise StepLimitReached("10 steps reached t = 0.01, short of t_end = 0.02")
@@ -221,6 +230,16 @@ def test_validate_takes_int_for_float():
     cfg = cli._validate({"grid": {"half_width": 20, "n": 64}}, cli.SCHEMAS["virial"])
     assert cfg["grid"]["half_width"] == 20.0
     assert isinstance(cfg["grid"]["half_width"], float)
+
+
+def test_identities_default_config_passes(tmp_path, monkeypatch):
+    # no config: the default grids resolve every default lambda within 1e-2
+    monkeypatch.setenv("CURVEDKS_OUTPUT_DIR", str(tmp_path))
+    assert main(["identities"]) == EXIT_OK
+    payload = json.loads((tmp_path / "identities.json").read_text())
+    assert payload["tolerance"] == 1e-2
+    assert [r["lambda"] for r in payload["identities"]] == [0.5, 1.0, 2.0]
+    assert all(r["pass"] for r in payload["identities"])
 
 
 def test_default_config_loads():

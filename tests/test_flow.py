@@ -133,6 +133,39 @@ def test_reversed_step_raises_energy():
     assert free_energy(rev).total > free_energy(fld).total
 
 
+def _padded_flux_divergence(rho, cs, h):
+    """Reference: limited slopes from zero-padded backward and forward differences."""
+    def slopes(axis):
+        d = np.diff(rho, axis=axis)
+        pad_b, pad_f = [(0, 0), (0, 0)], [(0, 0), (0, 0)]
+        pad_b[axis], pad_f[axis] = (1, 0), (0, 1)
+        a, b = np.pad(d, pad_b), np.pad(d, pad_f)
+        return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+    vx = (cs[1:, :] - cs[:-1, :]) / h
+    vy = (cs[:, 1:] - cs[:, :-1]) / h
+    sx, sy = slopes(0), slopes(1)
+    rho_face_x = np.where(vx > 0, rho[:-1, :] + 0.5 * sx[:-1, :], rho[1:, :] - 0.5 * sx[1:, :])
+    rho_face_y = np.where(vy > 0, rho[:, :-1] + 0.5 * sy[:, :-1], rho[:, 1:] - 0.5 * sy[:, 1:])
+    Fx = -(rho[1:, :] - rho[:-1, :]) / h + rho_face_x * vx
+    Fy = -(rho[:, 1:] - rho[:, :-1]) / h + rho_face_y * vy
+    div = np.zeros_like(rho)
+    div[1:, :] += Fx / h
+    div[:-1, :] -= Fx / h
+    div[:, 1:] += Fy / h
+    div[:, :-1] -= Fy / h
+    return div
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_flux_divergence_matches_padded_formula(seed):
+    rng = np.random.default_rng(seed)
+    g = CartesianGrid(center=(0.4, -0.2), half_width=3.0, n=16 + 2 * seed)
+    rho = rng.random((g.n, g.n)) ** 3
+    fld = DensityField(grid=g, samples=rho, phi=ConformalFactor.zero())
+    c = fld.potential(method="fft")
+    assert np.array_equal(flux_divergence(fld, c), _padded_flux_divergence(rho, c.samples, g.h))
+
+
 def test_blow_up_detection():
     g = CartesianGrid(center=(0, 0), half_width=4.0, n=64)
     X, Y = g.meshes()

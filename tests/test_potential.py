@@ -7,7 +7,7 @@ from scipy import integrate
 from conftest import lstsq_order
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor
-from curvedks import potential
+from curvedks import potential, virial
 from curvedks.potential import (coulomb_quadratic_form, estimate_tail, far_field_report,
                                 green_kernel, lattice_potential, newtonian_potential,
                                 self_cell_weight)
@@ -117,6 +117,30 @@ def test_fft_equals_direct_property(k, cx, cy, half_width, seed):
     scale = np.max(np.abs(gxd)) + np.max(np.abs(gyd))
     assert np.max(np.abs(gxd - gxf)) <= 1e-10 * scale
     assert np.max(np.abs(gyd - gyf)) <= 1e-10 * scale
+
+
+def test_kernel_spectra_shared_across_spacing_and_centre():
+    a = CartesianGrid(center=(0.0, 0.0), half_width=3.0, n=24)
+    b = CartesianGrid(center=(5.0, -2.0), half_width=40.0, n=24)
+    assert potential._kernel_spectra("log", a.n) is potential._kernel_spectra("log", b.n)
+    assert virial._grad_kernel_ffts(a) is virial._grad_kernel_ffts(b)
+    for kind in ("log", "grad"):
+        for Kf in potential._kernel_spectra(kind, a.n):
+            assert not Kf.flags.writeable
+            with pytest.raises(ValueError):
+                Kf[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("method", ["direct", "fft"])
+def test_potential_shifts_by_log_spacing(method):
+    # same n and charges, spacings 0.25 and 3.5: c differs by -(ln h_b/h_a / 2pi) sum q
+    a = CartesianGrid(center=(0.0, 0.0), half_width=4.0, n=32)
+    b = CartesianGrid(center=(7.0, -3.0), half_width=56.0, n=32)
+    q = np.random.default_rng(5).random((32, 32))
+    ca = lattice_potential(q, a, method=method)
+    cb = lattice_potential(q, b, method=method)
+    shift = -np.log(b.h / a.h) / (2 * np.pi) * q.sum()
+    assert np.max(np.abs(cb - ca - shift)) <= 1e-12 * np.max(np.abs(cb))
 
 
 def test_cauchy_profile_potential_closed_form(flat_phi):
