@@ -55,11 +55,10 @@ _PROFILE_SCHEMA = {"lam": (float, 1.0), "x_star": (list, [0.0, 0.0]),
 
 SCHEMAS = {
     "identities": {
-        # grid: potential probes; entropy_grid and double_grid (Coulomb) share
-        # its centre and scale with lambda: their half_width is per unit lambda
+        # grid: potential probes; double_grid (Coulomb) shares its centre and
+        # scales with lambda: its half_width is per unit lambda
         "grid": {"half_width": (float, 60.0), "n": (int, 1024),
                  "center": (list, [0.0, 0.0])},
-        "entropy_grid": {"half_width": (float, 250.0), "n": (int, 1024)},
         "double_grid": {"half_width": (float, 60.0), "n": (int, 512)},
         "lambdas": (list, [0.5, 1.0, 2.0]),
         "tolerance": (float, 1e-2),
@@ -225,7 +224,6 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_identities(cfg: dict, cfg_hash: str) -> int:
     grid = _grid(cfg)
-    eg = cfg["entropy_grid"]
     dg = cfg["double_grid"]
     tol = cfg["tolerance"]
     results = []
@@ -235,7 +233,9 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         mu = ScaledCauchyProfile(lam=lam, normalization="mu")
         m = 8.0 * np.pi
 
-        egrid = CartesianGrid(center=grid.center, half_width=eg["half_width"] * lam, n=eg["n"])
+        # entropy on the acceptance suite's criterion-1 layout: the integrand
+        # mu ln mu decays only like r^-4 ln r, so the grid spans 250 lambda
+        egrid = CartesianGrid(center=grid.center, half_width=250.0 * lam, n=1024)
         closed_e = mu_entropy_identity(m, lam)
         vals = m * mu.on_grid(egrid)
         live = vals > 0
@@ -275,7 +275,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         entry["pass"] = bool(max(errs) <= tol)
         failed = failed or not entry["pass"]
         results.append(entry)
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"], "entropy_grid": eg,
+    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
                "double_grid": dg, "tolerance": tol,
                "identities": results}
     _write_json(os.path.join(_outdir(cfg), "identities.json"), payload)

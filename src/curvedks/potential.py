@@ -192,19 +192,13 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     return [np.fft.irfft2(qf * Kf, s=(m, m))[:n, :n] for Kf in kernel_ffts]
 
 
-def _log_shift(c: np.ndarray, q: np.ndarray, h: float) -> np.ndarray:
-    """Unit-spacing log sum c to spacing h, in place: c - (ln h / 2pi) sum q."""
-    c -= np.log(h) / (2.0 * np.pi) * q.sum()
-    return c
-
-
 def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    """Reference O(N^2) summation of the log kernel (block-Toeplitz, no FFT)."""
-    return _log_shift(_toeplitz_sum(q, _offset_table("log", grid.n)[0]), q, grid.h)
+    """Reference O(N^2) summation of the unit-spacing log kernel (block-Toeplitz, no FFT)."""
+    return _toeplitz_sum(q, _offset_table("log", grid.n)[0])
 
 
 def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    return _log_shift(_circulant_sums(q, _kernel_spectra("log", grid.n))[0], q, grid.h)
+    return _circulant_sums(q, _kernel_spectra("log", grid.n))[0]
 
 
 def resolve_method(method: str, grid: CartesianGrid) -> str:
@@ -218,10 +212,13 @@ def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "auto") 
     """Potential of per-cell charges q_j (already including area weights)."""
     method = resolve_method(method, grid)
     if method == "direct":
-        return _direct_convolve(q, grid)
-    if method == "fft":
-        return _fft_convolve(q, grid)
-    raise ValueError(f"unknown method {method!r}")
+        c = _direct_convolve(q, grid)
+    elif method == "fft":
+        c = _fft_convolve(q, grid)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    c -= np.log(grid.h) / (2.0 * np.pi) * q.sum()    # unit-spacing sum to spacing h
+    return c
 
 
 def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGrid,
