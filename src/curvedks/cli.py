@@ -109,7 +109,7 @@ SCHEMAS = {
         "mass": (float, 4.0 * np.pi),
         "sigma": (float, 1.0),
         "t_end": (float, 0.05),
-        "dt": (float, 0.0),                # 0 -> CFL-limited automatic step
+        "dt": (float, 0.0),                # 0 -> CFL-limited automatic step; < 0 rejected
         "snapshot_every": (int, 10),
         "output_dir": (str, "."),
     },
@@ -394,7 +394,7 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
         field = _density(cfg, grid, phi)
     else:
         raise ConfigError(f"unknown initial condition {cfg['initial']!r}")
-    dt = cfg["dt"] if cfg["dt"] > 0 else None
+    dt = None if cfg["dt"] == 0 else cfg["dt"]    # a negative dt is rejected by run_flow
     final, diag, snaps = run_flow(field, cfg["t_end"], dt=dt,
                                   snapshot_every=cfg["snapshot_every"],
                                   with_energy=True)

@@ -12,7 +12,10 @@ upwind reconstruction under the CFL bound preserves positivity.
 
 The factor phi is fixed for a run, so flow_init samples it once: every state
 of the run shares e^{-2 phi} on the grid, min e^{2 phi} for the CFL bound,
-and the area weights e^{2 phi} h^2 of its density field.
+and the area weights e^{2 phi} h^2 of its density field. A step forms the
+curved cell masses rho e^{2 phi} h^2 once and hands them to the lattice sum
+as its charges, and the CFL bound and the fluxes read the same face
+differences of c.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .potential import PotentialField
+from .potential import PotentialField, lattice_potential
 from .stationary import DensityField
 
 
@@ -86,8 +89,7 @@ def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float,
               cfl: float = 0.2) -> float:
     """dt <= cfl * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
     h = field.grid.h
-    gx = np.diff(c.samples, axis=0) / h
-    gy = np.diff(c.samples, axis=1) / h
+    gx, gy = c.face_gradients
     vmax = max(float(np.max(np.abs(gx))), float(np.max(np.abs(gy))), 0.0)
     return cfl * h * h * min_e2phi / (1.0 + vmax * h)
 
@@ -100,7 +102,10 @@ def flow_init(field: DensityField, dt: float | None = None, cfl: float = 0.2,
     The potential is re-convolved every step, so the FFT evaluation of the
     same lattice sum is the default here (it matches the direct path to
     roundoff and turns a quadratic per-step cost into a log-linear one).
+    A given dt must be positive.
     """
+    if dt is not None and not dt > 0:
+        raise ValueError(f"time step must be positive, got dt = {dt!r}")
     phis = field.phi.on_grid(field.grid)
     min_e2phi = float(np.exp(2.0 * phis.min()))
     c = field.potential(method=method)
@@ -111,7 +116,8 @@ def flow_init(field: DensityField, dt: float | None = None, cfl: float = 0.2,
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+    """The smaller-magnitude argument where a and b share a sign, else 0."""
+    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
 
 
 def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
@@ -128,10 +134,7 @@ def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
     grid = field.grid
     h = grid.h
     rho = field.samples
-    cs = c.samples
-    # face-centered advective velocity (gradient of c across the face)
-    vx = (cs[1:, :] - cs[:-1, :]) / h
-    vy = (cs[:, 1:] - cs[:, :-1]) / h
+    vx, vy = c.face_gradients    # face-centred advective velocity, shared with cfl_bound
     dx = np.diff(rho, axis=0)
     dy = np.diff(rho, axis=1)
     # minmod-limited one-cell slopes; zero at the edge cells, which have one neighbour
@@ -161,11 +164,12 @@ def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
     bound, and BlowUpDetected once a single cell holds the bulk of the mass.
     """
     field = state.field
-    bound = cfl_bound(field, state.c, state.min_e2phi, cfl)
+    c = state.c
+    bound = cfl_bound(field, c, state.min_e2phi, cfl)
     if state.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {state.dt:.3e} exceeds CFL bound {bound:.3e}")
 
-    rho_new = field.samples + state.dt * state.e_m2phi * flux_divergence(field, state.c)
+    rho_new = field.samples + state.dt * state.e_m2phi * flux_divergence(field, c)
 
     if np.any(rho_new < 0):
         worst = float(rho_new.min())
@@ -173,10 +177,14 @@ def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
                            "reduce dt")
     new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi,
                              area_weights=field.area_weights)
-    if float(np.max(rho_new * new_field.area_weights)) > 0.5 * new_field.mass:
+    q = rho_new * new_field.area_weights     # curved cell masses: the potential's charges
+    mass = float(q.sum())
+    if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
-    return replace(state, t=state.t + state.dt, field=new_field,
-                   c=new_field.potential(method=state.c.method),
+    c_new = PotentialField(grid=field.grid, samples=lattice_potential(q, field.grid, c.method),
+                           mass_used=mass, self_cell_weight=c.self_cell_weight,
+                           method=c.method, rho=rho_new)
+    return replace(state, t=state.t + state.dt, field=new_field, c=c_new,
                    step_count=state.step_count + 1)
 
 
@@ -187,8 +195,13 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
     """March to t_end collecting diagnostics every snapshot_every steps.
 
     The last step is shortened so the run ends exactly at t_end. Raises
-    StepLimitReached if t_end needs more than max_steps steps.
+    StepLimitReached if t_end needs more than max_steps steps, and
+    ValueError unless t_end > 0 and snapshot_every >= 1.
     """
+    if not t_end > 0:
+        raise ValueError(f"t_end must be positive, got {t_end!r}")
+    if snapshot_every < 1:
+        raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt, cfl=cfl, method=method)
     diag = FlowDiagnostics(phi_is_flat=(field.phi.kind == "zero"))
     snapshots = [state]

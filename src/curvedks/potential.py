@@ -9,7 +9,8 @@ the exact integral of G over one grid cell centered at the singularity.
 On a uniform lattice a kernel depends only on the offset i - j, so each kernel
 (G, and the gradient kernel the virial uses) is one table over offsets at
 unit spacing (_offset_table), evaluated by FFT as a zero-padded circulant
-convolution (the working path for large grids) or by direct block-Toeplitz
+convolution with transforms pruned to the data rows and one reused
+workspace (the working path for large grids) or by direct block-Toeplitz
 summation (the O(N^2) reference path); resolve_method holds the one policy
 that picks. The spacing h is applied to the sum, exactly: G(h x) = G(x) -
 ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at spacing h the
@@ -30,7 +31,8 @@ from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
 from .geometry import ConformalFactor
 
 # grids above this size use FFT under method="auto". One BLAS thread, kernel
-# spectrum cached: direct 2.4 ms vs FFT 0.39 ms at n = 64, 7.8 vs 0.78 ms at
+# spectrum and workspace cached, medians of 300 calls on a 2-vCPU VM: direct
+# 1.8-2.9 ms vs pruned FFT 0.25 ms at n = 64, 7.9-8.2 vs 0.49-0.54 ms at
 # n = 96. Both paths sum the same unit-spacing table, so the choice changes
 # cost, not the spacing law. The limit stays 96 because the benchmark's
 # `coarse` workload is where the direct sum runs, as the oracle, through "auto".
@@ -126,6 +128,12 @@ class PotentialField:
     def tail(self) -> TruncationReport:
         return estimate_tail(self.rho, self.grid)
 
+    @cached_property
+    def face_gradients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Differences of c across interior cell faces over h: shapes (n-1, n), (n, n-1)."""
+        h = self.grid.h
+        return np.diff(self.samples, axis=0) / h, np.diff(self.samples, axis=1) / h
+
     def to_csv(self, path) -> None:
         write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)
 
@@ -158,8 +166,15 @@ def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=8)
 def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only rfft2 of each unit offset table; one per (kind, n), for any h and centre."""
+    """Read-only rfft2 of each unit offset table; one per (kind, n), for any h and centre.
+
+    The log table is even under offset negation (mod 2n), so its spectrum is
+    real up to roundoff (imaginary part below 1e-17 of the real one) and is
+    stored as float64; the odd gradient tables keep complex spectra.
+    """
     out = tuple(np.fft.rfft2(np.fft.ifftshift(T)) for T in _offset_table(kind, n))
+    if kind == "log":
+        out = tuple(Kf.real.copy() for Kf in out)
     for Kf in out:
         Kf.flags.writeable = False
     return out
@@ -182,14 +197,39 @@ def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1)
+def _fft_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers of one grid size, reused by every FFT lattice sum at that size.
+
+    (2n, n+1) complex for the half spectrum, (n, 2n) real for the inverse
+    row transforms. One size only: a larger cache keeps several n = 1024
+    workspaces alive. The sums run one at a time; this is not thread-safe.
+    """
+    return np.empty((2 * n, n + 1), dtype=complex), np.empty((n, 2 * n))
+
+
 def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
-    """FFT lattice sums of q, zero-padded to 2n x 2n, with each kernel's rfft2."""
+    """FFT lattice sums of q, zero-padded to 2n x 2n, with each kernel's rfft2.
+
+    The transforms are pruned to the data: the forward row rfft runs over the
+    n data rows only (written into the top half of the spectrum buffer), and
+    the inverse row irfft over the n output rows only. Each result is copied
+    out of the workspace, so it owns its n x n samples.
+    """
     n = q.shape[0]
     m = 2 * n
-    qpad = np.zeros((m, m))
-    qpad[:n, :n] = q
-    qf = np.fft.rfft2(qpad)
-    return [np.fft.irfft2(qf * Kf, s=(m, m))[:n, :n] for Kf in kernel_ffts]
+    S, R = _fft_workspace(n)
+    np.fft.rfft(q, n=m, axis=1, out=S[:n])
+    S[n:] = 0.0
+    np.fft.fft(S, axis=0, out=S)
+    sums = []
+    for k, Kf in enumerate(kernel_ffts):
+        # the last kernel may overwrite the data spectrum; earlier ones need a product buffer
+        P = np.multiply(S, Kf, out=S if k == len(kernel_ffts) - 1 else None)
+        np.fft.ifft(P, axis=0, out=P)
+        np.fft.irfft(P[:n], n=m, axis=1, out=R)
+        sums.append(R[:, :n].copy())
+    return sums
 
 
 def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:

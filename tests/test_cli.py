@@ -178,6 +178,16 @@ def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("bad", [{"snapshot_every": 0}, {"snapshot_every": -2},
+                                 {"t_end": 0.0}, {"t_end": -0.01}, {"dt": -1e-4}])
+def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
+    # no division by zero, no empty run, no negative dt silently made automatic
+    rc, outdir = _run(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 32},
+                                         "t_end": 0.001, **bad}, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert not (outdir / "flow.json").exists()
+
+
 @pytest.mark.parametrize("command, extra", [("residual", {}), ("envelope", {"annulus_R": 5.0})])
 def test_masked_density_is_numerical_failure(tmp_path, monkeypatch, command, extra):
     # a profile centred 1e76 away is floored on every cell near the grid:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lstsq_order
 from curvedks.domain import CartesianGrid
@@ -25,6 +29,27 @@ def test_cfl_rejection():
     state.dt = 10.0 * cfl_bound(fld, state.c, state.min_e2phi)
     with pytest.raises(CFLViolation):
         flow_step(state)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(8, 24), half_width=st.floats(2.0, 20.0), curved=st.booleans(),
+       amplitude=st.floats(-0.5, 0.5), support=st.floats(0.3, 1.0),
+       floor=st.floats(1e-6, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_flow_step_at_cfl_dt_property(k, half_width, curved, amplitude, support, floor, seed):
+    # one step at the full CFL dt on a rough positive density, flat or curved
+    g = CartesianGrid(center=(0.0, 0.0), half_width=half_width, n=2 * k)
+    rng = np.random.default_rng(seed)
+    phi = (ConformalFactor.radial_bump(amplitude, support * half_width,
+                                       tuple(rng.uniform(-0.5, 0.5, 2) * half_width))
+           if curved else ConformalFactor.zero())
+    fld = DensityField(grid=g, samples=floor + rng.random((2 * k, 2 * k)), phi=phi)
+    state = flow_init(fld)
+    state = flow_step(replace(state, dt=cfl_bound(fld, state.c, state.min_e2phi)))
+    new = state.field
+    assert abs(new.mass - fld.mass) <= 1e-12 * fld.mass
+    assert new.samples.min() >= 0.0
+    ref = new.potential(method="fft").samples
+    assert np.max(np.abs(state.c.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_mass_conserved_exactly_over_many_steps():

@@ -131,6 +131,30 @@ def test_kernel_spectra_shared_across_spacing_and_centre():
                 Kf[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("kind", ["log", "grad"])
+def test_fft_sums_own_their_samples(kind):
+    # each result is an n x n array of its own, not a view of the 2n x 2n
+    # workspace, so the next sum at the same n leaves it unchanged
+    n = 40
+    g = CartesianGrid(center=(0.5, -1.0), half_width=6.0, n=n)
+    flat = ConformalFactor.zero()
+    rng = np.random.default_rng(11)
+
+    def sums(rho):
+        if kind == "log":
+            return [newtonian_potential(rho, flat, g, method="fft").samples]
+        return list(potential_gradient(DensityField(grid=g, samples=rho, phi=flat),
+                                       method="fft"))
+
+    first = sums(rng.random((n, n)) + 0.1)
+    kept = [s.copy() for s in first]
+    second = sums(rng.random((n, n)) + 0.1)
+    for s, k, t in zip(first, kept, second):
+        assert s.base is None and s.nbytes == n * n * 8
+        assert np.array_equal(s, k)
+        assert not np.array_equal(s, t)
+
+
 @pytest.mark.parametrize("method", ["direct", "fft"])
 def test_potential_shifts_by_log_spacing(method):
     # same n and charges, spacings 0.25 and 3.5: c differs by -(ln h_b/h_a / 2pi) sum q
