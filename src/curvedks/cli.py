@@ -343,7 +343,15 @@ def cmd_deficit(cfg: dict, cfg_hash: str) -> int:
     return EXIT_CHECK_FAILED if rep.deficit < -1e-3 else EXIT_OK
 
 
+# what a NONZERO OBSTRUCTION verdict rules out, written into every obstruction.json
+OBSTRUCTION_SCOPE = ("rules out only stationary solutions whose transported sphere metric "
+                     "is smooth at the pole, where the Kazdan-Warner identity applies; "
+                     "it does not rule out stationary solutions of every mass")
+
+
 def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
+    if not cfg["threshold"] > 0:
+        raise ConfigError(f"threshold must be positive, got {cfg['threshold']!r}")
     phi = _phi(cfg)
     cert = nonexistence_certificate(phi, lam=cfg["lam"], n_lat=cfg["n_lat"],
                                     n_lon=cfg["n_lon"])
@@ -354,7 +362,8 @@ def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
     payload = {"config_hash": cfg_hash, "phi": cfg["phi"], "lam": cfg["lam"],
                "eligible": cert.eligible, "reason": cert.reason,
                "flank_sign": cert.flank_sign,
-               "obstructions": cert.obstructions, "verdict": verdict}
+               "obstructions": cert.obstructions, "verdict": verdict,
+               "scope": OBSTRUCTION_SCOPE}
     _write_json(os.path.join(_outdir(cfg), "obstruction.json"), payload)
     print(f"obstruction: {verdict}")
     if not cert.eligible:

@@ -54,8 +54,13 @@ def _signed_entropy(field: DensityField) -> tuple[float, float]:
 
 
 def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
-                allow_large: bool = False) -> EnergyReport:
-    """Entropy, Coulomb, and curvature-coupling terms by quadrature."""
+                allow_large: bool = False, c: np.ndarray | None = None) -> EnergyReport:
+    """Entropy, Coulomb, and curvature-coupling terms by quadrature.
+
+    c, if given, is the potential samples of the field's charges
+    field.samples * field.area_weights (a flow step already holds them);
+    otherwise they are summed here with `method`.
+    """
     grid = field.grid
     if grid.n > DOUBLE_SUM_CAP and not allow_large:
         raise ValueError(
@@ -63,7 +68,8 @@ def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
             "pass allow_large=True to override")
     entropy, floored = _signed_entropy(field)
     w = field.area_weights
-    c = lattice_potential(field.samples * w, grid, method=method)
+    if c is None:
+        c = lattice_potential(field.samples * w, grid, method=method)
     coulomb = float(np.sum(field.samples * w * c))
     coupling = 0.0
     if q != 0.0:

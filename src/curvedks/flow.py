@@ -229,7 +229,8 @@ def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool) -> None:
     diag.second_moment.append(second_moment(state.field))
     if with_energy:
         from .energy import free_energy
-        diag.free_energy.append(free_energy(state.field, allow_large=True).total)
+        diag.free_energy.append(free_energy(state.field, allow_large=True,
+                                            c=state.c.samples).total)
     else:
         diag.free_energy.append(float("nan"))
 

@@ -93,7 +93,11 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
         return TruncationReport(np.inf, np.inf, np.nan, np.nan)
     lr = np.log(r[ring])
     lrho = np.log(rho[ring])
-    slope, intercept = np.polyfit(lr, lrho, 1)
+    # least-squares line through the centred data, as polyfit(lr, lrho, 1) gives
+    lr_mean, lrho_mean = lr.mean(), lrho.mean()
+    dx = lr - lr_mean
+    slope = float(np.dot(dx, lrho - lrho_mean) / np.dot(dx, dx))
+    intercept = float(lrho_mean - slope * lr_mean)
     W = grid.half_width
     with np.errstate(over="ignore", invalid="ignore"):
         K = np.exp(intercept)

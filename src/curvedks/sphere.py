@@ -347,6 +347,11 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     derivative is single-signed; the report then lists the sin(theta)
     obstruction for u = 0 and for transported scale perturbations of the
     critical profile. A numerical illustration of the obstruction, not a proof.
+
+    Every candidate u is zonal, as is u1 = sin(theta). As d_psi u1 = 0 on the
+    grid and the d_theta pole mirrors keep row sums, obstruction_integral
+    reduces exactly to 2pi sum_k glw_k d_theta(u1)_k d_theta(h_bar)_k e^{2u_k},
+    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi.
     """
     r, prof = _radial_profile_samples(phi)
     if r is None:
@@ -364,19 +369,14 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
 
     sgrid = SphereGrid(n_lat=n_lat, n_lon=n_lon)
     smap = StereographicMap(lam=lam, x_star=phi.center)
-    T, _ = sgrid.meshes()
-    obstructions = {}
-    h = SphereField(grid=sgrid, values=np.exp(
-        2.0 * phi(*smap.to_plane(*sgrid.meshes()))), role="h")
-    u0 = SphereField(grid=sgrid, values=np.zeros_like(T), role="u")
-    obstructions["u=0"] = obstruction_integral(u0, h, 1)
-    for s in perturbations:
-        # u of the transported profile rho_{s*lam} relative to rho_lam
-        rr = smap.plane_radius(T)
+    theta = sgrid.theta[:, None]
+    h = np.exp(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :])))
+    dd = dtheta(np.sin(theta), sgrid) * dtheta(h.mean(axis=1, keepdims=True), sgrid)
+    weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
+    obstructions = {"u=0": float(np.sum(weight))}
+    x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])
+    den = ScaledCauchyProfile(lam=lam, x_star=smap.x_star, normalization="rho")(x, y)
+    for s in perturbations:    # e^{2u} of the transported rho_{s*lam} against rho_lam
         num = ScaledCauchyProfile(lam=s * lam, x_star=smap.x_star, normalization="rho")
-        den = ScaledCauchyProfile(lam=lam, x_star=smap.x_star, normalization="rho")
-        uv = 0.5 * np.log(num(smap.x_star[0] + rr, np.full_like(rr, smap.x_star[1]))
-                          / den(smap.x_star[0] + rr, np.full_like(rr, smap.x_star[1])))
-        up = SphereField(grid=sgrid, values=uv, role="u")
-        obstructions[f"scale x{s:g}"] = obstruction_integral(up, h, 1)
+        obstructions[f"scale x{s:g}"] = float(np.sum(weight * num(x, y) / den))
     return CertificateReport(True, "monotone radial flank", flank_sign, obstructions)

@@ -89,6 +89,19 @@ def test_obstruction_verdict(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "NONZERO OBSTRUCTION"
+    assert payload["scope"] == cli.OBSTRUCTION_SCOPE
+    assert "smooth at the pole" in payload["scope"]
+
+
+@pytest.mark.parametrize("threshold", [-1, 0])
+def test_obstruction_rejects_nonpositive_threshold(tmp_path, monkeypatch, threshold):
+    # obstructions of about 1e-8 must not pass a threshold that admits anything
+    rc, outdir = _run(tmp_path, "obstruction",
+                      {"phi": {"kind": "radial_bump", "amplitude": 1e-9,
+                               "support_radius": 2.0},
+                       "n_lat": 32, "n_lon": 64, "threshold": threshold}, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert not (outdir / "obstruction.json").exists()
 
 
 def test_obstruction_refuses_flat(tmp_path, monkeypatch):

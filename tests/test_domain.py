@@ -81,6 +81,16 @@ def test_sphere_sin_squared():
     assert sg.integrate(np.sin(T) ** 2) == pytest.approx(4 * np.pi / 3, abs=1e-10)
 
 
+def test_sphere_grids_share_read_only_nodes():
+    a, b = make_sphere_grid(48, 96), make_sphere_grid(48, 16)
+    for name in ("t", "glw", "theta"):
+        assert getattr(a, name) is getattr(b, name)
+        with pytest.raises(ValueError):
+            getattr(a, name)[0] = 0.0
+    assert make_sphere_grid(50, 96).t is not a.t
+    assert np.array_equal(a.t, np.polynomial.legendre.leggauss(48)[0])
+
+
 @pytest.mark.parametrize("n_lat,n_lon", [(3, 16), (8, 7), (8, 9)])
 def test_sphere_rejects_undersized_or_odd(n_lat, n_lon):
     with pytest.raises(ValueError):

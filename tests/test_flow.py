@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lstsq_order
+from curvedks import energy, potential
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, StepLimitReached,
@@ -253,6 +254,20 @@ def test_curved_flow_conserves_curved_mass():
     final, diag, _ = run_flow(fld, 0.01, snapshot_every=1)
     assert diag.mass_drift <= 1e-10
     assert final.field.samples.min() >= 0.0
+
+
+def test_recorded_free_energy_reuses_step_potential(monkeypatch):
+    phi = ConformalFactor.radial_bump(0.1, 2.0)
+    g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
+    fld = _gaussian_field(g, 4 * np.pi, phi=phi)
+    sums = []
+    monkeypatch.setattr(energy, "lattice_potential",
+                        lambda *a, **k: sums.append(1) or potential.lattice_potential(*a, **k))
+    _, diag, snaps = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    assert sums == []     # the energy pairs the charges with the step's own potential
+    monkeypatch.undo()
+    for F, s in zip(diag.free_energy, snaps):
+        assert F == pytest.approx(energy.free_energy(s.field, allow_large=True).total, rel=1e-12)
 
 
 def test_diagnostics_csv(tmp_path):

@@ -280,6 +280,18 @@ def test_truncation_tail_reported(flat_phi):
     assert c.tail.m_tail == pytest.approx(8 * np.pi / 30.0**2, rel=0.3)
 
 
+def test_tail_fit_is_the_least_squares_line():
+    g = CartesianGrid(center=(0.3, -0.2), half_width=25.0, n=96)
+    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho *= np.exp(0.1 * np.random.default_rng(0).standard_normal(rho.shape))
+    rep = estimate_tail(rho, g)
+    r = g.radius()
+    ring = (r >= 0.7 * g.half_width) & (r <= g.half_width)
+    slope, intercept = np.polyfit(np.log(r[ring]), np.log(rho[ring]), 1)
+    assert rep.envelope_slope == pytest.approx(slope, rel=1e-12)
+    assert rep.envelope_K == pytest.approx(np.exp(intercept), rel=1e-12)
+
+
 def test_tail_estimated_on_first_read_only(monkeypatch, flat_phi, grid64):
     rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(grid64)
     calls = []

@@ -4,6 +4,7 @@ import pytest
 from conftest import lstsq_order
 from curvedks.domain import CartesianGrid, SphereGrid
 from curvedks.geometry import ConformalFactor
+from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import (SphereField, StereographicMap, degree_one_harmonic,
                              kw_residual, laplacian_sphere, nonexistence_certificate,
                              obstruction_integral, plane_side_obstruction,
@@ -239,6 +240,37 @@ def test_certificate_issued_for_monotone_bump():
     assert cert.flank_sign == -1
     assert cert.min_magnitude > 1e-3
     assert set(cert.obstructions) == {"u=0", "scale x0.5", "scale x2"}
+
+
+def _sampled_radial_bump():
+    # a radial bump known only on a lattice: bilinear off it, so h is not zonal
+    g = CartesianGrid(center=(0.5, -0.3), half_width=6.0, n=256)
+    X, Y = g.meshes()
+    s = np.hypot(X - 0.5, Y + 0.3) / 2.5
+    vals = 0.08 * np.exp(1 - 1 / np.maximum(1 - s * s, 1e-300))
+    return ConformalFactor.from_samples(g, np.where(s < 1, vals, 0.0), support_radius=2.5)
+
+
+@pytest.mark.parametrize("phi, lam", [
+    (ConformalFactor.radial_bump(0.1, 2.0, (1.5, -0.7)), 1.7),
+    (_sampled_radial_bump(), 0.8)], ids=["offcentre_bump", "grid_sampled"])
+def test_certificate_equals_2d_obstruction_integral(phi, lam):
+    # the certificate's zonal latitude sum against the full 2-D quadrature
+    cert = nonexistence_certificate(phi, lam=lam, n_lat=96, n_lon=192)
+    assert cert.eligible
+    sg = SphereGrid(n_lat=96, n_lon=192)
+    smap = StereographicMap(lam=lam, x_star=phi.center)
+    T, P = sg.meshes()
+    h = SphereField(grid=sg, values=np.exp(2.0 * phi(*smap.to_plane(T, P))), role="h")
+    r = smap.plane_radius(T)
+    rho = {s: ScaledCauchyProfile(lam=s * lam, normalization="rho")(r, 0.0)
+           for s in (0.5, 1.0, 2.0)}
+    u = {"u=0": np.zeros_like(T), "scale x0.5": 0.5 * np.log(rho[0.5] / rho[1.0]),
+         "scale x2": 0.5 * np.log(rho[2.0] / rho[1.0])}
+    assert set(cert.obstructions) == set(u)
+    for label, vals in u.items():
+        full = obstruction_integral(SphereField(grid=sg, values=vals, role="u"), h, 1)
+        assert cert.obstructions[label] == pytest.approx(full, rel=1e-12)
 
 
 def test_certificate_refuses_zero_factor():
