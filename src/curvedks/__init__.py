@@ -1,6 +1,6 @@
 """Numerical laboratory for the Keller-Segel system on conformally flat planes."""
 
-from .domain import AnnulusSpec, CartesianGrid, SphereGrid, make_cartesian_grid, make_sphere_grid
+from .domain import AnnulusSpec, CartesianGrid, SphereGrid
 from .geometry import ConformalFactor
 from .potential import green_kernel, newtonian_potential, self_cell_weight
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity, mu_entropy_identity,
@@ -18,8 +18,6 @@ __all__ = [
     "SphereGrid",
     "density_from_profile",
     "green_kernel",
-    "make_cartesian_grid",
-    "make_sphere_grid",
     "mu_coulomb_identity",
     "mu_entropy_identity",
     "mu_potential_identity",

@@ -29,7 +29,8 @@ from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
                        mu_entropy_identity, mu_potential_identity)
 from .sphere import nonexistence_certificate
 from .stationary import (DensityField, MaskedDensityError, decay_envelope,
-                         density_from_profile, membership_check, reduced_residual)
+                         density_from_profile, membership_check, reduced_residual,
+                         rho_log_rho)
 from .virial import (StagnationError, WeightedEllipticProblem, assemble_virial,
                      export_virial_csv, solve_aux_pde)
 
@@ -135,16 +136,16 @@ def _checked(value, typ, where: str):
 
     An int key takes only integral values; a float key also takes ints,
     because JSON `1` loads as int. Every list key holds numbers, kept as
-    given so the config hash does not change.
+    given so the config hash does not change; an empty list is rejected.
     """
     if typ is list:
-        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        ok = isinstance(value, list) and len(value) > 0 and all(_is_number(v) for v in value)
     elif typ is str:
         ok = isinstance(value, str)
     else:
         ok = _is_number(value) and (typ is float or value == int(value))
     if not ok:
-        want = "a list of numbers" if typ is list else typ.__name__
+        want = "a non-empty list of numbers" if typ is list else typ.__name__
         raise ConfigError(f"bad value for {where}: expected {want}, got {value!r}")
     return typ(value)
 
@@ -203,18 +204,24 @@ def _phi(cfg: dict) -> ConformalFactor:
     raise ConfigError(f"unsupported phi kind in configs: {p['kind']!r}")
 
 
-def _density(cfg: dict, grid: CartesianGrid, phi: ConformalFactor) -> DensityField:
+def _density(cfg: dict) -> DensityField:
     prof = cfg["profile"]
-    return density_from_profile(prof["m"], prof["lam"], tuple(prof["x_star"]), phi, grid)
+    return density_from_profile(prof["m"], prof["lam"], tuple(prof["x_star"]), _phi(cfg),
+                                _grid(cfg))
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _emit(cfg: dict, cfg_hash: str, name: str, payload: dict) -> None:
+    """Write payload as <name>.json, stamped with the config hash and grid, if any."""
     def _plain(o):
         if isinstance(o, np.generic):
             return o.item()
         raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    payload = {**payload, "config_hash": cfg_hash}
+    if "grid" in cfg:
+        payload["grid"] = cfg["grid"]
+    with open(os.path.join(_outdir(cfg), f"{name}.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, default=_plain)
         fh.write("\n")
 
@@ -237,10 +244,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         # mu ln mu decays only like r^-4 ln r, so the grid spans 250 lambda
         egrid = CartesianGrid(center=grid.center, half_width=250.0 * lam, n=1024)
         closed_e = mu_entropy_identity(m, lam)
-        vals = m * mu.on_grid(egrid)
-        live = vals > 0
-        numeric_e = float(np.sum(np.where(live, vals * np.log(np.where(live, vals, 1.0)), 0.0))
-                          * egrid.cell_area)
+        numeric_e = float(np.sum(rho_log_rho(m * mu.on_grid(egrid))) * egrid.cell_area)
 
         samples = mu.on_grid(grid)
         cfield = newtonian_potential(samples, ConformalFactor.zero(), grid)
@@ -275,10 +279,8 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         entry["pass"] = bool(max(errs) <= tol)
         failed = failed or not entry["pass"]
         results.append(entry)
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
-               "double_grid": dg, "tolerance": tol,
-               "identities": results}
-    _write_json(os.path.join(_outdir(cfg), "identities.json"), payload)
+    _emit(cfg, cfg_hash, "identities", {"double_grid": dg, "tolerance": tol,
+                                        "identities": results})
     if failed:
         worst = [r["lambda"] for r in results if not r["pass"]]
         print(f"FAIL identities at lambda {worst}", file=sys.stderr)
@@ -288,20 +290,17 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
 
 
 def cmd_residual(cfg: dict, cfg_hash: str) -> int:
-    grid = _grid(cfg)
-    phi = _phi(cfg)
-    field = _density(cfg, grid, phi)
+    field = _density(cfg)
     rep = reduced_residual(field, probe_frac=cfg["probe_frac"])
     mem = membership_check(field)
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
-               "reduced_residual_L2": rep.reduced_residual_L2,
-               "f_constant": rep.f_constant, "f_variation": rep.f_variation,
-               "static_residual_L2": rep.static_residual_L2,
-               "n_masked_low": rep.n_masked_low,
-               "tail_bound": rep.tail.bound,
-               "membership": {"mass": mem.mass, "entropy": mem.entropy,
-                              "verdict": mem.verdict}}
-    _write_json(os.path.join(_outdir(cfg), "residual.json"), payload)
+    _emit(cfg, cfg_hash, "residual",
+          {"reduced_residual_L2": rep.reduced_residual_L2,
+           "f_constant": rep.f_constant, "f_variation": rep.f_variation,
+           "static_residual_L2": rep.static_residual_L2,
+           "n_masked_low": rep.n_masked_low,
+           "tail_bound": rep.tail.bound,
+           "membership": {"mass": mem.mass, "entropy": mem.entropy,
+                          "verdict": mem.verdict}})
     print(f"residual: f_constant={rep.f_constant:.6f} "
           f"f_variation={rep.f_variation:.3e}")
     return EXIT_OK
@@ -316,29 +315,22 @@ def cmd_energy_scan(cfg: dict, cfg_hash: str) -> int:
                             scaled_n=cfg["grid"]["n"])
     else:
         table = lambda_scan(cfg["m"], phi, cfg["lambdas"], _grid(cfg))
-    out = os.path.join(_outdir(cfg), "energy_scan.csv")
-    table.to_csv(out, meta=f"config_hash={cfg_hash}")
-    _write_json(os.path.join(_outdir(cfg), "energy_scan.json"),
-                {"config_hash": cfg_hash, "grid": cfg["grid"], "m": cfg["m"],
-                 "slope_fit": table.slope_fit,
-                 "predicted_slope": table.predicted_slope,
-                 "plateau": table.plateau,
-                 "predicted_plateau": table.predicted_plateau})
+    table.to_csv(os.path.join(_outdir(cfg), "energy_scan.csv"), meta=f"config_hash={cfg_hash}")
+    _emit(cfg, cfg_hash, "energy_scan",
+          {"m": cfg["m"], "slope_fit": table.slope_fit,
+           "predicted_slope": table.predicted_slope,
+           "plateau": table.plateau,
+           "predicted_plateau": table.predicted_plateau})
     print(f"energy-scan: slope={table.slope_fit:.4f} "
           f"(predicted {table.predicted_slope:.4f})")
     return EXIT_OK
 
 
 def cmd_deficit(cfg: dict, cfg_hash: str) -> int:
-    grid = _grid(cfg)
-    phi = _phi(cfg)
-    field = _density(cfg, grid, phi)
-    rep = log_hls_deficit(field, cfg["reference_lam"],
+    rep = log_hls_deficit(_density(cfg), cfg["reference_lam"],
                           tuple(cfg["profile"]["x_star"]))
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
-               "lhs": rep.lhs, "rhs": rep.rhs, "deficit": rep.deficit,
-               "mass": rep.mass}
-    _write_json(os.path.join(_outdir(cfg), "deficit.json"), payload)
+    _emit(cfg, cfg_hash, "deficit", {"lhs": rep.lhs, "rhs": rep.rhs,
+                                     "deficit": rep.deficit, "mass": rep.mass})
     print(f"deficit: {rep.deficit:.6e}")
     return EXIT_CHECK_FAILED if rep.deficit < -1e-3 else EXIT_OK
 
@@ -359,12 +351,12 @@ def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
     if cert.eligible:
         verdict = ("NONZERO OBSTRUCTION"
                    if cert.min_magnitude >= cfg["threshold"] else "INCONCLUSIVE")
-    payload = {"config_hash": cfg_hash, "phi": cfg["phi"], "lam": cfg["lam"],
-               "eligible": cert.eligible, "reason": cert.reason,
-               "flank_sign": cert.flank_sign,
-               "obstructions": cert.obstructions, "verdict": verdict,
-               "scope": OBSTRUCTION_SCOPE}
-    _write_json(os.path.join(_outdir(cfg), "obstruction.json"), payload)
+    _emit(cfg, cfg_hash, "obstruction",
+          {"phi": cfg["phi"], "lam": cfg["lam"],
+           "eligible": cert.eligible, "reason": cert.reason,
+           "flank_sign": cert.flank_sign,
+           "obstructions": cert.obstructions, "verdict": verdict,
+           "scope": OBSTRUCTION_SCOPE})
     print(f"obstruction: {verdict}")
     if not cert.eligible:
         return EXIT_BAD_CONFIG
@@ -372,27 +364,22 @@ def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
 
 
 def cmd_virial(cfg: dict, cfg_hash: str) -> int:
-    grid = _grid(cfg)
-    phi = _phi(cfg)
-    field = _density(cfg, grid, phi)
+    field = _density(cfg)
     # a curved factor closes I3 through the auxiliary solve; flat leaves f = 0
-    f = None if phi.kind == "zero" else solve_aux_pde(WeightedEllipticProblem.build(field)).f
+    f = None if field.phi.kind == "zero" else solve_aux_pde(WeightedEllipticProblem.build(field)).f
     reports = assemble_virial(field, cfg["radii"], f=f)
-    out = os.path.join(_outdir(cfg), "virial.csv")
-    export_virial_csv(reports, out, meta=f"config_hash={cfg_hash}")
+    export_virial_csv(reports, os.path.join(_outdir(cfg), "virial.csv"),
+                      meta=f"config_hash={cfg_hash}")
     last = reports[-1]
-    _write_json(os.path.join(_outdir(cfg), "virial.json"),
-                {"config_hash": cfg_hash, "grid": cfg["grid"],
-                 "R": last.R_used, "I1": last.I1, "I2": last.I2, "I3": last.I3,
-                 "closure": last.closure})
+    _emit(cfg, cfg_hash, "virial", {"R": last.R_used, "I1": last.I1, "I2": last.I2,
+                                    "I3": last.I3, "closure": last.closure})
     print(f"virial: closure at R={last.R_used:g} is {last.closure:.4f}")
     return EXIT_OK
 
 
 def cmd_flow(cfg: dict, cfg_hash: str) -> int:
-    grid = _grid(cfg)
-    phi = _phi(cfg)
     if cfg["initial"] == "gaussian":
+        grid, phi = _grid(cfg), _phi(cfg)
         X, Y = grid.meshes()
         sigma = cfg["sigma"]
         rho = cfg["mass"] / (2.0 * np.pi * sigma**2) * np.exp(
@@ -400,7 +387,7 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
         rho *= cfg["mass"] / (np.sum(rho * np.exp(2.0 * phi(X, Y))) * grid.cell_area)
         field = DensityField(grid=grid, samples=rho, phi=phi)
     elif cfg["initial"] == "profile":
-        field = _density(cfg, grid, phi)
+        field = _density(cfg)
     else:
         raise ConfigError(f"unknown initial condition {cfg['initial']!r}")
     dt = None if cfg["dt"] == 0 else cfg["dt"]    # a negative dt is rejected by run_flow
@@ -413,29 +400,23 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     for k, s in enumerate(snaps):
         s.field.to_csv(os.path.join(outdir, f"flow_snapshot_{k:04d}.csv"),
                        meta=f"config_hash={cfg_hash} t={s.t:.12g}")
-    payload = {"config_hash": cfg_hash, "grid": cfg["grid"],
-               "steps": final.step_count, "t_final": final.t,
+    payload = {"steps": final.step_count, "t_final": final.t,
                "mass_drift": diag.mass_drift}
     if diag.phi_is_flat and len(diag.t) >= 10:
         slope, expected = virial_rate(diag)
         payload["dW_dt"] = slope
         payload["dW_dt_expected"] = expected
-    _write_json(os.path.join(outdir, "flow.json"), payload)
+    _emit(cfg, cfg_hash, "flow", payload)
     print(f"flow: {final.step_count} steps to t={final.t:.4f}, "
           f"mass drift {diag.mass_drift:.2e}")
     return EXIT_OK
 
 
 def cmd_envelope(cfg: dict, cfg_hash: str) -> int:
-    grid = _grid(cfg)
-    phi = _phi(cfg)
-    field = _density(cfg, grid, phi)
     ann = AnnulusSpec(R=cfg["annulus_R"], ratio=cfg["annulus_ratio"])
-    rep = decay_envelope(field, ann)
-    _write_json(os.path.join(_outdir(cfg), "envelope.json"),
-                {"config_hash": cfg_hash, "grid": cfg["grid"],
-                 "K_best": rep.K_best, "tail_slope": rep.tail_slope,
-                 "n_cells": rep.n_cells})
+    rep = decay_envelope(_density(cfg), ann)
+    _emit(cfg, cfg_hash, "envelope", {"K_best": rep.K_best, "tail_slope": rep.tail_slope,
+                                      "n_cells": rep.n_cells})
     print(f"envelope: K={rep.K_best:.4f} slope={rep.tail_slope:.4f}")
     return EXIT_OK
 

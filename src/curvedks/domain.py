@@ -62,8 +62,29 @@ class CartesianGrid:
         """Midpoint-rule integral over the square, flat measure."""
         return float(np.sum(samples) * self.cell_area)
 
-    def contains_radius(self, r: float) -> bool:
-        return r <= self.half_width
+    def interpolate(self, samples: np.ndarray, X, Y) -> np.ndarray:
+        """Bilinear interpolant of cell-centre samples at (X, Y).
+
+        A point beyond the outermost cell centres takes the value at its
+        nearest point of their square (each fractional index is clamped).
+        """
+        fx = np.clip((X - self.x[0]) / self.h, 0.0, self.n - 1.0)
+        fy = np.clip((Y - self.y[0]) / self.h, 0.0, self.n - 1.0)
+        i0 = np.clip(fx.astype(int), 0, self.n - 2)
+        j0 = np.clip(fy.astype(int), 0, self.n - 2)
+        ax, ay = fx - i0, fy - j0
+        s = samples
+        return ((1 - ax) * (1 - ay) * s[i0, j0] + ax * (1 - ay) * s[i0 + 1, j0]
+                + (1 - ax) * ay * s[i0, j0 + 1] + ax * ay * s[i0 + 1, j0 + 1])
+
+
+def write_csv(path, header: str, lines, meta: str | None = None) -> None:
+    """Write an optional `# meta` row, the header row, then `lines` (each LF-ended)."""
+    with open(path, "w", newline="") as fh:
+        if meta:
+            fh.write(f"# {meta}\n")
+        fh.write(f"{header}\n")
+        fh.writelines(lines)
 
 
 def write_lattice_csv(path, header: str, a: np.ndarray, b: np.ndarray,
@@ -76,12 +97,8 @@ def write_lattice_csv(path, header: str, a: np.ndarray, b: np.ndarray,
     """
     a_labels = [f"{v:.12g}," for v in a.tolist()]
     row_tail = [f"{v:.12g},%.17g\n" for v in b.tolist()]   # "b[j],value" after a[i]
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write(f"{header}\n")
-        for a_label, row in zip(a_labels, values.tolist()):
-            fh.write((a_label + a_label.join(row_tail)) % tuple(row))
+    write_csv(path, header, ((a_label + a_label.join(row_tail)) % tuple(row)
+                             for a_label, row in zip(a_labels, values.tolist())), meta)
 
 
 def read_lattice_csv(path) -> tuple[CartesianGrid, np.ndarray]:
@@ -108,12 +125,6 @@ def read_lattice_csv(path) -> tuple[CartesianGrid, np.ndarray]:
     if np.isnan(samples).any():
         raise ValueError("csv lattice has missing entries")
     return grid, samples
-
-
-def make_cartesian_grid(center: tuple[float, float], half_width: float, n: int) -> CartesianGrid:
-    """Build a uniform cell-centered grid; rejects odd or tiny n."""
-    return CartesianGrid(center=(float(center[0]), float(center[1])),
-                         half_width=float(half_width), n=int(n))
 
 
 @dataclass
@@ -169,11 +180,6 @@ def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in nodes:
         a.flags.writeable = False
     return nodes
-
-
-def make_sphere_grid(n_lat: int, n_lon: int) -> SphereGrid:
-    """Build a sphere quadrature grid; rejects undersized grids."""
-    return SphereGrid(n_lat=int(n_lat), n_lon=int(n_lon))
 
 
 @dataclass(frozen=True)

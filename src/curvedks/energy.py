@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CartesianGrid
+from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, gauss_curvature
 from .potential import (TruncationReport, coulomb_quadratic_form, estimate_tail,
                         lattice_potential)
 from .profiles import ScaledCauchyProfile
-from .stationary import RHO_FLOOR, DensityField, density_from_profile
+from .stationary import RHO_FLOOR, DensityField, density_from_profile, rho_log_rho
 
 # double sums are O(N log N) via FFT but memory-heavy; cap unless overridden
 DOUBLE_SUM_CAP = 512
@@ -45,14 +45,6 @@ class EnergyReport:
         return self.entropy_term - 0.5 * self.coulomb_term + self.q * self.coupling_term
 
 
-def _signed_entropy(field: DensityField) -> tuple[float, float]:
-    rho = field.samples
-    live = rho > RHO_FLOOR
-    vals = np.zeros_like(rho)
-    vals[live] = rho[live] * np.log(rho[live])
-    return float(np.sum(vals * field.area_weights)), float(np.mean(~live))
-
-
 def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
                 allow_large: bool = False, c: np.ndarray | None = None) -> EnergyReport:
     """Entropy, Coulomb, and curvature-coupling terms by quadrature.
@@ -66,8 +58,8 @@ def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
         raise ValueError(
             f"grid n={grid.n} exceeds the double-sum cap {DOUBLE_SUM_CAP}; "
             "pass allow_large=True to override")
-    entropy, floored = _signed_entropy(field)
     w = field.area_weights
+    entropy = float(np.sum(rho_log_rho(field.samples) * w))
     if c is None:
         c = lattice_potential(field.samples * w, grid, method=method)
     coulomb = float(np.sum(field.samples * w * c))
@@ -78,7 +70,7 @@ def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
     return EnergyReport(entropy_term=entropy, coulomb_term=coulomb,
                         coupling_term=coupling, q=q,
                         truncation=estimate_tail(field.samples, grid),
-                        floored_fraction=floored)
+                        floored_fraction=float(np.mean(field.samples <= RHO_FLOOR)))
 
 
 @dataclass
@@ -108,10 +100,7 @@ def log_hls_deficit(field: DensityField, lam: float,
     phis = field.phi.on_grid(grid)
     ref = m * mu * np.exp(-2.0 * phis)
     rho = field.samples
-    live = rho > RHO_FLOOR
-    vals = np.zeros_like(rho)
-    vals[live] = rho[live] * np.log(rho[live] / ref[live])
-    lhs = float(np.sum(vals * field.area_weights))
+    lhs = float(np.sum(rho_log_rho(rho, ref) * field.area_weights))
     rhs = (4.0 * np.pi / m) * coulomb_quadratic_form(rho - ref, rho - ref,
                                                      field.phi, grid, method=method)
     return DeficitReport(lhs=lhs, rhs=rhs, mass=m)
@@ -162,13 +151,10 @@ class ScanTable:
     predicted_plateau: float
 
     def to_csv(self, path, meta: str | None = None) -> None:
-        with open(path, "w", newline="") as fh:
-            if meta:
-                fh.write(f"# {meta}\n")
-            fh.write("lambda,F,resolved,slope_fit,tail_bound\n")
-            for r in self.rows:
-                fh.write(f"{r.lam:.12g},{r.value:.17g},{int(r.resolved)},"
-                         f"{self.slope_fit:.17g},{r.tail_bound:.6g}\n")
+        write_csv(path, "lambda,F,resolved,slope_fit,tail_bound",
+                  ("%.12g,%.17g,%d,%.17g,%.6g\n"
+                   % (r.lam, r.value, r.resolved, self.slope_fit, r.tail_bound)
+                   for r in self.rows), meta)
 
 
 def lambda_scan(m: float, phi: ConformalFactor, lam_list,

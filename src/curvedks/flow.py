@@ -24,6 +24,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .domain import write_csv
 from .potential import PotentialField, lattice_potential
 from .stationary import DensityField
 
@@ -259,14 +260,14 @@ class EnergyTraceReport:
     monotone: bool
 
 
-def energy_trace(snapshots: list[FlowState], rel_tolerance: float = 1e-3,
-                 method: str = "auto") -> EnergyTraceReport:
-    """Free energy along the run; flags any increase beyond tolerance."""
+def energy_trace(snapshots: list[FlowState], rel_tolerance: float = 1e-3) -> EnergyTraceReport:
+    """Free energy along the run, each paired with its snapshot's potential;
+    flags any increase beyond tolerance."""
     from .energy import free_energy
     ts, vals = [], []
     for s in snapshots:
         ts.append(s.t)
-        vals.append(free_energy(s.field, method=method, allow_large=True).total)
+        vals.append(free_energy(s.field, allow_large=True, c=s.c.samples).total)
     scale = max(abs(v) for v in vals) or 1.0
     increases = [b - a for a, b in zip(vals, vals[1:])]
     max_inc = max(increases) if increases else 0.0
@@ -275,9 +276,6 @@ def energy_trace(snapshots: list[FlowState], rel_tolerance: float = 1e-3,
 
 
 def diagnostics_to_csv(diag: FlowDiagnostics, path, meta: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write("t,mass,W,F\n")
-        for t, m, w, F in zip(diag.t, diag.mass, diag.second_moment, diag.free_energy):
-            fh.write(f"{t:.12g},{m:.17g},{w:.17g},{F:.17g}\n")
+    write_csv(path, "t,mass,W,F",
+              ("%.12g,%.17g,%.17g,%.17g\n" % row
+               for row in zip(diag.t, diag.mass, diag.second_moment, diag.free_energy)), meta)

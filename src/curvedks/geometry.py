@@ -120,19 +120,9 @@ class ConformalFactor:
 
     def _interp(self, X, Y):
         # bilinear off the sample lattice, zero outside it
-        g = self.grid
-        gx, gy = g.x, g.y
-        fx = np.clip((X - gx[0]) / g.h, 0.0, g.n - 1.0)
-        fy = np.clip((Y - gy[0]) / g.h, 0.0, g.n - 1.0)
-        i0 = np.clip(fx.astype(int), 0, g.n - 2)
-        j0 = np.clip(fy.astype(int), 0, g.n - 2)
-        ax = fx - i0
-        ay = fy - j0
-        s = self.samples
-        vals = ((1 - ax) * (1 - ay) * s[i0, j0] + ax * (1 - ay) * s[i0 + 1, j0]
-                + (1 - ax) * ay * s[i0, j0 + 1] + ax * ay * s[i0 + 1, j0 + 1])
+        gx, gy = self.grid.x, self.grid.y
         outside = ((X < gx[0]) | (X > gx[-1]) | (Y < gy[0]) | (Y > gy[-1]))
-        return np.where(outside, 0.0, vals)
+        return np.where(outside, 0.0, self.grid.interpolate(self.samples, X, Y))
 
 
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
@@ -152,12 +142,6 @@ def laplacian_flat(field: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     return (4.0 * f - fp[:-2, 1:-1] - fp[2:, 1:-1] - fp[1:-1, :-2] - fp[1:-1, 2:]) / h2
 
 
-def laplacian_conformal(field: np.ndarray, phi: ConformalFactor,
-                        grid: CartesianGrid) -> np.ndarray:
-    """Delta_phi f, evaluated as e^{-2 phi} * Delta0 f (the defining identity)."""
-    return np.exp(-2.0 * phi.on_grid(grid)) * laplacian_flat(field, grid)
-
-
 def gauss_curvature(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     """kappa_phi = e^{-2 phi} Delta0 phi on cell centers."""
     phis = phi.on_grid(grid)
@@ -172,12 +156,6 @@ def grad_flat(field: np.ndarray, grid: CartesianGrid) -> tuple[np.ndarray, np.nd
     gx = (fp[2:, 1:-1] - fp[:-2, 1:-1]) * inv2h
     gy = (fp[1:-1, 2:] - fp[1:-1, :-2]) * inv2h
     return gx, gy
-
-
-def metric_pairing(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray],
-                   phi_values: np.ndarray) -> np.ndarray:
-    """Inverse-metric pairing of two gradients: e^{-2 phi} g0(a, b)."""
-    return np.exp(-2.0 * np.asarray(phi_values)) * (a[0] * b[0] + a[1] * b[1])
 
 
 def boundary_mask(grid: CartesianGrid, layers: int = 1) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
+from .domain import CartesianGrid, write_lattice_csv
 from .geometry import ConformalFactor
 
 # grids above this size use FFT under method="auto". One BLAS thread, kernel
@@ -288,25 +288,3 @@ def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,
     w = np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
     cg = lattice_potential(np.asarray(g, dtype=float) * w, grid, method=method)
     return float(np.sum(np.asarray(f, dtype=float) * w * cg))
-
-
-@dataclass
-class FarFieldReport:
-    """Statistics of c + (m / 4pi) ln(1 + r^2) over a diagnostic annulus."""
-
-    max_value: float
-    min_value: float
-    n_cells: int
-
-    @property
-    def variation(self) -> float:
-        return self.max_value - self.min_value
-
-
-def far_field_report(c: PotentialField, m: float, annulus: AnnulusSpec) -> FarFieldReport:
-    """Boundedness diagnostic: the combination is constant for exact fields."""
-    mask = annulus.mask(c.grid)
-    r = c.grid.radius()
-    combo = c.samples[mask] + (m / (4.0 * np.pi)) * np.log1p(r[mask] ** 2)
-    return FarFieldReport(max_value=float(combo.max()), min_value=float(combo.min()),
-                          n_cells=int(mask.sum()))

@@ -51,11 +51,6 @@ class ScaledCauchyProfile:
         return self(X, Y)
 
 
-def eval_profile(p: ScaledCauchyProfile, x: tuple[float, float]) -> float:
-    """Profile value at a single point."""
-    return float(p(np.asarray(x[0]), np.asarray(x[1])))
-
-
 def mu_entropy_identity(m: float, lam: float) -> float:
     """Closed form of  int m mu ln(m mu) dA0  =  m ln(m / (pi e^2)) - 2 m ln(lam).
 
@@ -83,48 +78,3 @@ def mu_coulomb_identity(lam: float) -> float:
     if not lam > 0:
         raise ValueError("profile scale must be positive")
     return -np.log(lam) / (2.0 * np.pi) - 1.0 / (4.0 * np.pi)
-
-
-@dataclass
-class DiracCheck:
-    """Integrals of mu_lam * f against a shrinking-lambda sequence."""
-
-    lam_values: list[float]
-    integrals: list[float]
-    target: float
-    flagged: list[bool]   # lambda below grid resolution
-
-    @property
-    def errors(self) -> list[float]:
-        return [abs(v - self.target) for v in self.integrals]
-
-    @property
-    def monotone_approach(self) -> bool:
-        errs = [e for e, fl in zip(self.errors, self.flagged) if not fl]
-        return all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
-
-
-def dirac_family_check(f, lam_sequence, x_star: tuple[float, float],
-                       grid: CartesianGrid, resolution_factor: float = 4.0) -> DiracCheck:
-    """Evaluate int mu_lam f dA0 along a lambda sequence, tracking f(x_star).
-
-    f is a callable (X, Y) -> samples. Lambdas shorter than a few cells are
-    flagged as under-resolved rather than rejected.
-    """
-    X, Y = grid.meshes()
-    fs = np.asarray(f(X, Y), dtype=float)
-    target = float(f(np.asarray(x_star[0]), np.asarray(x_star[1])))
-    lam_values, integrals, flagged = [], [], []
-    for lam in lam_sequence:
-        p = ScaledCauchyProfile(lam=float(lam), x_star=x_star, normalization="mu")
-        integrals.append(grid.integrate(p(X, Y) * fs))
-        lam_values.append(float(lam))
-        flagged.append(bool(lam < resolution_factor * grid.h))
-    return DiracCheck(lam_values=lam_values, integrals=integrals,
-                      target=target, flagged=flagged)
-
-
-def geometric_lambdas(lo: float, hi: float, per_decade: int = 4) -> list[float]:
-    """Geometric lambda ladder, the natural sampling for ln-lambda linear laws."""
-    n = max(2, int(np.ceil(np.log10(hi / lo) * per_decade)) + 1)
-    return list(np.geomspace(lo, hi, n))

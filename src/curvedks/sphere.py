@@ -171,7 +171,7 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
     # interpolate ln rho: flat near the peak and log-linear in the tail, so
     # bilinear interpolation is far better conditioned than on rho itself
     log_rho = np.log(np.maximum(field.samples, RHO_FLOOR))
-    log_interp = _bilinear(log_rho, g, X, Y)
+    log_interp = g.interpolate(log_rho, X, Y)
     ref = ScaledCauchyProfile(lam=smap.lam, x_star=smap.x_star, normalization="rho")
     rho_ref = ref(X, Y)
 
@@ -189,42 +189,6 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
     h = SphereField(grid=sgrid, values=h_vals, role="h")
     return u, h, TransportReport(cap_fraction=cap_fraction, envelope_K=env.K_best,
                                  envelope_exponent=-2.0 * expo)
-
-
-def transport_to_plane(u: SphereField, smap: StereographicMap,
-                       grid: CartesianGrid) -> np.ndarray:
-    """Push u back: densities reconstruct as rho_ref * e^{2 u} on the plane grid."""
-    X, Y = grid.meshes()
-    theta, psi = smap.to_sphere(X, Y)
-    vals = _bilinear_sphere(u.values, u.grid, theta, psi)
-    ref = ScaledCauchyProfile(lam=smap.lam, x_star=smap.x_star, normalization="rho")
-    return ref(X, Y) * np.exp(2.0 * vals)
-
-
-def _bilinear(samples: np.ndarray, grid: CartesianGrid, X, Y) -> np.ndarray:
-    fx = np.clip((X - grid.x[0]) / grid.h, 0.0, grid.n - 1.0)
-    fy = np.clip((Y - grid.y[0]) / grid.h, 0.0, grid.n - 1.0)
-    i0 = np.clip(fx.astype(int), 0, grid.n - 2)
-    j0 = np.clip(fy.astype(int), 0, grid.n - 2)
-    ax, ay = fx - i0, fy - j0
-    s = samples
-    return ((1 - ax) * (1 - ay) * s[i0, j0] + ax * (1 - ay) * s[i0 + 1, j0]
-            + (1 - ax) * ay * s[i0, j0 + 1] + ax * ay * s[i0 + 1, j0 + 1])
-
-
-def _bilinear_sphere(values: np.ndarray, sgrid: SphereGrid, theta, psi) -> np.ndarray:
-    # linear in theta between node rows (clamped), periodic linear in psi
-    th = sgrid.theta
-    it = np.clip(np.searchsorted(th, theta) - 1, 0, sgrid.n_lat - 2)
-    at = np.clip((theta - th[it]) / (th[it + 1] - th[it]), 0.0, 1.0)
-    dpsi_ = 2.0 * np.pi / sgrid.n_lon
-    fp = np.mod(psi, 2.0 * np.pi) / dpsi_
-    jp = fp.astype(int) % sgrid.n_lon
-    ap = fp - fp.astype(int)
-    jp1 = (jp + 1) % sgrid.n_lon
-    v = values
-    return ((1 - at) * (1 - ap) * v[it, jp] + (1 - at) * ap * v[it, jp1]
-            + at * (1 - ap) * v[it + 1, jp] + at * ap * v[it + 1, jp1])
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +315,9 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     Every candidate u is zonal, as is u1 = sin(theta). As d_psi u1 = 0 on the
     grid and the d_theta pole mirrors keep row sums, obstruction_integral
     reduces exactly to 2pi sum_k glw_k d_theta(u1)_k d_theta(h_bar)_k e^{2u_k},
-    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi.
+    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi. The stencil
+    of a constant is 0, so h - 1 = expm1(2 phi) is differenced in place of h:
+    it keeps full relative precision when phi is small.
     """
     r, prof = _radial_profile_samples(phi)
     if r is None:
@@ -370,8 +336,8 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     sgrid = SphereGrid(n_lat=n_lat, n_lon=n_lon)
     smap = StereographicMap(lam=lam, x_star=phi.center)
     theta = sgrid.theta[:, None]
-    h = np.exp(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :])))
-    dd = dtheta(np.sin(theta), sgrid) * dtheta(h.mean(axis=1, keepdims=True), sgrid)
+    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :])))
+    dd = dtheta(np.sin(theta), sgrid) * dtheta(h1.mean(axis=1, keepdims=True), sgrid)
     weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
     obstructions = {"u=0": float(np.sum(weight))}
     x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])

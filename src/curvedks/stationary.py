@@ -15,12 +15,22 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .domain import AnnulusSpec, CartesianGrid, read_lattice_csv, write_lattice_csv
-from .geometry import ConformalFactor, boundary_mask, conformal_area_element, grad_flat
+from .geometry import (ConformalFactor, _bump_profile, boundary_mask, conformal_area_element,
+                       grad_flat)
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
 from .profiles import ScaledCauchyProfile
 
 # cells below this are excluded from logarithms; rho ln rho -> 0 as rho -> 0
 RHO_FLOOR = 1e-300
+
+
+def rho_log_rho(rho: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell rho ln(rho / ref) (ref = 1 if None), 0 where rho is floored."""
+    live = rho > RHO_FLOOR
+    out = np.zeros_like(rho)
+    r = rho[live]
+    out[live] = r * np.log(r if ref is None else r / ref[live])
+    return out
 
 
 class MaskedDensityError(ValueError):
@@ -63,11 +73,7 @@ class DensityField:
     @property
     def entropy_abs(self) -> float:
         """int rho |ln rho| dA_phi with the limit value 0 at rho = 0."""
-        rho = self.samples
-        live = rho > RHO_FLOOR
-        out = np.zeros_like(rho)
-        out[live] = rho[live] * np.abs(np.log(rho[live]))
-        return float(np.sum(out * self.area_weights))
+        return float(np.sum(np.abs(rho_log_rho(self.samples)) * self.area_weights))
 
     def potential(self, method: str = "auto") -> PotentialField:
         return newtonian_potential(self.samples, self.phi, self.grid, method=method)
@@ -159,11 +165,7 @@ def default_test_bank(grid: CartesianGrid, seed: int = 0,
             for oy in offsets:
                 px = cx + ox + 0.05 * hw * rng.uniform(-1, 1)
                 py = cy + oy + 0.05 * hw * rng.uniform(-1, 1)
-                sx = np.clip((X - px) / width, -1, 1)
-                sy = np.clip((Y - py) / width, -1, 1)
-                bump = np.where(np.abs(sx) < 1, np.exp(1 - 1 / (1 - sx**2 + 1e-300)), 0.0) \
-                    * np.where(np.abs(sy) < 1, np.exp(1 - 1 / (1 - sy**2 + 1e-300)), 0.0)
-                bank.append(bump)
+                bank.append(_bump_profile((X - px) / width) * _bump_profile((Y - py) / width))
     return bank
 
 
@@ -193,35 +195,6 @@ def static_weak_residual(field: DensityField, test_bank: list[np.ndarray],
         val = abs(np.sum(field.samples * (gtx * gfx + gty * gfy)) * h2) / energy
         worst = max(worst, float(val))
     return worst
-
-
-@dataclass
-class GrowthCheck:
-    """Per-cell verdicts of rho <= C r^{C r^2} outside radius C."""
-
-    passes: np.ndarray
-    n_checked: int
-    n_failed: int
-
-    @property
-    def verdict(self) -> bool:
-        return self.n_failed == 0
-
-
-def growth_condition_check(field: DensityField, C: float) -> GrowthCheck:
-    """Check the super-exponential growth cap in log space (no overflow)."""
-    if not C > 0:
-        raise ValueError("growth constant must be positive")
-    r = field.grid.radius()
-    outside = r > C
-    rho = field.samples
-    ok = np.ones_like(rho, dtype=bool)
-    region = outside & (rho > RHO_FLOOR)
-    with np.errstate(divide="ignore"):
-        ok[region] = np.log(rho[region]) <= np.log(C) + C * r[region] ** 2 * np.log(r[region])
-    n_checked = int(outside.sum())
-    n_failed = int(np.sum(~ok[outside]))
-    return GrowthCheck(passes=ok, n_checked=n_checked, n_failed=n_failed)
 
 
 @dataclass

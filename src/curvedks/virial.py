@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .domain import CartesianGrid
+from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, grad_flat, laplacian_flat
 from .potential import (PotentialField, _circulant_sums, _kernel_spectra, _offset_table,
                         _toeplitz_sum, resolve_method)
@@ -49,6 +49,8 @@ def cutoff_function(R: float, grid: CartesianGrid, K: float = 1.5) -> np.ndarray
     Cubic smoothstep between the radii; the gradient bound K = 1.5 is the
     smoothstep peak.
     """
+    if not R > 0:
+        raise ValueError(f"cutoff radius must be positive, got {R}")
     if 2.0 * R > grid.half_width:
         raise ValueError(f"cutoff support 2R = {2*R} exceeds grid half_width")
     r = grid.radius()
@@ -142,10 +144,6 @@ class AuxSolution:
     iterations: int
     grad_l2: float
 
-    @property
-    def converged(self) -> bool:
-        return len(self.residual_trace) > 0
-
 
 def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8,
                   max_iter: int = 20000) -> AuxSolution:
@@ -210,55 +208,6 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8,
     gx, gy = grad_flat(f, grid)
     grad_l2 = float(np.sqrt(np.sum(gx**2 + gy**2) * grid.cell_area))
     return AuxSolution(f=f, residual_trace=trace, iterations=it, grad_l2=grad_l2)
-
-
-def coercivity_probe(problem: WeightedEllipticProblem, n_probes: int = 20,
-                     seed: int = 0) -> list[float]:
-    """Ratios B(psi, psi) / ||psi||^2 for random compactly supported probes.
-
-    The continuum identity makes every ratio exactly one; values far from
-    one signal a discretization too coarse for the background density.
-    """
-    grid = problem.rho.grid
-    rng = np.random.default_rng(seed)
-    X, Y = grid.meshes()
-    hw = grid.half_width
-    ratios = []
-    for _ in range(n_probes):
-        px, py = rng.uniform(-0.4 * hw, 0.4 * hw, size=2)
-        width = rng.uniform(0.15, 0.35) * hw
-        amp = rng.uniform(0.5, 2.0)
-        sx = np.clip((X - grid.center[0] - px) / width, -1, 1)
-        sy = np.clip((Y - grid.center[1] - py) / width, -1, 1)
-        with np.errstate(divide="ignore", over="ignore"):
-            psi = amp * np.where(np.abs(sx) < 1, np.exp(1 - 1 / np.maximum(1 - sx**2, 1e-300)), 0.0) \
-                * np.where(np.abs(sy) < 1, np.exp(1 - 1 / np.maximum(1 - sy**2, 1e-300)), 0.0)
-        denom = problem.norm_sq(psi)
-        if denom > 0:
-            ratios.append(problem.bilinear(psi, psi) / denom)
-    return ratios
-
-
-def continuity_probe(problem: WeightedEllipticProblem, n_probes: int = 20,
-                     seed: int = 1) -> list[float]:
-    """Ratios |Phi(psi)| / ||psi|| whose boundedness reflects the envelope constant."""
-    grid = problem.rho.grid
-    rng = np.random.default_rng(seed)
-    X, Y = grid.meshes()
-    hw = grid.half_width
-    out = []
-    for _ in range(n_probes):
-        px, py = rng.uniform(-0.4 * hw, 0.4 * hw, size=2)
-        width = rng.uniform(0.15, 0.35) * hw
-        sx = np.clip((X - grid.center[0] - px) / width, -1, 1)
-        sy = np.clip((Y - grid.center[1] - py) / width, -1, 1)
-        with np.errstate(divide="ignore", over="ignore"):
-            psi = np.where(np.abs(sx) < 1, np.exp(1 - 1 / np.maximum(1 - sx**2, 1e-300)), 0.0) \
-                * np.where(np.abs(sy) < 1, np.exp(1 - 1 / np.maximum(1 - sy**2, 1e-300)), 0.0)
-        denom = np.sqrt(problem.norm_sq(psi))
-        if denom > 0:
-            out.append(abs(problem.functional(psi)) / denom)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +307,6 @@ def i2_double_sum(rho: DensityField, antisymmetrized: bool = False) -> float:
 
 
 def export_virial_csv(reports: list[VirialReport], path, meta: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write("R,I1,I2,I3,closure\n")
-        for rep in reports:
-            fh.write(f"{rep.R_used:.12g},{rep.I1:.17g},{rep.I2:.17g},"
-                     f"{rep.I3:.17g},{rep.closure:.17g}\n")
+    write_csv(path, "R,I1,I2,I3,closure",
+              ("%.12g,%.17g,%.17g,%.17g,%.17g\n" % (r.R_used, r.I1, r.I2, r.I3, r.closure)
+               for r in reports), meta)

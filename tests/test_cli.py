@@ -231,6 +231,17 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("command, config", [
+    ("virial", {"radii": []}), ("virial", {"radii": [0]}), ("virial", {"radii": [-4]}),
+    ("identities", {"lambdas": []}),
+])
+def test_degenerate_lists_rejected(tmp_path, monkeypatch, command, config):
+    # an empty list checks nothing and a cutoff radius <= 0 means nothing: exit 2, no output
+    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 @pytest.mark.parametrize("config", [
     {"radii": "abc"},                              # string for a list
     {"grid": {"center": ["a", 0.0]}},              # string inside a list

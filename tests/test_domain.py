@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvedks.domain import AnnulusSpec, make_cartesian_grid, make_sphere_grid
+from curvedks.domain import AnnulusSpec, CartesianGrid, SphereGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import SphereField
@@ -9,35 +9,35 @@ from curvedks.stationary import density_from_profile
 
 
 def test_spacing_forced_by_definition():
-    g = make_cartesian_grid((0, 0), 1.0, 8)
+    g = CartesianGrid((0, 0), 1.0, 8)
     assert g.h == 0.25
 
 
 def test_constant_integrates_to_square_area():
-    g = make_cartesian_grid((0, 0), 5.0, 32)
+    g = CartesianGrid((0, 0), 5.0, 32)
     assert g.integrate(np.ones((32, 32))) == pytest.approx(100.0, rel=1e-14)
 
 
 def test_cell_areas_sum_exactly():
-    g = make_cartesian_grid((1.0, -2.0), 3.0, 16)
+    g = CartesianGrid((1.0, -2.0), 3.0, 16)
     assert g.cell_area * g.n**2 == pytest.approx((2 * 3.0) ** 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("bad", [7, 6, 9, 0, -8])
 def test_rejects_odd_or_tiny_n(bad):
     with pytest.raises(ValueError):
-        make_cartesian_grid((0, 0), 1.0, bad)
+        CartesianGrid((0, 0), 1.0, bad)
 
 
 def test_rejects_nonpositive_half_width():
     with pytest.raises(ValueError):
-        make_cartesian_grid((0, 0), 0.0, 16)
+        CartesianGrid((0, 0), 0.0, 16)
 
 
 def test_unit_mass_profile_integral():
     # truncation tail of the unit-mass profile is lam^2/(pi R^2)-order;
     # at half_width 200 that is ~8e-6, far below the 1e-3 target
-    g = make_cartesian_grid((0, 0), 200.0, 2048)
+    g = CartesianGrid((0, 0), 200.0, 2048)
     mu = ScaledCauchyProfile(lam=1.0, normalization="mu")
     total = g.integrate(mu.on_grid(g))
     assert total == pytest.approx(1.0, abs=1e-3)
@@ -51,7 +51,7 @@ def test_midpoint_refinement_order_on_gaussian():
     exact = np.pi * erf(3.0) ** 2
     errs = []
     for n in [32, 64, 128]:
-        g = make_cartesian_grid((0, 0), 3.0, n)
+        g = CartesianGrid((0, 0), 3.0, n)
         X, Y = g.meshes()
         val = g.integrate(np.exp(-(X**2 + Y**2)))
         errs.append(abs(val - exact))
@@ -60,41 +60,41 @@ def test_midpoint_refinement_order_on_gaussian():
 
 
 def test_grid_weights_positive():
-    g = make_cartesian_grid((0, 0), 2.0, 16)
+    g = CartesianGrid((0, 0), 2.0, 16)
     assert g.cell_area > 0
 
 
 def test_sphere_weights_sum_to_4pi():
-    sg = make_sphere_grid(8, 16)
+    sg = SphereGrid(8, 16)
     assert sg.integrate(np.ones((8, 16))) == pytest.approx(4 * np.pi, rel=1e-12)
 
 
 def test_sphere_odd_harmonic_integrates_to_zero():
-    sg = make_sphere_grid(16, 32)
+    sg = SphereGrid(16, 32)
     T, _ = sg.meshes()
     assert abs(sg.integrate(np.sin(T))) <= 1e-12
 
 
 def test_sphere_sin_squared():
-    sg = make_sphere_grid(16, 32)
+    sg = SphereGrid(16, 32)
     T, _ = sg.meshes()
     assert sg.integrate(np.sin(T) ** 2) == pytest.approx(4 * np.pi / 3, abs=1e-10)
 
 
 def test_sphere_grids_share_read_only_nodes():
-    a, b = make_sphere_grid(48, 96), make_sphere_grid(48, 16)
+    a, b = SphereGrid(48, 96), SphereGrid(48, 16)
     for name in ("t", "glw", "theta"):
         assert getattr(a, name) is getattr(b, name)
         with pytest.raises(ValueError):
             getattr(a, name)[0] = 0.0
-    assert make_sphere_grid(50, 96).t is not a.t
+    assert SphereGrid(50, 96).t is not a.t
     assert np.array_equal(a.t, np.polynomial.legendre.leggauss(48)[0])
 
 
 @pytest.mark.parametrize("n_lat,n_lon", [(3, 16), (8, 7), (8, 9)])
 def test_sphere_rejects_undersized_or_odd(n_lat, n_lon):
     with pytest.raises(ValueError):
-        make_sphere_grid(n_lat, n_lon)
+        SphereGrid(n_lat, n_lon)
 
 
 def test_annulus_validation_and_mask():
@@ -102,7 +102,7 @@ def test_annulus_validation_and_mask():
         AnnulusSpec(R=-1.0)
     with pytest.raises(ValueError):
         AnnulusSpec(R=1.0, ratio=0.5)
-    g = make_cartesian_grid((0, 0), 10.0, 64)
+    g = CartesianGrid((0, 0), 10.0, 64)
     ann = AnnulusSpec(R=3.0)
     mask = ann.mask(g)
     r = g.radius()
@@ -121,12 +121,12 @@ def _per_cell_csv(header, A, B, values, meta=None):
 
 
 def test_lattice_csv_writer_matches_per_cell_rows(tmp_path):
-    g = make_cartesian_grid((0.3, 5.0), 7.0, 32)
+    g = CartesianGrid((0.3, 5.0), 7.0, 32)
     phi = ConformalFactor.radial_bump(0.2, 3.0, (0.3, 5.0))
     fld = density_from_profile(8 * np.pi, 1.0, (0.3, 5.0), phi, g)
     X, Y = g.meshes()
     c = fld.potential()
-    sg = make_sphere_grid(8, 16)
+    sg = SphereGrid(8, 16)
     T, P = sg.meshes()
     u = SphereField(grid=sg, values=np.sin(T) * np.cos(P) - 1e-7, role="u")
     cases = [
@@ -138,5 +138,33 @@ def test_lattice_csv_writer_matches_per_cell_rows(tmp_path):
     ]
     for write, expected in cases:
         p = tmp_path / "field.csv"
+        write(p)
+        assert p.read_bytes() == expected.encode()
+
+
+def test_row_csv_writers_match_per_row_format(tmp_path):
+    from curvedks.energy import ScanRow, ScanTable
+    from curvedks.flow import FlowDiagnostics, diagnostics_to_csv
+    from curvedks.virial import VirialReport, export_virial_csv
+    diag = FlowDiagnostics(t=[0.0, 0.1 / 3], mass=[4 * np.pi, -0.0],
+                           second_moment=[1e-300, 2.5], free_energy=[np.nan, -np.inf])
+    table = ScanTable(m=8 * np.pi, rows=[ScanRow(0.05, -1 / 3, True, 1.23456789e-7),
+                                         ScanRow(5.0, np.pi, False, np.inf)],
+                      slope_fit=np.nan, predicted_slope=0.0, plateau=0.0, predicted_plateau=0.0)
+    reports = [VirialReport(R_used=2.5, I1=np.pi, I2=-1e-17, I3=0.0, f_gradient_L2=0.0)]
+    cases = [
+        (lambda p: diagnostics_to_csv(diag, p, meta="config_hash=ab"),
+         "# config_hash=ab\nt,mass,W,F\n" + "".join(
+             f"{t:.12g},{m:.17g},{w:.17g},{F:.17g}\n" for t, m, w, F in
+             zip(diag.t, diag.mass, diag.second_moment, diag.free_energy))),
+        (table.to_csv, "lambda,F,resolved,slope_fit,tail_bound\n" + "".join(
+            f"{r.lam:.12g},{r.value:.17g},{int(r.resolved)},{table.slope_fit:.17g},"
+            f"{r.tail_bound:.6g}\n" for r in table.rows)),
+        (lambda p: export_virial_csv(reports, p, meta="m"), "# m\nR,I1,I2,I3,closure\n" + "".join(
+            f"{r.R_used:.12g},{r.I1:.17g},{r.I2:.17g},{r.I3:.17g},{r.closure:.17g}\n"
+            for r in reports)),
+    ]
+    for write, expected in cases:
+        p = tmp_path / "rows.csv"
         write(p)
         assert p.read_bytes() == expected.encode()

@@ -264,10 +264,12 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
     monkeypatch.setattr(energy, "lattice_potential",
                         lambda *a, **k: sums.append(1) or potential.lattice_potential(*a, **k))
     _, diag, snaps = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    traced = energy_trace(snaps).values
     assert sums == []     # the energy pairs the charges with the step's own potential
     monkeypatch.undo()
-    for F, s in zip(diag.free_energy, snaps):
-        assert F == pytest.approx(energy.free_energy(s.field, allow_large=True).total, rel=1e-12)
+    for F, G, s in zip(diag.free_energy, traced, snaps):
+        fresh = energy.free_energy(s.field, allow_large=True).total
+        assert F == pytest.approx(fresh, rel=1e-12) and G == pytest.approx(fresh, rel=1e-12)
 
 
 def test_diagnostics_csv(tmp_path):

@@ -3,8 +3,7 @@ import pytest
 
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, boundary_mask, conformal_area_element,
-                               gauss_curvature, grad_flat, laplacian_conformal,
-                               laplacian_flat, metric_pairing)
+                               gauss_curvature, grad_flat, laplacian_flat)
 
 
 def test_zero_factor_weights_are_flat(grid64, flat_phi):
@@ -65,14 +64,6 @@ def test_laplacian_log_profile():
     assert np.max(np.abs(lap - exact)[interior]) < 3.0 * g.h**2  # O(h^2)
 
 
-def test_conformal_laplacian_is_bit_equal_to_scaled_flat(grid64, bump_phi):
-    X, Y = grid64.meshes()
-    f = np.exp(-(X**2 + Y**2) / 4)
-    direct = laplacian_conformal(f, bump_phi, grid64)
-    rescaled = np.exp(-2.0 * bump_phi.on_grid(grid64)) * laplacian_flat(f, grid64)
-    assert np.array_equal(direct, rescaled)
-
-
 def test_curvature_zero_for_flat(grid64, flat_phi):
     assert np.max(np.abs(gauss_curvature(flat_phi, grid64))) == 0.0
 
@@ -112,13 +103,6 @@ def test_discrete_divergence_theorem():
 def test_gradient_of_constant(grid64):
     gx, gy = grad_flat(np.full((grid64.n, grid64.n), 2.0), grid64)
     assert np.max(np.abs(gx)) == 0.0 and np.max(np.abs(gy)) == 0.0
-
-
-def test_flat_pairing_is_dot_product(grid64, flat_phi):
-    X, Y = grid64.meshes()
-    a = grad_flat(X**2 + Y, grid64)
-    val = metric_pairing(a, a, flat_phi.on_grid(grid64))
-    assert np.allclose(val, a[0] ** 2 + a[1] ** 2)
 
 
 def test_log_gradient_magnitude_at_unit_radius():

@@ -6,8 +6,8 @@ from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.potential import newtonian_potential
 from curvedks.stationary import (DensityField, decay_envelope, default_test_bank,
-                                 density_from_profile, growth_condition_check,
-                                 membership_check, reduced_residual, static_weak_residual)
+                                 density_from_profile, membership_check, reduced_residual,
+                                 static_weak_residual)
 
 
 @pytest.fixture(scope="module")
@@ -131,27 +131,6 @@ def test_weak_residual_rejects_boundary_supported_test(exact_field):
     bad = np.ones((256, 256))
     with pytest.raises(ValueError):
         static_weak_residual(exact_field, [bad])
-
-
-def test_growth_check_bounded_density(exact_field):
-    C = max(1.0, float(exact_field.samples.max()))
-    assert growth_condition_check(exact_field, C).verdict
-
-
-def test_growth_check_super_exponential_fails(flat_phi):
-    g = CartesianGrid(center=(0, 0), half_width=6.0, n=64)
-    r = g.radius()
-    with np.errstate(over="ignore"):
-        rho = np.minimum(np.exp(np.minimum(r**4, 700.0)), 1e300)
-    fld = DensityField(grid=g, samples=rho, phi=flat_phi)
-    for C in [1.0, 2.0, 4.0]:
-        assert not growth_condition_check(fld, C).verdict
-
-
-def test_growth_check_zero_density_passes(flat_phi, grid64):
-    fld = DensityField(grid=grid64, samples=np.full((grid64.n, grid64.n), 1e-310),
-                       phi=flat_phi)
-    assert growth_condition_check(fld, 1.0).verdict
 
 
 def test_decay_envelope_critical_profile(flat_phi):
