@@ -4,7 +4,10 @@ Two grid types cover everything downstream: a uniform cell-centered
 Cartesian grid on a square (midpoint rule, weight h^2 per cell) and a
 latitude-longitude sphere grid with Gauss-Legendre nodes in sin(latitude)
 (exact for low-degree polynomials in sin(latitude), which the degree-one
-spherical-harmonic integrands require). Sampled fields on either grid share
+spherical-harmonic integrands require). A Cartesian field that depends on
+(x, y) through a radius or a product of 1-D factors is evaluated from the
+broadcast axes x[:, None] and y[None, :]; meshes() is for callers that need
+the two coordinate arrays themselves. Sampled fields on either grid share
 one lattice CSV format: a header row, then one `a,b,value` row per node in
 row-major ('ij') order, axes as %.12g and values as %.17g.
 """
@@ -55,8 +58,7 @@ class CartesianGrid:
 
     def radius(self) -> np.ndarray:
         """Distance of each cell center from the grid center."""
-        X, Y = self.meshes()
-        return np.hypot(X - self.center[0], Y - self.center[1])
+        return np.hypot(self.x[:, None] - self.center[0], self.y[None, :] - self.center[1])
 
     def integrate(self, samples: np.ndarray) -> float:
         """Midpoint-rule integral over the square, flat measure."""

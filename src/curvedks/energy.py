@@ -172,6 +172,8 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
     lattice problem up to exact logarithmic shifts, so the fitted slope is
     clean. A fixed grid is required for curved factors; its rows are flagged
     unresolved when lambda falls under a few cells or overflows the domain.
+    Fewer than two resolved rows (every lambda-scaled row is resolved) fit no
+    slope, and raise ValueError.
     """
     if x_star is None:
         x_star = phi.center
@@ -180,29 +182,24 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
         raise ValueError("lambda list should span at least two decades")
     if grid is None and phi.kind != "zero":
         raise ValueError("a fixed grid is required to scan a curved factor")
+    lo, hi = (0.0, np.inf) if grid is None else (resolution_factor * grid.h, grid.half_width / 8.0)
+    resolved = [lo <= lam <= hi for lam in lam_arr]
+    if sum(resolved) < 2:
+        raise ValueError(f"a slope needs at least two resolved lambdas, got {sum(resolved)} of "
+                         f"{lam_arr}; a lambda is resolved when {lo:.6g} <= lambda <= {hi:.6g}")
     rows = []
-    for lam in lam_arr:
-        if grid is None:
-            g = CartesianGrid(center=x_star, half_width=scaled_half_width * lam,
-                              n=scaled_n)
-            resolved = True
-        else:
-            g = grid
-            resolved = bool(resolution_factor * g.h <= lam <= g.half_width / 8.0)
+    for lam, ok in zip(lam_arr, resolved):
+        g = grid if grid is not None else CartesianGrid(
+            center=x_star, half_width=scaled_half_width * lam, n=scaled_n)
         fld = density_from_profile(m, lam, x_star, phi, g)
         rep = free_energy(fld, q=0.0, method=method, allow_large=True)
-        rows.append(ScanRow(lam=lam, value=rep.total, resolved=resolved,
+        rows.append(ScanRow(lam=lam, value=rep.total, resolved=ok,
                             tail_bound=rep.truncation.bound))
     good = [r for r in rows if r.resolved]
-    if len(good) >= 2:
-        slope = float(np.polyfit([np.log(r.lam) for r in good],
-                                 [r.value for r in good], 1)[0])
-    else:
-        slope = float("nan")
+    slope = float(np.polyfit([np.log(r.lam) for r in good], [r.value for r in good], 1)[0])
     predicted_slope = (m / (4.0 * np.pi)) * (m - 8.0 * np.pi)
     # plateau is meaningful near the critical mass; report the small-lambda end
-    small = [r for r in good[: max(2, len(good) // 3)]]
-    plateau = float(np.mean([r.value for r in small])) if small else float("nan")
+    plateau = float(np.mean([r.value for r in good[: max(2, len(good) // 3)]]))
     predicted_plateau = 8.0 * np.pi * np.log(8.0 / np.e) - 16.0 * np.pi * phi.sup()
     return ScanTable(m=m, rows=rows, slope_fit=slope, predicted_slope=predicted_slope,
                      plateau=plateau, predicted_plateau=predicted_plateau)

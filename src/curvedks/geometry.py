@@ -3,7 +3,9 @@
 Sign convention: the Laplacian is positive, Delta = -(d2/dx2 + d2/dy2), so
 that Delta c = rho holds with nonnegative rho for the logarithmic kernel in
 the potential module. All conformal operations reduce to flat ones through
-dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0.
+dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0. A factor is
+sampled on a grid from the grid's broadcast 1-D axes, and a radial bump only
+on the index box of its support; every other cell is exactly 0.
 """
 
 from __future__ import annotations
@@ -89,13 +91,23 @@ class ConformalFactor:
         if self.kind == "radial_bump":
             r = np.hypot(X - self.center[0], Y - self.center[1])
             return self.amplitude * _bump_profile(r / self.support_radius)
-        if self.kind == "grid_sampled":
-            return self._interp(X, Y)
+        if self.kind == "grid_sampled":     # bilinear on the sample lattice, zero off it
+            gx, gy = self.grid.x, self.grid.y
+            outside = (X < gx[0]) | (X > gx[-1]) | (Y < gy[0]) | (Y > gy[-1])
+            return np.where(outside, 0.0, self.grid.interpolate(self.samples, X, Y))
         raise ValueError(f"unknown conformal factor kind {self.kind!r}")
 
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
-        X, Y = grid.meshes()
-        return self(X, Y)
+        """phi at the cell centres, from the broadcast axes x[:, None], y[None, :];
+        a radial bump only on the box |x - cx|, |y - cy| < R. Off it r >= R, so
+        phi is amplitude * 0 there (-0.0 for a negative amplitude)."""
+        if self.kind != "radial_bump":
+            return self(grid.x[:, None], grid.y[None, :])
+        R = self.support_radius
+        box = np.ix_(np.abs(grid.x - self.center[0]) < R, np.abs(grid.y - self.center[1]) < R)
+        out = np.full((grid.n, grid.n), 0.0 * self.amplitude)
+        out[box] = self(grid.x[box[0]], grid.y[box[1]])
+        return out
 
     def radial_derivative(self, r: np.ndarray) -> np.ndarray:
         """d phi / dr for radial kinds (zero and radial_bump)."""
@@ -117,12 +129,6 @@ class ConformalFactor:
 
     def is_radial(self) -> bool:
         return self.kind in ("zero", "radial_bump")
-
-    def _interp(self, X, Y):
-        # bilinear off the sample lattice, zero outside it
-        gx, gy = self.grid.x, self.grid.y
-        outside = ((X < gx[0]) | (X > gx[-1]) | (Y < gy[0]) | (Y > gy[-1]))
-        return np.where(outside, 0.0, self.grid.interpolate(self.samples, X, Y))
 
 
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:

@@ -47,8 +47,8 @@ class ScaledCauchyProfile:
         return mu if self.normalization == "mu" else 8.0 * np.pi * mu
 
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
-        X, Y = grid.meshes()
-        return self(X, Y)
+        """Profile at the cell centres, from the broadcast axes x[:, None], y[None, :]."""
+        return self(grid.x[:, None], grid.y[None, :])
 
 
 def mu_entropy_identity(m: float, lam: float) -> float:

@@ -242,6 +242,18 @@ def test_degenerate_lists_rejected(tmp_path, monkeypatch, command, config):
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
+def test_energy_scan_needs_two_resolved_lambdas(tmp_path, monkeypatch, capsys):
+    # on this grid (h = 0.46875) only lambda = 1 lies in 2h <= lambda <= half_width / 8,
+    # so no slope can be fitted: exit 2 naming the window, no output
+    config = {"grid": {"n": 128, "half_width": 30.0},
+              "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
+              "lambdas": [0.1, 1.0, 10.0]}
+    rc, outdir = _run(tmp_path, "energy-scan", config, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert not outdir.exists() or not any(outdir.iterdir())
+    assert "0.9375 <= lambda <= 3.75" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", [
     {"radii": "abc"},                              # string for a list
     {"grid": {"center": ["a", 0.0]}},              # string inside a list

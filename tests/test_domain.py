@@ -1,7 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvedks.domain import AnnulusSpec, CartesianGrid, SphereGrid
+from curvedks.domain import (AnnulusSpec, CartesianGrid, SphereGrid, read_lattice_csv,
+                             write_lattice_csv)
 from curvedks.geometry import ConformalFactor
 from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import SphereField
@@ -168,3 +174,23 @@ def test_row_csv_writers_match_per_row_format(tmp_path):
         p = tmp_path / "rows.csv"
         write(p)
         assert p.read_bytes() == expected.encode()
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(k=st.integers(4, 48), cx=st.floats(-100.0, 100.0), cy=st.floats(-100.0, 100.0),
+       half_width=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_csv_roundtrip_property(k, cx, cy, half_width, seed):
+    g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((g.n, g.n)) * 10.0 ** rng.uniform(-200, 200, (g.n, g.n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lattice.csv")
+        write_lattice_csv(path, "x,y,value", g.x, g.y, values, meta="roundtrip")
+        back, samples = read_lattice_csv(path)
+    assert back.n == g.n
+    assert samples.tobytes() == values.tobytes()    # %.17g round-trips a double exactly
+    # the axis labels are %.12g: each is within 5e-12 relative of its coordinate
+    label_err = 5e-12 * max(np.abs(g.x).max(), np.abs(g.y).max())
+    assert abs(back.center[0] - cx) <= 2 * label_err
+    assert abs(back.center[1] - cy) <= 2 * label_err
+    assert abs(back.h - g.h) <= 4 * label_err

@@ -157,6 +157,14 @@ def test_scan_requires_two_decades():
         lambda_scan(8 * np.pi, ConformalFactor.zero(), [0.5, 1.0, 2.0])
 
 
+@pytest.mark.parametrize("lams, grid", [([1.0], None),
+                                         ([0.01, 1.0, 100.0], CartesianGrid((0, 0), 20.0, 64))])
+def test_scan_needs_two_resolved_rows(lams, grid):
+    # fewer than two resolved rows fit no slope: refused before any row is computed
+    with pytest.raises(ValueError, match="at least two resolved"):
+        lambda_scan(8 * np.pi, ConformalFactor.zero(), lams, grid=grid)
+
+
 def test_scan_curved_needs_fixed_grid():
     with pytest.raises(ValueError):
         lambda_scan(8 * np.pi, ConformalFactor.radial_bump(0.05, 2.0), [0.1, 1.0, 20.0])

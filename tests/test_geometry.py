@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, boundary_mask, conformal_area_element,
                                gauss_curvature, grad_flat, laplacian_flat)
+from curvedks.profiles import ScaledCauchyProfile
 
 
 def test_zero_factor_weights_are_flat(grid64, flat_phi):
@@ -131,3 +134,49 @@ def test_grid_sampled_roundtrip_csv(tmp_path, grid64):
     assert np.allclose(loaded.samples, samples)
     # interpolation reproduces node values
     assert np.allclose(loaded(X, Y), samples, atol=1e-12)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(4, 48), cx=st.floats(-20.0, 20.0), cy=st.floats(-20.0, 20.0),
+       half_width=st.floats(0.5, 50.0), bx=st.floats(-2.0, 2.0), by=st.floats(-2.0, 2.0),
+       log_r=st.floats(-0.7, 2.5), amp=st.floats(-1.0, 1.0), lam=st.floats(0.01, 20.0),
+       normalization=st.sampled_from(["mu", "rho"]), seed=st.integers(0, 2**32 - 1))
+def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, amp, lam,
+                                         normalization, seed):
+    # every field built from broadcast axes is bit-equal to its formula on full meshes
+    g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
+    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
+    assert _same_bits(g.radius(), np.hypot(X - cx, Y - cy))
+    assert _same_bits(ConformalFactor.zero().on_grid(g), np.zeros((g.n, g.n)))
+
+    # bump centre inside (|b| < 1), straddling or outside the square; support
+    # radius from under one cell to far beyond the grid
+    c = (cx + bx * half_width, cy + by * half_width)
+    R = g.h * 10.0**log_r
+    s = np.hypot(X - c[0], Y - c[1]) / R
+    inside = np.abs(s) < 1.0
+    bump = np.zeros_like(s)
+    bump[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] * s[inside]))
+    assert _same_bits(ConformalFactor.radial_bump(amp, R, c).on_grid(g), amp * bump)
+
+    # a factor sampled on another lattice: bilinear inside it, zero outside
+    src = CartesianGrid(center=c, half_width=0.7 * half_width, n=16)
+    vals = np.random.default_rng(seed).standard_normal((16, 16))
+    fx = np.clip((X - src.x[0]) / src.h, 0.0, 15.0)
+    fy = np.clip((Y - src.y[0]) / src.h, 0.0, 15.0)
+    i0, j0 = np.clip(fx.astype(int), 0, 14), np.clip(fy.astype(int), 0, 14)
+    ax, ay = fx - i0, fy - j0
+    bilinear = ((1 - ax) * (1 - ay) * vals[i0, j0] + ax * (1 - ay) * vals[i0 + 1, j0]
+                + (1 - ax) * ay * vals[i0, j0 + 1] + ax * ay * vals[i0 + 1, j0 + 1])
+    off = (X < src.x[0]) | (X > src.x[-1]) | (Y < src.y[0]) | (Y > src.y[-1])
+    assert _same_bits(ConformalFactor.from_samples(src, vals).on_grid(g),
+                      np.where(off, 0.0, bilinear))
+
+    d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2
+    mu = lam * lam / (np.pi * (lam * lam + d2) ** 2)
+    profile = ScaledCauchyProfile(lam=lam, x_star=c, normalization=normalization)
+    assert _same_bits(profile.on_grid(g), mu if normalization == "mu" else 8.0 * np.pi * mu)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import lstsq_order
 from curvedks.domain import AnnulusSpec, CartesianGrid
-from curvedks.geometry import ConformalFactor
+from curvedks.geometry import ConformalFactor, _bump_profile, grad_flat
 from curvedks.potential import newtonian_potential
 from curvedks.stationary import (DensityField, decay_envelope, default_test_bank,
                                  density_from_profile, membership_check, reduced_residual,
@@ -98,7 +98,7 @@ def test_scaling_coherence(flat_phi):
 
 
 def test_weak_residual_zero_test_field(exact_field):
-    assert static_weak_residual(exact_field, [np.zeros((256, 256))]) == 0.0
+    assert static_weak_residual(exact_field, [(np.zeros(256), np.zeros(256))]) == 0.0
 
 
 def test_weak_residual_small_for_exact_solution(exact_field):
@@ -128,9 +128,57 @@ def test_weak_residual_grows_with_noise(flat_phi):
 
 
 def test_weak_residual_rejects_boundary_supported_test(exact_field):
-    bad = np.ones((256, 256))
+    bad = (np.ones(256), np.ones(256))
     with pytest.raises(ValueError):
         static_weak_residual(exact_field, [bad])
+
+
+def test_weak_residual_rejects_empty_bank(exact_field):
+    # a maximum over no test field would report 0 having checked nothing
+    with pytest.raises(ValueError, match="empty test bank"):
+        static_weak_residual(exact_field, [])
+
+
+def _mesh_test_bank(grid, seed=0, scales=(0.10, 0.18, 0.30), n_positions=9):
+    """Reference: the bank as full 2-D fields, each bump evaluated on the coordinate meshes."""
+    rng = np.random.default_rng(seed)
+    X, Y = np.meshgrid(grid.x, grid.y, indexing="ij")
+    cx, cy = grid.center
+    hw = grid.half_width
+    offsets = np.linspace(-0.5 * hw, 0.5 * hw, int(np.sqrt(n_positions)))
+    bank = []
+    for s in scales:
+        width = s * hw
+        for ox in offsets:
+            for oy in offsets:
+                px = cx + ox + 0.05 * hw * rng.uniform(-1, 1)
+                py = cy + oy + 0.05 * hw * rng.uniform(-1, 1)
+                bank.append(_bump_profile((X - px) / width) * _bump_profile((Y - py) / width))
+    return bank
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("phi", [ConformalFactor.zero(), ConformalFactor.radial_bump(0.2, 3.0)],
+                         ids=["flat", "curved"])
+def test_factored_weak_residual_matches_per_field_formula(n, phi):
+    g = CartesianGrid(center=(1.0, -0.5), half_width=30.0, n=n)
+    fld = density_from_profile(8 * np.pi, 1.0, (1.0, -0.5), phi, g)
+    bank = default_test_bank(g)
+    fields = _mesh_test_bank(g)
+    assert len(bank) == len(fields) == 27
+    for (a, b), T in zip(bank, fields):
+        assert np.array_equal(np.outer(a, b), T)
+    # per-field reference: 2-D gradients of each field, 2-D sums
+    f = np.log(fld.samples) - fld.potential().samples
+    gfx, gfy = grad_flat(f, g)
+    worst = 0.0
+    for T in fields:
+        gtx, gty = grad_flat(T, g)
+        energy = np.sqrt(np.sum(gtx**2 + gty**2) * g.cell_area)
+        val = abs(np.sum(fld.samples * (gtx * gfx + gty * gfy)) * g.cell_area) / energy
+        worst = max(worst, float(val))
+    assert worst > 0.0
+    assert static_weak_residual(fld, bank) == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 def test_decay_envelope_critical_profile(flat_phi):
