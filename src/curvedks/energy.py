@@ -12,6 +12,9 @@ vanishes exactly on the scaled-Cauchy family (both sides shift identically
 under rescaling, so any member tested against any reference gives zero).
 The lambda scan exhibits the (m/4pi)(m - 8pi) ln(lambda) law and the
 critical-mass plateau.
+
+Every lattice sum here goes through the engine's "auto" policy
+(potential.resolve_method); none of these functions picks a path.
 """
 
 from __future__ import annotations
@@ -22,13 +25,12 @@ import numpy as np
 
 from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, gauss_curvature
-from .potential import (TruncationReport, coulomb_quadratic_form, estimate_tail,
-                        lattice_potential)
+from .potential import coulomb_quadratic_form, estimate_tail, lattice_potential
 from .profiles import ScaledCauchyProfile
-from .stationary import RHO_FLOOR, DensityField, density_from_profile, rho_log_rho
+from .stationary import DensityField, density_from_profile, rho_log_rho
 
-# double sums are O(N log N) via FFT but memory-heavy; cap unless overridden
-DOUBLE_SUM_CAP = 512
+# a fixed-grid scan row is resolved when lambda spans at least this many cells
+_RESOLUTION_CELLS = 2.0
 
 
 @dataclass
@@ -37,40 +39,32 @@ class EnergyReport:
     coulomb_term: float
     coupling_term: float
     q: float
-    truncation: TruncationReport
-    floored_fraction: float
 
     @property
     def total(self) -> float:
         return self.entropy_term - 0.5 * self.coulomb_term + self.q * self.coupling_term
 
 
-def free_energy(field: DensityField, q: float = 0.0, method: str = "auto",
-                allow_large: bool = False, c: np.ndarray | None = None) -> EnergyReport:
+def free_energy(field: DensityField, q: float = 0.0,
+                c: np.ndarray | None = None) -> EnergyReport:
     """Entropy, Coulomb, and curvature-coupling terms by quadrature.
 
     c, if given, is the potential samples of the field's charges
     field.samples * field.area_weights (a flow step already holds them);
-    otherwise they are summed here with `method`.
+    otherwise they are summed here.
     """
     grid = field.grid
-    if grid.n > DOUBLE_SUM_CAP and not allow_large:
-        raise ValueError(
-            f"grid n={grid.n} exceeds the double-sum cap {DOUBLE_SUM_CAP}; "
-            "pass allow_large=True to override")
     w = field.area_weights
     entropy = float(np.sum(rho_log_rho(field.samples) * w))
     if c is None:
-        c = lattice_potential(field.samples * w, grid, method=method)
+        c = lattice_potential(field.samples * w, grid)
     coulomb = float(np.sum(field.samples * w * c))
     coupling = 0.0
     if q != 0.0:
         kappa = gauss_curvature(field.phi, grid)
         coupling = float(np.sum(kappa * w * c))
     return EnergyReport(entropy_term=entropy, coulomb_term=coulomb,
-                        coupling_term=coupling, q=q,
-                        truncation=estimate_tail(field.samples, grid),
-                        floored_fraction=float(np.mean(field.samples <= RHO_FLOOR)))
+                        coupling_term=coupling, q=q)
 
 
 @dataclass
@@ -87,8 +81,7 @@ class DeficitReport:
 
 
 def log_hls_deficit(field: DensityField, lam: float,
-                    x_star: tuple[float, float] = (0.0, 0.0),
-                    method: str = "auto") -> DeficitReport:
+                    x_star: tuple[float, float] = (0.0, 0.0)) -> DeficitReport:
     """Deficit of rho against the reference m mu^phi_{lam, x_star}.
 
     lhs = int rho ln(rho / (m mu^phi)) dA_phi,
@@ -101,8 +94,7 @@ def log_hls_deficit(field: DensityField, lam: float,
     ref = m * mu * np.exp(-2.0 * phis)
     rho = field.samples
     lhs = float(np.sum(rho_log_rho(rho, ref) * field.area_weights))
-    rhs = (4.0 * np.pi / m) * coulomb_quadratic_form(rho - ref, rho - ref,
-                                                     field.phi, grid, method=method)
+    rhs = (4.0 * np.pi / m) * coulomb_quadratic_form(rho - ref, rho - ref, field.phi, grid)
     return DeficitReport(lhs=lhs, rhs=rhs, mass=m)
 
 
@@ -117,19 +109,18 @@ class CovarianceCheck:
 
 
 def conformal_covariance_check(field: DensityField, lam: float,
-                               x_star: tuple[float, float] = (0.0, 0.0),
-                               method: str = "auto") -> CovarianceCheck:
+                               x_star: tuple[float, float] = (0.0, 0.0)) -> CovarianceCheck:
     """Curved deficit of rho equals the flat deficit of rho e^{2 phi}.
 
     The two sides are the same quadrature sums reassociated, so they agree
     to roundoff; the check guards the weight bookkeeping of both paths.
     """
-    curved = log_hls_deficit(field, lam, x_star, method=method).deficit
+    curved = log_hls_deficit(field, lam, x_star).deficit
     flat_phi = ConformalFactor.zero()
     pushed = DensityField(grid=field.grid,
                           samples=field.samples * np.exp(2.0 * field.phi.on_grid(field.grid)),
                           phi=flat_phi)
-    flat = log_hls_deficit(pushed, lam, x_star, method=method).deficit
+    flat = log_hls_deficit(pushed, lam, x_star).deficit
     return CovarianceCheck(curved_deficit=curved, flat_deficit=flat)
 
 
@@ -160,7 +151,6 @@ class ScanTable:
 def lambda_scan(m: float, phi: ConformalFactor, lam_list,
                 grid: CartesianGrid | None = None,
                 x_star: tuple[float, float] | None = None,
-                method: str = "auto", resolution_factor: float = 2.0,
                 scaled_half_width: float = 60.0, scaled_n: int = 512) -> ScanTable:
     """Scan F_phi(m mu_lam e^{-2 phi}) over a lambda ladder.
 
@@ -171,7 +161,8 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
     of half width scaled_half_width * lambda: the rows are then the same
     lattice problem up to exact logarithmic shifts, so the fitted slope is
     clean. A fixed grid is required for curved factors; its rows are flagged
-    unresolved when lambda falls under a few cells or overflows the domain.
+    unresolved when lambda falls under a few cells or overflows the domain;
+    an unresolved row is not computed, and its value and tail_bound are nan.
     Fewer than two resolved rows (every lambda-scaled row is resolved) fit no
     slope, and raise ValueError.
     """
@@ -182,19 +173,21 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
         raise ValueError("lambda list should span at least two decades")
     if grid is None and phi.kind != "zero":
         raise ValueError("a fixed grid is required to scan a curved factor")
-    lo, hi = (0.0, np.inf) if grid is None else (resolution_factor * grid.h, grid.half_width / 8.0)
+    lo, hi = (0.0, np.inf) if grid is None else (_RESOLUTION_CELLS * grid.h, grid.half_width / 8.0)
     resolved = [lo <= lam <= hi for lam in lam_arr]
     if sum(resolved) < 2:
         raise ValueError(f"a slope needs at least two resolved lambdas, got {sum(resolved)} of "
                          f"{lam_arr}; a lambda is resolved when {lo:.6g} <= lambda <= {hi:.6g}")
     rows = []
     for lam, ok in zip(lam_arr, resolved):
+        if not ok:
+            rows.append(ScanRow(lam=lam, value=np.nan, resolved=False, tail_bound=np.nan))
+            continue
         g = grid if grid is not None else CartesianGrid(
             center=x_star, half_width=scaled_half_width * lam, n=scaled_n)
         fld = density_from_profile(m, lam, x_star, phi, g)
-        rep = free_energy(fld, q=0.0, method=method, allow_large=True)
-        rows.append(ScanRow(lam=lam, value=rep.total, resolved=ok,
-                            tail_bound=rep.truncation.bound))
+        rows.append(ScanRow(lam=lam, value=free_energy(fld).total, resolved=True,
+                            tail_bound=estimate_tail(fld.samples, g).bound))
     good = [r for r in rows if r.resolved]
     slope = float(np.polyfit([np.log(r.lam) for r in good], [r.value for r in good], 1)[0])
     predicted_slope = (m / (4.0 * np.pi)) * (m - 8.0 * np.pi)

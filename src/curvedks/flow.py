@@ -15,7 +15,8 @@ of the run shares e^{-2 phi} on the grid, min e^{2 phi} for the CFL bound,
 and the area weights e^{2 phi} h^2 of its density field. A step forms the
 curved cell masses rho e^{2 phi} h^2 once and hands them to the lattice sum
 as its charges, and the CFL bound and the fluxes read the same face
-differences of c.
+differences of c. Every potential of a run is an FFT lattice sum, at any
+grid size.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ import numpy as np
 from .domain import write_csv
 from .potential import PotentialField, lattice_potential
 from .stationary import DensityField
+
+CFL = 0.2                       # stability factor of the explicit step (cfl_bound)
+DT_SAFETY = 0.8                 # automatic dt / CFL bound: room for c to steepen
+ENERGY_RISE_TOLERANCE = 1e-3    # energy_trace's monotone flag: largest rise of F / max |F|
 
 
 class CFLViolation(RuntimeError):
@@ -86,32 +91,26 @@ def second_moment(field: DensityField) -> float:
     return float(np.sum((X**2 + Y**2) * field.samples) * field.grid.cell_area)
 
 
-def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float,
-              cfl: float = 0.2) -> float:
-    """dt <= cfl * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
+def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float) -> float:
+    """dt <= CFL * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
     h = field.grid.h
     gx, gy = c.face_gradients
     vmax = max(float(np.max(np.abs(gx))), float(np.max(np.abs(gy))), 0.0)
-    return cfl * h * h * min_e2phi / (1.0 + vmax * h)
+    return CFL * h * h * min_e2phi / (1.0 + vmax * h)
 
 
-def flow_init(field: DensityField, dt: float | None = None, cfl: float = 0.2,
-              method: str = "fft", safety: float = 0.8) -> FlowState:
-    """Initial state; the default dt sits below the CFL bound by `safety`
-    so mild steepening of c during the run does not trip the step check.
-
-    The potential is re-convolved every step, so the FFT evaluation of the
-    same lattice sum is the default here (it matches the direct path to
-    roundoff and turns a quadratic per-step cost into a log-linear one).
-    A given dt must be positive.
-    """
+def flow_init(field: DensityField, dt: float | None = None) -> FlowState:
+    """Initial state; the default dt is DT_SAFETY times the CFL bound, a given one must be > 0."""
     if dt is not None and not dt > 0:
         raise ValueError(f"time step must be positive, got dt = {dt!r}")
     phis = field.phi.on_grid(field.grid)
     min_e2phi = float(np.exp(2.0 * phis.min()))
-    c = field.potential(method=method)
+    # re-summed every step (flow_step keeps c.method), so always by FFT: it
+    # matches the direct sum to roundoff and is faster at every n, also in
+    # "auto"'s direct range (timings at potential._DIRECT_LIMIT)
+    c = field.potential(method="fft")
     if dt is None:
-        dt = safety * cfl_bound(field, c, min_e2phi, cfl)
+        dt = DT_SAFETY * cfl_bound(field, c, min_e2phi)
     return FlowState(t=0.0, field=field, c=c, dt=float(dt), e_m2phi=np.exp(-2.0 * phis),
                      min_e2phi=min_e2phi)
 
@@ -158,7 +157,7 @@ def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
     return div
 
 
-def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
+def flow_step(state: FlowState) -> FlowState:
     """One explicit conservative step; recomputes the potential afterwards.
 
     Raises CFLViolation if the stored dt exceeds the current stability
@@ -166,7 +165,7 @@ def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
     """
     field = state.field
     c = state.c
-    bound = cfl_bound(field, c, state.min_e2phi, cfl)
+    bound = cfl_bound(field, c, state.min_e2phi)
     if state.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {state.dt:.3e} exceeds CFL bound {bound:.3e}")
 
@@ -190,8 +189,7 @@ def flow_step(state: FlowState, cfl: float = 0.2) -> FlowState:
 
 
 def run_flow(field: DensityField, t_end: float, dt: float | None = None,
-             snapshot_every: int = 1, method: str = "fft", cfl: float = 0.2,
-             with_energy: bool = False, max_steps: int = 10**6
+             snapshot_every: int = 1, with_energy: bool = False, max_steps: int = 10**6
              ) -> tuple[FlowState, FlowDiagnostics, list[FlowState]]:
     """March to t_end collecting diagnostics every snapshot_every steps.
 
@@ -203,7 +201,7 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
-    state = flow_init(field, dt=dt, cfl=cfl, method=method)
+    state = flow_init(field, dt=dt)
     diag = FlowDiagnostics(phi_is_flat=(field.phi.kind == "zero"))
     snapshots = [state]
     _record(diag, state, with_energy)
@@ -213,10 +211,10 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
                                    f"short of t_end = {t_end:.6g}")
         remaining = t_end - state.t
         if remaining > state.dt * (1.0 + 1e-12):
-            state = flow_step(state, cfl=cfl)
+            state = flow_step(state)
         else:
             # a remainder within roundoff of dt is taken whole, not as an extra sliver
-            last = flow_step(replace(state, dt=remaining), cfl=cfl)
+            last = flow_step(replace(state, dt=remaining))
             state = replace(last, t=t_end, dt=state.dt)
         if state.step_count % snapshot_every == 0:
             _record(diag, state, with_energy)
@@ -230,8 +228,7 @@ def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool) -> None:
     diag.second_moment.append(second_moment(state.field))
     if with_energy:
         from .energy import free_energy
-        diag.free_energy.append(free_energy(state.field, allow_large=True,
-                                            c=state.c.samples).total)
+        diag.free_energy.append(free_energy(state.field, c=state.c.samples).total)
     else:
         diag.free_energy.append(float("nan"))
 
@@ -260,19 +257,19 @@ class EnergyTraceReport:
     monotone: bool
 
 
-def energy_trace(snapshots: list[FlowState], rel_tolerance: float = 1e-3) -> EnergyTraceReport:
+def energy_trace(snapshots: list[FlowState]) -> EnergyTraceReport:
     """Free energy along the run, each paired with its snapshot's potential;
-    flags any increase beyond tolerance."""
+    flags any increase beyond ENERGY_RISE_TOLERANCE of the largest |F|."""
     from .energy import free_energy
     ts, vals = [], []
     for s in snapshots:
         ts.append(s.t)
-        vals.append(free_energy(s.field, allow_large=True, c=s.c.samples).total)
+        vals.append(free_energy(s.field, c=s.c.samples).total)
     scale = max(abs(v) for v in vals) or 1.0
     increases = [b - a for a, b in zip(vals, vals[1:])]
     max_inc = max(increases) if increases else 0.0
     return EnergyTraceReport(t=ts, values=vals, max_increase=float(max_inc),
-                             monotone=bool(max_inc <= rel_tolerance * scale))
+                             monotone=bool(max_inc <= ENERGY_RISE_TOLERANCE * scale))
 
 
 def diagnostics_to_csv(diag: FlowDiagnostics, path, meta: str | None = None) -> None:

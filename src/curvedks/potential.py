@@ -279,12 +279,12 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
 
 
 def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,
-                           grid: CartesianGrid, method: str = "auto") -> float:
+                           grid: CartesianGrid) -> float:
     """Symmetric double sum  sum_ij f_i w_i G_ij g_j w_j  with curved weights.
 
     The diagonal uses the self-cell weight, so the form matches what
     newtonian_potential produces when paired against the other factor.
     """
     w = np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
-    cg = lattice_potential(np.asarray(g, dtype=float) * w, grid, method=method)
+    cg = lattice_potential(np.asarray(g, dtype=float) * w, grid)
     return float(np.sum(np.asarray(f, dtype=float) * w * cg))

@@ -24,6 +24,9 @@ from .geometry import ConformalFactor
 from .profiles import ScaledCauchyProfile
 from .stationary import RHO_FLOOR, DensityField, decay_envelope
 
+MAX_CAP_WEIGHT = 0.2               # largest polar-cap weight fraction a transport accepts
+CERTIFICATE_SCALES = (0.5, 2.0)    # rescalings of the critical profile the certificate tests
+
 
 @dataclass(frozen=True)
 class StereographicMap:
@@ -145,15 +148,14 @@ class TransportReport:
 
 
 def transport_to_sphere(field: DensityField, phi: ConformalFactor,
-                        smap: StereographicMap, sgrid: SphereGrid,
-                        max_cap_weight: float = 0.2
+                        smap: StereographicMap, sgrid: SphereGrid
                         ) -> tuple[SphereField, SphereField, TransportReport]:
     """Pull (1/2) ln(rho / rho_ref) and e^{2 phi} back to the sphere grid.
 
     Nodes mapping beyond the plane grid form the polar cap; there rho is
     extrapolated by its decay envelope K (1 + r^2)^{-m/4pi}, and h is exact
     because phi has compact support. Rejects transports whose cap carries
-    more than max_cap_weight of the total quadrature weight.
+    more than MAX_CAP_WEIGHT of the total quadrature weight.
     """
     T, P = sgrid.meshes()
     X, Y = smap.to_plane(T, P)
@@ -163,10 +165,10 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
               & (Y >= g.y[0] + margin) & (Y <= g.y[-1] - margin))
     W2 = sgrid.node_weights()
     cap_fraction = float(np.sum(W2[~inside]) / np.sum(W2))
-    if cap_fraction > max_cap_weight:
+    if cap_fraction > MAX_CAP_WEIGHT:
         raise ValueError(
             f"polar cap holds {cap_fraction:.1%} of the quadrature weight "
-            f"(limit {max_cap_weight:.0%}); enlarge the plane grid or lower lam")
+            f"(limit {MAX_CAP_WEIGHT:.0%}); enlarge the plane grid or lower lam")
 
     # interpolate ln rho: flat near the peak and log-linear in the tail, so
     # bilinear interpolation is far better conditioned than on rho itself
@@ -198,12 +200,8 @@ def kw_residual(u: SphereField, h: SphereField) -> float:
     """L2 norm (sphere quadrature) of  Delta u - h e^{2u} + 1."""
     if u.grid is not h.grid and (u.grid.n_lat, u.grid.n_lon) != (h.grid.n_lat, h.grid.n_lon):
         raise ValueError("u and h live on different sphere grids")
-    res = kw_residual_field(u, h)
+    res = laplacian_sphere(u.values, u.grid) - h.values * np.exp(2.0 * u.values) + 1.0
     return float(np.sqrt(u.grid.integrate(res**2)))
-
-
-def kw_residual_field(u: SphereField, h: SphereField) -> np.ndarray:
-    return laplacian_sphere(u.values, u.grid) - h.values * np.exp(2.0 * u.values) + 1.0
 
 
 def obstruction_integral(u: SphereField, h: SphereField, u1_index: int) -> float:
@@ -303,14 +301,14 @@ def _radial_profile_samples(phi: ConformalFactor, n_samples: int = 512):
 
 
 def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
-                             n_lat: int = 128, n_lon: int = 256,
-                             perturbations=(0.5, 2.0)) -> CertificateReport:
+                             n_lat: int = 128, n_lon: int = 256) -> CertificateReport:
     """Check the monotone-flank preconditions and report obstruction magnitudes.
 
     A certificate is issued when phi is radial, nonconstant, and its radial
     derivative is single-signed; the report then lists the sin(theta)
-    obstruction for u = 0 and for transported scale perturbations of the
-    critical profile. A numerical illustration of the obstruction, not a proof.
+    obstruction for u = 0 and for transported scale perturbations
+    (CERTIFICATE_SCALES) of the critical profile. A numerical illustration
+    of the obstruction, not a proof.
 
     Every candidate u is zonal, as is u1 = sin(theta). As d_psi u1 = 0 on the
     grid and the d_theta pole mirrors keep row sums, obstruction_integral
@@ -342,7 +340,7 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     obstructions = {"u=0": float(np.sum(weight))}
     x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])
     den = ScaledCauchyProfile(lam=lam, x_star=smap.x_star, normalization="rho")(x, y)
-    for s in perturbations:    # e^{2u} of the transported rho_{s*lam} against rho_lam
+    for s in CERTIFICATE_SCALES:    # e^{2u} of the transported rho_{s*lam} against rho_lam
         num = ScaledCauchyProfile(lam=s * lam, x_star=smap.x_star, normalization="rho")
         obstructions[f"scale x{s:g}"] = float(np.sum(weight * num(x, y) / den))
     return CertificateReport(True, "monotone radial flank", flank_sign, obstructions)

@@ -22,6 +22,7 @@ from .profiles import ScaledCauchyProfile
 
 # cells below this are excluded from logarithms; rho ln rho -> 0 as rho -> 0
 RHO_FLOOR = 1e-300
+ZERO_FRACTION_TOLERANCE = 0.01    # largest floored-cell fraction of a positive-a.e. density
 
 
 def rho_log_rho(rho: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
@@ -109,8 +110,7 @@ class ResidualReport:
     tail: TruncationReport
 
 
-def reduced_residual(field: DensityField, probe_frac: float = 0.4,
-                     method: str = "auto") -> ResidualReport:
+def reduced_residual(field: DensityField, probe_frac: float = 0.4) -> ResidualReport:
     """Evaluate f = ln rho - c and its deviation from constancy.
 
     probe_frac fixes the interior region (radius fraction of the grid) over
@@ -122,7 +122,7 @@ def reduced_residual(field: DensityField, probe_frac: float = 0.4,
     probe = (field.grid.radius() <= probe_frac * field.grid.half_width) & ~low & ~bmask
     if probe.sum() == 0:
         raise MaskedDensityError("no usable interior cells: field is all-masked")
-    cfield = field.potential(method=method)
+    cfield = field.potential()
     f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR))) - cfield.samples
 
     gx, gy = grad_flat(f, field.grid)
@@ -236,7 +236,7 @@ class MembershipReport:
                 and self.potential_defined)
 
 
-def membership_check(field: DensityField, zero_tolerance: float = 0.01) -> MembershipReport:
+def membership_check(field: DensityField) -> MembershipReport:
     """Positivity a.e., finite mass and entropy, and a finite potential tail."""
     rho = field.samples
     zero_fraction = float(np.mean(rho <= RHO_FLOOR))
@@ -245,7 +245,7 @@ def membership_check(field: DensityField, zero_tolerance: float = 0.01) -> Membe
     tail = estimate_tail(rho, field.grid)
     return MembershipReport(mass=mass, entropy=entropy, zero_fraction=zero_fraction,
                             tail=tail,
-                            positive_ae=zero_fraction <= zero_tolerance,
+                            positive_ae=zero_fraction <= ZERO_FRACTION_TOLERANCE,
                             finite_mass=bool(np.isfinite(mass) and mass > 0),
                             finite_entropy=bool(np.isfinite(entropy)),
                             potential_defined=tail.finite)

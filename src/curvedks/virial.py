@@ -43,10 +43,10 @@ def dilation_source(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     return 4.0 * ((X - grid.center[0]) * gx + (Y - grid.center[1]) * gy)
 
 
-def cutoff_function(R: float, grid: CartesianGrid, K: float = 1.5) -> np.ndarray:
-    """Radial C^1 ramp: 1 on B_R, 0 outside B_2R, max slope K / R.
+def cutoff_function(R: float, grid: CartesianGrid) -> np.ndarray:
+    """Radial C^1 ramp: 1 on B_R, 0 outside B_2R, max slope 1.5 / R.
 
-    Cubic smoothstep between the radii; the gradient bound K = 1.5 is the
+    Cubic smoothstep between the radii; the gradient bound 1.5 is the
     smoothstep peak.
     """
     if not R > 0:
@@ -68,8 +68,8 @@ class WeightedEllipticProblem:
     rhs: np.ndarray          # 4 r d_r phi samples
 
     @classmethod
-    def build(cls, rho: DensityField, method: str = "auto") -> "WeightedEllipticProblem":
-        return cls(phi=rho.phi, rho=rho, c=rho.potential(method=method),
+    def build(cls, rho: DensityField) -> "WeightedEllipticProblem":
+        return cls(phi=rho.phi, rho=rho, c=rho.potential(),
                    rhs=dilation_source(rho.phi, rho.grid))
 
     def norm_sq(self, psi: np.ndarray) -> float:
@@ -248,8 +248,8 @@ def potential_gradient(rho: DensityField, method: str = "auto") -> tuple[np.ndar
     return tuple(sums)
 
 
-def assemble_virial(rho: DensityField, R_list, f: np.ndarray | None = None,
-                    method: str = "auto") -> list[VirialReport]:
+def assemble_virial(rho: DensityField, R_list,
+                    f: np.ndarray | None = None) -> list[VirialReport]:
     """I1, I2, I3 and the closure 4 I1 + 2 I2 + I3 for each cutoff radius.
 
     With a flat factor, pass f = None (zero); both I3 terms then vanish
@@ -258,7 +258,7 @@ def assemble_virial(rho: DensityField, R_list, f: np.ndarray | None = None,
     grid = rho.grid
     phis = rho.phi.on_grid(grid)
     w_phi = rho.area_weights
-    gcx, gcy = potential_gradient(rho, method=method)
+    gcx, gcy = potential_gradient(rho)
     X, Y = grid.meshes()
     xdot = X * gcx + Y * gcy
 

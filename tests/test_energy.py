@@ -5,6 +5,7 @@ from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.energy import (conformal_covariance_check, free_energy, lambda_scan,
                              log_hls_deficit)
+from curvedks.potential import estimate_tail
 from curvedks.profiles import mu_entropy_identity
 from curvedks.stationary import DensityField, density_from_profile
 
@@ -34,7 +35,7 @@ def test_entropy_term_matches_identity(flat_phi):
     for lam in [0.5, 1.0, 2.0]:
         g = CartesianGrid(center=(0, 0), half_width=200.0 * lam, n=1024)
         fld = density_from_profile(8 * np.pi, lam, (0.0, 0.0), flat_phi, g)
-        rep = free_energy(fld, allow_large=True)
+        rep = free_energy(fld)
         assert rep.entropy_term == pytest.approx(
             mu_entropy_identity(8 * np.pi, lam), abs=1e-2 * max(1.0, abs(rep.entropy_term)))
 
@@ -46,15 +47,6 @@ def test_coulomb_term_symmetry(flat_phi, grid64):
     q1 = coulomb_quadratic_form(fld.samples, fld.samples, flat_phi, grid64)
     rep = free_energy(fld)
     assert rep.coulomb_term == pytest.approx(q1, rel=1e-13)
-
-
-def test_double_sum_cap_enforced(flat_phi):
-    g = CartesianGrid(center=(0, 0), half_width=60.0, n=1024)
-    fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    with pytest.raises(ValueError):
-        free_energy(fld)
-    rep = free_energy(fld, allow_large=True)
-    assert np.isfinite(rep.total)
 
 
 def test_coupled_minimizer_at_q2():
@@ -178,6 +170,14 @@ def test_scan_flags_unresolved_rows(scan_grid):
     assert not by_lam[0.01]      # under grid resolution
     assert not by_lam[100.0]     # overflows the domain
     assert by_lam[1.0] and by_lam[2.0]
+    # an unresolved row is not computed; a resolved one is a fresh free energy
+    for r in tab.rows:
+        if r.resolved:
+            fld = density_from_profile(8 * np.pi, r.lam, phi.center, phi, scan_grid)
+            assert r.value == free_energy(fld).total
+            assert r.tail_bound == estimate_tail(fld.samples, scan_grid).bound
+        else:
+            assert np.isnan(r.value) and np.isnan(r.tail_bound)
 
 
 def test_scan_csv_export(tmp_path):

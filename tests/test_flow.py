@@ -268,8 +268,20 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
     assert sums == []     # the energy pairs the charges with the step's own potential
     monkeypatch.undo()
     for F, G, s in zip(diag.free_energy, traced, snaps):
-        fresh = energy.free_energy(s.field, allow_large=True).total
+        fresh = energy.free_energy(s.field).total
         assert F == pytest.approx(fresh, rel=1e-12) and G == pytest.approx(fresh, rel=1e-12)
+
+
+def test_flow_sums_by_fft_at_every_grid_size():
+    # n = 64 is in "auto"'s direct range; a run still sums every potential by FFT
+    g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
+    assert potential.resolve_method("auto", g) == "direct"
+    _, _, snaps = run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1)
+    assert len(snaps) > 2
+    for s in snaps:
+        assert s.c.method == "fft"
+        q = s.field.samples * s.field.area_weights
+        assert np.array_equal(s.c.samples, potential.lattice_potential(q, g, "fft"))
 
 
 def test_diagnostics_csv(tmp_path):
