@@ -31,7 +31,7 @@ from .sphere import nonexistence_certificate
 from .stationary import (DensityField, MaskedDensityError, decay_envelope,
                          density_from_profile, membership_check, reduced_residual,
                          rho_log_rho)
-from .virial import (StagnationError, WeightedEllipticProblem, assemble_virial,
+from .virial import (AuxSolveError, WeightedEllipticProblem, assemble_virial,
                      export_virial_csv, solve_aux_pde)
 
 OUTPUT_DIR_ENV = "CURVEDKS_OUTPUT_DIR"
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     try:
         cfg, cfg_hash = load_config(args.config, args.command)
         return COMMANDS[args.command](cfg, cfg_hash)
-    except (CFLViolation, BlowUpDetected, StepLimitReached, StagnationError,
+    except (CFLViolation, BlowUpDetected, StepLimitReached, AuxSolveError,
             MaskedDensityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -182,8 +182,7 @@ def flow_step(state: FlowState) -> FlowState:
     if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
     c_new = PotentialField(grid=field.grid, samples=lattice_potential(q, field.grid, c.method),
-                           mass_used=mass, self_cell_weight=c.self_cell_weight,
-                           method=c.method, rho=rho_new)
+                           mass_used=mass, method=c.method, rho=rho_new)
     return replace(state, t=state.t + state.dt, field=new_field, c=c_new,
                    step_count=state.step_count + 1)
 

@@ -124,7 +124,6 @@ class PotentialField:
     grid: CartesianGrid
     samples: np.ndarray
     mass_used: float
-    self_cell_weight: float
     method: str
     rho: np.ndarray = field(repr=False)
 
@@ -274,8 +273,8 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
     q = rho * np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
     method = resolve_method(method, grid)
     c = lattice_potential(q, grid, method=method)
-    return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()),
-                          self_cell_weight=self_cell_weight(grid.h), method=method, rho=rho)
+    return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()), method=method,
+                          rho=rho)
 
 
 def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,

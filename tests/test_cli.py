@@ -6,6 +6,7 @@ import pytest
 from curvedks import cli
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
 from curvedks.flow import StepLimitReached
+from curvedks.virial import AuxSolveError
 
 
 def _write_config(tmp_path, name, payload):
@@ -217,6 +218,18 @@ def test_flow_step_limit_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_flow", out_of_steps)
     rc, _ = _run(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02},
                  monkeypatch)
+    assert rc == 3
+
+
+def test_virial_aux_solve_failure_exit_code(tmp_path, monkeypatch):
+    def above_tolerance(*args, **kwargs):
+        raise AuxSolveError("relative residual 1.000e-06 above tolerance 1.0e-08")
+
+    monkeypatch.setattr(cli, "solve_aux_pde", above_tolerance)
+    rc, _ = _run(tmp_path, "virial",
+                 {"grid": {"half_width": 16.0, "n": 64},
+                  "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
+                  "radii": [4.0]}, monkeypatch)
     assert rc == 3
 
 
