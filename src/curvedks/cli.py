@@ -46,12 +46,15 @@ class ConfigError(ValueError):
     pass
 
 
+# schema type of a point-valued key: a list of exactly two numbers
+_POINT = "point"
+
 # per-subcommand schema: key -> (type, default); nested dicts spell out trees
 _GRID_SCHEMA = {"half_width": (float, 60.0), "n": (int, 256),
-                "center": (list, [0.0, 0.0])}
+                "center": (_POINT, [0.0, 0.0])}
 _PHI_SCHEMA = {"kind": (str, "zero"), "amplitude": (float, 0.0),
-               "support_radius": (float, 2.0), "center": (list, [0.0, 0.0])}
-_PROFILE_SCHEMA = {"lam": (float, 1.0), "x_star": (list, [0.0, 0.0]),
+               "support_radius": (float, 2.0), "center": (_POINT, [0.0, 0.0])}
+_PROFILE_SCHEMA = {"lam": (float, 1.0), "x_star": (_POINT, [0.0, 0.0]),
                    "m": (float, 8.0 * np.pi)}
 
 SCHEMAS = {
@@ -59,7 +62,7 @@ SCHEMAS = {
         # grid: potential probes; double_grid (Coulomb) shares its centre and
         # scales with lambda: its half_width is per unit lambda
         "grid": {"half_width": (float, 60.0), "n": (int, 1024),
-                 "center": (list, [0.0, 0.0])},
+                 "center": (_POINT, [0.0, 0.0])},
         "double_grid": {"half_width": (float, 60.0), "n": (int, 512)},
         "lambdas": (list, [0.5, 1.0, 2.0]),
         "tolerance": (float, 1e-2),
@@ -103,7 +106,7 @@ SCHEMAS = {
     },
     "flow": {
         "grid": {"half_width": (float, 15.0), "n": (int, 128),
-                 "center": (list, [0.0, 0.0])},
+                 "center": (_POINT, [0.0, 0.0])},
         "phi": _PHI_SCHEMA,
         "initial": (str, "gaussian"),      # gaussian | profile
         "profile": _PROFILE_SCHEMA,
@@ -136,18 +139,21 @@ def _checked(value, typ, where: str):
 
     An int key takes only integral values; a float key also takes ints,
     because JSON `1` loads as int. Every list key holds numbers, kept as
-    given so the config hash does not change; an empty list is rejected.
+    given so the config hash does not change; an empty list is rejected,
+    and a _POINT key holds exactly two.
     """
-    if typ is list:
-        ok = isinstance(value, list) and len(value) > 0 and all(_is_number(v) for v in value)
+    if typ is list or typ == _POINT:
+        ok = isinstance(value, list) and all(_is_number(v) for v in value) \
+            and (len(value) == 2 if typ == _POINT else len(value) > 0)
+        want = "a point [x, y]" if typ == _POINT else "a non-empty list of numbers"
     elif typ is str:
-        ok = isinstance(value, str)
+        ok, want = isinstance(value, str), "str"
     else:
         ok = _is_number(value) and (typ is float or value == int(value))
+        want = typ.__name__
     if not ok:
-        want = "a non-empty list of numbers" if typ is list else typ.__name__
         raise ConfigError(f"bad value for {where}: expected {want}, got {value!r}")
-    return typ(value)
+    return list(value) if typ == _POINT else typ(value)
 
 
 def _validate(config: dict, schema: dict, path: str = "") -> dict:

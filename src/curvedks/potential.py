@@ -8,8 +8,9 @@ with the singular j = i term replaced by rho_i e^{2 phi_i} W(h), where W(h) is
 the exact integral of G over one grid cell centered at the singularity.
 On a uniform lattice a kernel depends only on the offset i - j, so each kernel
 (G, and the gradient kernel the virial uses) is one table over offsets at
-unit spacing (_offset_table), evaluated by FFT as a zero-padded circulant
-convolution with transforms pruned to the data rows and one reused
+unit spacing (_offset_table), built by symmetry from its values on the
+quadrant of nonnegative offsets. It is evaluated by FFT as a zero-padded
+circulant convolution with transforms pruned to the data rows and one reused
 workspace (the working path for large grids) or by direct block-Toeplitz
 summation (the O(N^2) reference path); resolve_method holds the one policy
 that picks. The spacing h is applied to the sum, exactly: G(h x) = G(x) -
@@ -147,23 +148,25 @@ def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
     Entry [a + n, b + n] is the kernel at offset (a, b). "log" gives (G,),
     with W(1) at offset 0; "grad" gives (KX, KY), the two components of
     grad G = -(x - y) / (2pi |x - y|^2), with 0 at offset 0 (the self-cell
-    term vanishes by oddness of the kernel).
+    term vanishes by oddness of the kernel). Both kernels depend on (|a|, |b|)
+    only, up to the sign of a in KX, so each is evaluated on the (n+1)^2
+    quadrant of nonnegative offsets and gathered; KY is KX transposed.
     """
-    d = np.arange(-n, n, dtype=float)
-    DX, DY = np.meshgrid(d, d, indexing="ij")
+    i = np.arange(n + 1, dtype=float)
+    fold = np.abs(np.arange(-n, n))          # offset a -> row |a| of the quadrant
     if kind == "log":
-        R = np.hypot(DX, DY)
-        T = np.empty((2 * n, 2 * n))
-        nz = R > 0
-        T[nz] = -np.log(R[nz]) / (2.0 * np.pi)
-        T[n, n] = self_cell_weight(1.0)
-        return (T,)
+        R = np.hypot(i[:, None], i)
+        R[0, 0] = 1.0                        # offset 0 takes W(1) below, not a log
+        Q = -np.log(R) / (2.0 * np.pi)
+        Q[0, 0] = self_cell_weight(1.0)
+        return (np.take(np.take(Q, fold, axis=0), fold, axis=1),)
     if kind == "grad":
-        R2 = DX**2 + DY**2
+        R2 = i[:, None] ** 2 + i**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)
-            KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
-        return KX, KY
+            Q = np.where(R2 > 0, -i[:, None] / (2.0 * np.pi * R2), 0.0)
+        sign = np.sign(np.arange(-n, n, dtype=float))[:, None]
+        KX = np.take(np.take(Q, fold, axis=0) * sign, fold, axis=1)
+        return KX, np.ascontiguousarray(KX.T)    # row-major: the direct sum reads rows
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

@@ -18,16 +18,18 @@ solve of its central discretization, followed by a check of the true residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, boundary_mask, grad_flat, laplacian_flat
 from .potential import (PotentialField, _circulant_sums, _kernel_spectra, _offset_table,
                         _toeplitz_sum, resolve_method)
 from .stationary import DensityField
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class AuxSolveError(RuntimeError):
@@ -105,6 +107,10 @@ def _stencil_operators(problem: WeightedEllipticProblem) -> sparse.csc_matrix:
 
     Central differences; the identity rows impose Dirichlet zero data.
     """
+    # scipy.sparse is imported here and in solve_aux_pde only: it is most of
+    # the package's import time, and nothing but this solve uses it
+    from scipy import sparse
+
     grid = problem.rho.grid
     n = grid.n
     h = grid.h
@@ -162,6 +168,8 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSol
     if bnorm == 0.0:
         return AuxSolution(f=np.zeros((grid.n, grid.n)), residual_trace=[0.0, 0.0],
                            iterations=0, grad_l2=0.0)
+    from scipy.sparse.linalg import splu    # lazily, as in _stencil_operators
+
     A = _stencil_operators(problem)
     x = splu(A).solve(b)
     res = float(np.linalg.norm(b - A @ x))

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedks import cli
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
@@ -283,6 +289,105 @@ def test_energy_scan_needs_two_resolved_lambdas(tmp_path, monkeypatch, capsys):
 def test_validate_rejects_instead_of_coercing(config):
     with pytest.raises(cli.ConfigError):
         cli._validate(config, cli.SCHEMAS["virial"])
+
+
+@pytest.mark.parametrize("point", [[0.5], [0.0, 1.0, 5.0]])
+@pytest.mark.parametrize("command, key", [
+    ("flow", "grid.center"), ("flow", "phi.center"), ("deficit", "profile.x_star"),
+    ("identities", "grid.center"),
+])
+def test_point_keys_hold_two_numbers(tmp_path, monkeypatch, capsys, command, key, point):
+    # a point with one coordinate or with a third one is invalid config: exit 2
+    # naming the key, no output
+    section, name = key.split(".")
+    rc, outdir = _run(tmp_path, command, {section: {name: point}}, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+_EDGE_NUMBERS = [float("inf"), -float("inf"), float("nan"), 2**1100, -0.0, 1e308]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=3),
+    max_leaves=10)
+
+
+def _config_trees(schema):
+    """Objects shaped like `schema`: any subset of its keys, now and then a stray
+    key, each value well-typed for its key or an arbitrary JSON value."""
+    values = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            values[key] = _config_trees(spec) | _JSON
+        else:
+            typ, default = spec
+            number = st.integers() | st.floats() | st.sampled_from(_EDGE_NUMBERS)
+            typed = st.text(max_size=4) if typ is str else (
+                number if typ in (int, float) else st.lists(number, max_size=4))
+            values[key] = st.just(default) | typed | _JSON
+    stray = st.sampled_from([0, 0, 0, 1]).flatmap(
+        lambda k: st.dictionaries(st.text(max_size=4), _JSON, min_size=k, max_size=k))
+    return st.builds(lambda known, extra: {**extra, **known},
+                     st.fixed_dictionaries({}, optional=values), stray)
+
+
+def _same_keys(cfg, schema):
+    return set(cfg) == set(schema) and all(
+        _same_keys(cfg[k], spec) for k, spec in schema.items() if isinstance(spec, dict))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(cli.SCHEMAS)))
+def test_validate_survives_fuzzing(data, command):
+    # every JSON tree is either a config with exactly the schema's keys or a ConfigError
+    schema = cli.SCHEMAS[command]
+    try:
+        cfg = cli._validate(data.draw(_config_trees(schema)), schema)
+    except cli.ConfigError:
+        return
+    assert _same_keys(cfg, schema)
+
+
+_COLD_START = """
+import json, sys
+import numpy as np
+import curvedks
+from curvedks import cli
+rc = cli.main(["flow", "--config", sys.argv[1]])
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+from curvedks import virial
+from curvedks.domain import CartesianGrid
+from curvedks.geometry import ConformalFactor
+from curvedks.stationary import density_from_profile
+field = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0),
+                             ConformalFactor.radial_bump(0.1, 2.0),
+                             CartesianGrid(center=(0.0, 0.0), half_width=8.0, n=32))
+sol = virial.solve_aux_pde(virial.WeightedEllipticProblem.build(field))
+print(json.dumps({"rc": rc, "before_solve": loaded, "residual": sol.residual_trace,
+                  "after_solve": "scipy.sparse.linalg" in sys.modules}))
+"""
+
+
+def test_scipy_sparse_loads_only_for_the_aux_solve(tmp_path):
+    # a fresh process runs `flow` without importing scipy.sparse; the auxiliary
+    # solve imports it on first use and still meets its residual tolerance
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = _write_config(tmp_path, "flow.json",
+                        {"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01,
+                         "snapshot_every": 5, "output_dir": str(tmp_path / "out")})
+    env = {k: v for k, v in os.environ.items() if k != cli.OUTPUT_DIR_ENV}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, cfg], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["rc"] == EXIT_OK
+    assert got["before_solve"] == []
+    assert got["after_solve"]
+    bnorm, res = got["residual"]
+    assert 0.0 < bnorm and res <= 1e-8 * bnorm
 
 
 def test_validate_takes_int_for_float():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.energy import (conformal_covariance_check, free_energy, lambda_scan,
                              log_hls_deficit)
 from curvedks.potential import estimate_tail
-from curvedks.profiles import mu_entropy_identity
+from curvedks.profiles import ScaledCauchyProfile, mu_entropy_identity
 from curvedks.stationary import DensityField, density_from_profile
 
 CRITICAL_F = 8 * np.pi * np.log(8 / np.e)   # free energy of the critical family
@@ -117,6 +119,33 @@ def test_conformal_covariance_bump(grid128):
     phi = ConformalFactor.radial_bump(0.1, 3.0)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), phi, grid128)
     chk = conformal_covariance_check(fld, 1.0, (0.0, 0.0))
+    assert abs(chk.difference) <= 1e-8
+
+
+_CAUCHY = st.tuples(st.floats(0.5, 3.0), st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                   st.floats(0.2, 1.0))       # lambda, centre, weight
+_GAUSS = st.tuples(st.floats(0.7, 2.0), st.floats(-2.0, 2.0),
+                  st.floats(0.0, 1.0))        # sigma, x centre, weight
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(bumps=st.lists(_CAUCHY, min_size=1, max_size=3), gauss=st.none() | _GAUSS,
+       amplitude=st.floats(-0.3, 0.3), support=st.floats(1.0, 5.0))
+def test_deficit_and_covariance_on_random_positive_fields(bumps, gauss, amplitude, support):
+    # criterion 6's family, drawn at random: a mixture of Cauchy profiles and a
+    # Gaussian of mass 8 pi, under a flat (amplitude 0) or radial-bump factor
+    g = CartesianGrid(center=(0.0, 0.0), half_width=25.0, n=128)
+    X, Y = g.meshes()
+    phi = ConformalFactor.radial_bump(amplitude, support)
+    rho = sum(w * ScaledCauchyProfile(lam=lam, x_star=(cx, cy))(X, Y)
+              for lam, cx, cy, w in bumps)
+    if gauss is not None:
+        s, gx, w = gauss
+        rho = rho + w * np.exp(-((X - gx) ** 2 + Y**2) / (2.0 * s * s))
+    m = 8 * np.pi
+    rho *= m / (np.sum(rho * np.exp(2.0 * phi(X, Y))) * g.cell_area)
+    chk = conformal_covariance_check(DensityField(grid=g, samples=rho, phi=phi), 1.0)
+    assert chk.curved_deficit >= -1e-3
     assert abs(chk.difference) <= 1e-8
 
 

@@ -63,6 +63,33 @@ def test_mass_conserved_exactly_over_many_steps():
     assert abs(state.field.mass - m0) / m0 <= 1e-10
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(k=st.integers(16, 32), half_width=st.floats(4.0, 12.0), bump=st.booleans(),
+       mass=st.floats(1.0, 20.0), width=st.floats(0.1, 0.4),
+       centres=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+       amplitude=st.floats(-0.5, 0.5), support=st.floats(0.2, 0.8))
+def test_curved_mass_and_positivity_over_many_cfl_steps(k, half_width, bump, mass, width,
+                                                        centres, amplitude, support):
+    # 50 steps, each at the current CFL bound, from a radial bump or a Gaussian
+    # density under a radial-bump conformal factor
+    g = CartesianGrid(center=(0.0, 0.0), half_width=half_width, n=2 * k)
+    cx, cy, px, py = (v * half_width for v in centres)
+    phi = ConformalFactor.radial_bump(amplitude, support * half_width, (px, py))
+    X, Y = g.meshes()
+    s = width * half_width
+    if bump:
+        rho = ConformalFactor.radial_bump(1.0, s, (cx, cy))(X, Y)
+    else:
+        rho = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * s * s))
+    rho *= mass / (np.sum(rho * np.exp(2.0 * phi(X, Y))) * g.cell_area)
+    state = flow_init(DensityField(grid=g, samples=rho, phi=phi))
+    m0 = state.field.mass
+    for _ in range(50):
+        state = flow_step(replace(state, dt=cfl_bound(state.field, state.c, state.min_e2phi)))
+    assert abs(state.field.mass - m0) <= 1e-12 * m0
+    assert state.field.samples.min() >= 0.0
+
+
 def test_positivity_preserved():
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=96)
     fld = _gaussian_field(g, 8 * np.pi, sigma=0.8)

@@ -130,6 +130,37 @@ def test_kernel_spectra_shared_across_spacing_and_centre():
                 Kf[0, 0] = 0.0
 
 
+def _meshgrid_offset_table(kind, n):
+    """Each table evaluated directly on the full (2n, 2n) offset mesh."""
+    d = np.arange(-n, n, dtype=float)
+    DX, DY = np.meshgrid(d, d, indexing="ij")
+    if kind == "log":
+        R = np.hypot(DX, DY)
+        T = np.empty((2 * n, 2 * n))
+        nz = R > 0
+        T[nz] = -np.log(R[nz]) / (2.0 * np.pi)
+        T[n, n] = self_cell_weight(1.0)
+        return (T,)
+    R2 = DX**2 + DY**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)
+        KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
+    return KX, KY
+
+
+@pytest.mark.parametrize("n", [8, 10, 64, 130])
+@pytest.mark.parametrize("kind", ["log", "grad"])
+def test_offset_tables_equal_the_full_mesh_formula(kind, n):
+    # the quadrant-folded tables are the full-mesh tables bit for bit, signed zeros included
+    got = potential._offset_table(kind, n)
+    want = _meshgrid_offset_table(kind, n)
+    assert len(got) == len(want)
+    for T, W in zip(got, want):
+        assert T.shape == (2 * n, 2 * n)
+        assert np.array_equal(T, W)
+        assert np.array_equal(np.signbit(T), np.signbit(W))
+
+
 @pytest.mark.parametrize("kind", ["log", "grad"])
 def test_fft_sums_own_their_samples(kind):
     # each result is an n x n array of its own, not a view of the 2n x 2n
