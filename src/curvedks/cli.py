@@ -3,8 +3,10 @@
 Configs are JSON key-value trees validated against per-subcommand schemas;
 unknown keys are rejected so typos fail fast. Outputs are CSV (header row,
 '.' decimal, LF endings) and JSON (UTF-8, sorted keys), each embedding the
-config hash and grid parameters, and are byte-identical across reruns of
-the same config (fixed seeds, row-major reductions).
+config hash and grid parameters, plus flow's snapshot stack, a float64
+(k, n, n) .npy array whose slice k pairs with diagnostics row k. All are
+byte-identical across reruns of the same config (fixed seeds, row-major
+reductions).
 
 Exit codes: 0 pass, 1 check failed, 2 invalid config, 3 numerical failure.
 """
@@ -22,7 +24,7 @@ import numpy as np
 from .domain import AnnulusSpec, CartesianGrid
 from .energy import lambda_scan, log_hls_deficit
 from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
-                   run_flow, virial_rate)
+                   run_flow, virial_rate, write_snapshots)
 from .geometry import ConformalFactor
 from .potential import newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
@@ -403,9 +405,7 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     outdir = _outdir(cfg)
     diagnostics_to_csv(diag, os.path.join(outdir, "flow_diagnostics.csv"),
                        meta=f"config_hash={cfg_hash}")
-    for k, s in enumerate(snaps):
-        s.field.to_csv(os.path.join(outdir, f"flow_snapshot_{k:04d}.csv"),
-                       meta=f"config_hash={cfg_hash} t={s.t:.12g}")
+    write_snapshots(snaps, os.path.join(outdir, "flow_snapshots.npy"))
     payload = {"steps": final.step_count, "t_final": final.t,
                "mass_drift": diag.mass_drift}
     if diag.phi_is_flat and len(diag.t) >= 10:

@@ -17,13 +17,22 @@ curved cell masses rho e^{2 phi} h^2 once and hands them to the lattice sum
 as its charges, and the CFL bound and the fluxes read the same face
 differences of c. Every potential of a run is an FFT lattice sum, at any
 grid size.
+
+A step allocates only the arrays it returns: flux_divergence works in one
+cached set of per-grid buffers (_flux_workspace), reused by every call at
+that grid size. The buffers are shared, so, like the FFT workspace of the
+lattice sum, this is not thread-safe: run one flow at a time per process.
+A run's snapshots are saved as one float64 (k, n, n) .npy stack by
+write_snapshots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .domain import write_csv
 from .potential import PotentialField, lattice_potential
@@ -87,15 +96,17 @@ class FlowDiagnostics:
 
 def second_moment(field: DensityField) -> float:
     """W = int |x|^2 rho dA0 (flat measure, absolute coordinates)."""
-    X, Y = field.grid.meshes()
-    return float(np.sum((X**2 + Y**2) * field.samples) * field.grid.cell_area)
+    grid = field.grid
+    r2 = grid.x[:, None] ** 2 + grid.y[None, :] ** 2
+    return float(np.sum(r2 * field.samples) * grid.cell_area)
 
 
 def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float) -> float:
     """dt <= CFL * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
     h = field.grid.h
     gx, gy = c.face_gradients
-    vmax = max(float(np.max(np.abs(gx))), float(np.max(np.abs(gy))), 0.0)
+    # max|v| as max(max v, -min v): no |v| temporaries
+    vmax = max(float(gx.max()), -float(gx.min()), float(gy.max()), -float(gy.min()), 0.0)
     return CFL * h * h * min_e2phi / (1.0 + vmax * h)
 
 
@@ -115,9 +126,65 @@ def flow_init(field: DensityField, dt: float | None = None) -> FlowState:
                      min_e2phi=min_e2phi)
 
 
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The smaller-magnitude argument where a and b share a sign, else 0."""
-    return np.maximum(np.minimum(a, b), 0.0) + np.minimum(np.maximum(a, b), 0.0)
+@lru_cache(maxsize=1)
+def _flux_workspace(n: int) -> tuple[np.ndarray, ...]:
+    """Buffers of one grid size for flux_divergence's two axis passes.
+
+    Three flat float buffers (face values twice, cell slopes), a flat face
+    mask, and an (n, n) array whose last column stays 0, which holds the
+    y-face velocities in the cells' layout. One size only, like
+    potential._fft_workspace; shared, so not thread-safe.
+    """
+    size = n * n
+    return (np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool),
+            np.zeros((n, n)))
+
+
+def _axis_fluxes(rho: np.ndarray, v: np.ndarray, h: float, o: int, bufs) -> np.ndarray:
+    """Flat face fluxes over h between the cells k and k + o of rho.ravel().
+
+    Offset o = n pairs x-neighbours and o = 1 y-neighbours, so both passes
+    run on contiguous runs of the row-major cells; for o = 1 each row end
+    also pairs with the next row's start, and those wrap-around fluxes are
+    set to 0. v holds the face velocities in the same layout.
+    F = (-d / h + rho_face v) / h with d the differences and rho_face the
+    minmod-limited upwind state, computed in the workspace buffers bufs; the
+    result is a view of the first one.
+    """
+    n = rho.shape[0]
+    r = rho.ravel()
+    m = r.size - o
+    F, T, S, upwind = bufs
+    F, T, upwind = F[:m], T[:m], upwind[:m]
+    np.subtract(r[o:], r[:-o], out=F)                      # differences d
+    # minmod-limited one-cell slopes: max(min(a, b), 0) + min(max(a, b), 0);
+    # zero at the edge cells, which have one neighbour
+    s, t = S[o:-o], T[:-o]
+    np.minimum(F[:-o], F[o:], out=s)
+    np.maximum(s, 0.0, out=s)
+    np.maximum(F[:-o], F[o:], out=t)
+    np.minimum(t, 0.0, out=t)
+    s += t
+    edges = [0, -1]
+    S.reshape(n, n)[(slice(None), edges) if o == 1 else edges] = 0.0
+    # face state from the lower cell where v > 0, else from the upper one
+    np.multiply(S[:-o], 0.5, out=T)
+    T += r[:-o]
+    face = S[o:]
+    face *= 0.5
+    np.subtract(r[o:], face, out=face)
+    np.greater(v, 0.0, out=upwind)
+    np.copyto(face, T, where=upwind)
+    face *= v
+    np.negative(F, out=F)
+    F /= h
+    F += face
+    F /= h
+    if o == 1:
+        # the caller adds these +0.0 to divergence entries that are never -0.0
+        # (sums and differences starting from +0.0 are not), so no bit changes
+        F[n - 1::n] = 0.0
+    return F
 
 
 def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
@@ -130,30 +197,21 @@ def flux_divergence(field: DensityField, c: PotentialField) -> np.ndarray:
     inside the neighbor range, so positivity survives). Zero-flux box
     boundary; by the face-telescoping structure the curved mass of
     rho + dt e^{-2 phi} * (this) is exactly that of rho.
+
+    The x and y passes run one after the other in the same per-grid
+    workspace; only the returned array is allocated.
     """
-    grid = field.grid
-    h = grid.h
+    n = field.grid.n
     rho = field.samples
     vx, vy = c.face_gradients    # face-centred advective velocity, shared with cfl_bound
-    dx = np.diff(rho, axis=0)
-    dy = np.diff(rho, axis=1)
-    # minmod-limited one-cell slopes; zero at the edge cells, which have one neighbour
-    sx = np.zeros_like(rho)
-    sx[1:-1, :] = _minmod(dx[:-1, :], dx[1:, :])
-    sy = np.zeros_like(rho)
-    sy[:, 1:-1] = _minmod(dy[:, :-1], dy[:, 1:])
-    rho_face_x = np.where(vx > 0, rho[:-1, :] + 0.5 * sx[:-1, :],
-                          rho[1:, :] - 0.5 * sx[1:, :])
-    rho_face_y = np.where(vy > 0, rho[:, :-1] + 0.5 * sy[:, :-1],
-                          rho[:, 1:] - 0.5 * sy[:, 1:])
-    # face fluxes, already divided by h for the divergence
-    Fx = (-dx / h + rho_face_x * vx) / h
-    Fy = (-dy / h + rho_face_y * vy) / h
-    div = np.zeros_like(rho)
-    div[1:, :] += Fx
-    div[:-1, :] -= Fx
-    div[:, 1:] += Fy
-    div[:, :-1] -= Fy
+    *bufs, vy_cells = _flux_workspace(n)
+    vy_cells[:, :-1] = vy
+    div = np.zeros((n, n))
+    flat = div.ravel()
+    for o, v in ((n, vx.ravel()), (1, vy_cells.ravel()[:-1])):
+        F = _axis_fluxes(rho, v, field.grid.h, o, bufs)
+        flat[o:] += F
+        flat[:-o] -= F
     return div
 
 
@@ -169,15 +227,19 @@ def flow_step(state: FlowState) -> FlowState:
     if state.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {state.dt:.3e} exceeds CFL bound {bound:.3e}")
 
-    rho_new = field.samples + state.dt * state.e_m2phi * flux_divergence(field, c)
+    div = flux_divergence(field, c)
+    rho_new = state.dt * state.e_m2phi       # rho + (dt e^{-2 phi}) div, built in place
+    rho_new *= div
+    rho_new += field.samples
 
-    if np.any(rho_new < 0):
-        worst = float(rho_new.min())
+    worst = float(rho_new.min())
+    if worst < 0:
         raise CFLViolation(f"negativity after update (min rho = {worst:.3e}); "
                            "reduce dt")
     new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi,
                              area_weights=field.area_weights)
-    q = rho_new * new_field.area_weights     # curved cell masses: the potential's charges
+    # curved cell masses, the potential's charges, in the spent divergence
+    q = np.multiply(rho_new, new_field.area_weights, out=div)
     mass = float(q.sum())
     if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
@@ -275,3 +337,18 @@ def diagnostics_to_csv(diag: FlowDiagnostics, path, meta: str | None = None) -> 
     write_csv(path, "t,mass,W,F",
               ("%.12g,%.17g,%.17g,%.17g\n" % row
                for row in zip(diag.t, diag.mass, diag.second_moment, diag.free_energy)), meta)
+
+
+def write_snapshots(snapshots: list[FlowState], path) -> None:
+    """Save the snapshot densities as one float64 .npy array of shape (k, n, n).
+
+    Slice k is snapshots[k].field.samples. The bytes are those of
+    np.save(path, np.stack(...)), but each snapshot's samples are streamed
+    after the header, so no stacked copy is built.
+    """
+    header = {"descr": npy_format.dtype_to_descr(np.dtype(float)), "fortran_order": False,
+              "shape": (len(snapshots), *snapshots[0].field.samples.shape)}
+    with open(path, "wb") as fh:
+        npy_format.write_array_header_1_0(fh, header)
+        for s in snapshots:
+            s.field.samples.tofile(fh)

@@ -136,7 +136,10 @@ class PotentialField:
     def face_gradients(self) -> tuple[np.ndarray, np.ndarray]:
         """Differences of c across interior cell faces over h: shapes (n-1, n), (n, n-1)."""
         h = self.grid.h
-        return np.diff(self.samples, axis=0) / h, np.diff(self.samples, axis=1) / h
+        gx, gy = np.diff(self.samples, axis=0), np.diff(self.samples, axis=1)
+        gx /= h
+        gy /= h
+        return gx, gy
 
     def to_csv(self, path) -> None:
         write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)

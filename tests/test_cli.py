@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from curvedks import cli
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
-from curvedks.flow import StepLimitReached
+from curvedks.flow import StepLimitReached, run_flow
 from curvedks.virial import AuxSolveError
 
 
@@ -150,7 +150,26 @@ def test_virial_curved_factor_closes_i3(tmp_path, monkeypatch):
     assert abs(payload["I3"]) < 0.1
 
 
+def _spy_run_flow(monkeypatch):
+    """Record the initial field and the snapshots of each run_flow call of the CLI."""
+    calls = []
+
+    def spy(field, *args, **kwargs):
+        out = run_flow(field, *args, **kwargs)
+        calls.append((field, out[2]))
+        return out
+
+    monkeypatch.setattr(cli, "run_flow", spy)
+    return calls
+
+
+def _diagnostic_rows(path):
+    return [line for line in path.read_text().splitlines()
+            if line and not line.startswith(("#", "t,"))]
+
+
 def test_flow_subcommand(tmp_path, monkeypatch):
+    calls = _spy_run_flow(monkeypatch)
     rc, outdir = _run(tmp_path, "flow",
                       {"grid": {"half_width": 12.0, "n": 96},
                        "t_end": 0.02, "snapshot_every": 2}, monkeypatch)
@@ -159,7 +178,34 @@ def test_flow_subcommand(tmp_path, monkeypatch):
     assert payload["mass_drift"] <= 1e-10
     diag_lines = (outdir / "flow_diagnostics.csv").read_text().splitlines()
     assert diag_lines[0].startswith("# config_hash=")
-    assert (outdir / "flow_snapshot_0000.csv").exists()
+    stack = np.load(outdir / "flow_snapshots.npy")
+    assert stack.dtype == np.float64
+    assert stack.shape == (len(_diagnostic_rows(outdir / "flow_diagnostics.csv")), 96, 96)
+    (initial, _), = calls
+    assert np.array_equal(stack[0], initial.samples)
+
+
+def test_flow_snapshots_are_the_run_states_and_rerun_identically(tmp_path, monkeypatch):
+    # slice k is snapshot k, bit for bit, paired with diagnostics row k, and a
+    # rerun of the same config writes the same bytes
+    calls = _spy_run_flow(monkeypatch)
+    cfg = {"grid": {"half_width": 10.0, "n": 64},
+           "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
+           "t_end": 0.03, "snapshot_every": 3}
+    blobs = []
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        rc, outdir = _run(tmp_path / run, "flow", cfg, monkeypatch)
+        assert rc == EXIT_OK
+        blobs.append((outdir / "flow_snapshots.npy").read_bytes())
+        rows = _diagnostic_rows(outdir / "flow_diagnostics.csv")
+        stack = np.load(outdir / "flow_snapshots.npy")
+        snaps = calls[-1][1]
+        assert len(stack) == len(rows) == len(snaps)
+        for k, (s, row) in enumerate(zip(snaps, rows)):
+            assert np.array_equal(stack[k].view(np.uint64), s.field.samples.view(np.uint64))
+            assert float(row.split(",")[0]) == pytest.approx(s.t, rel=1e-11, abs=1e-15)
+    assert blobs[0] == blobs[1]
 
 
 def test_flow_virial_rate_reported(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, StepLimitReached,
                            cfl_bound, energy_trace, flow_init, flow_step, flux_divergence,
-                           run_flow, second_moment, virial_rate)
+                           run_flow, second_moment, virial_rate, write_snapshots)
 from curvedks.stationary import DensityField, density_from_profile
 
 
@@ -211,12 +212,53 @@ def _padded_flux_divergence(rho, cs, h):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_flux_divergence_matches_padded_formula(seed):
+    # the grid sizes repeat and interleave, while the workspace holds one size,
+    # and every result is its own array: later calls leave it unchanged
     rng = np.random.default_rng(seed)
-    g = CartesianGrid(center=(0.4, -0.2), half_width=3.0, n=16 + 2 * seed)
-    rho = rng.random((g.n, g.n)) ** 3
-    fld = DensityField(grid=g, samples=rho, phi=ConformalFactor.zero())
-    c = fld.potential(method="fft")
-    assert np.array_equal(flux_divergence(fld, c), _padded_flux_divergence(rho, c.samples, g.h))
+    results = []
+    for n in (16 + 2 * seed, 16 + 2 * seed, 8, 16 + 2 * seed):
+        g = CartesianGrid(center=(0.4, -0.2), half_width=3.0, n=n)
+        rho = rng.random((n, n)) ** 3
+        rho[rng.random((n, n)) < 0.2] = 0.0
+        fld = DensityField(grid=g, samples=rho, phi=ConformalFactor.zero())
+        c = fld.potential(method="fft")
+        div = flux_divergence(fld, c)
+        results.append((div, div.copy(), _padded_flux_divergence(rho, c.samples, g.h)))
+    for div, first, expected in results:
+        assert np.array_equal(div, first)
+        assert np.array_equal(div, expected)
+
+
+def test_flow_step_allocates_only_its_outputs():
+    # after warm-up, a step's peak traced memory is that of the arrays it keeps
+    # (new density, potential, the old potential's two face gradients), the
+    # divergence and the lattice sum's FFT transients: about 8 n^2 doubles,
+    # where per-operation temporaries took about 14
+    g = CartesianGrid(center=(0, 0), half_width=8.0, n=64)
+    state = flow_step(flow_step(flow_init(_gaussian_field(g, 4 * np.pi))))
+    tracemalloc.start()
+    try:
+        flow_step(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * g.n**2 * 8
+
+
+def test_second_moment_matches_mesh_formula():
+    g = CartesianGrid(center=(0.3, -0.7), half_width=6.0, n=32)
+    fld = _gaussian_field(g, 4 * np.pi, phi=ConformalFactor.radial_bump(0.1, 2.0))
+    X, Y = g.meshes()
+    assert second_moment(fld) == float(np.sum((X**2 + Y**2) * fld.samples) * g.cell_area)
+
+
+def test_write_snapshots_is_np_save_of_the_stack(tmp_path):
+    g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
+    _, diag, snaps = run_flow(_gaussian_field(g, 4 * np.pi), 0.02, snapshot_every=3)
+    write_snapshots(snaps, tmp_path / "snaps.npy")
+    np.save(tmp_path / "stacked.npy", np.stack([s.field.samples for s in snaps]))
+    assert (tmp_path / "snaps.npy").read_bytes() == (tmp_path / "stacked.npy").read_bytes()
+    assert np.load(tmp_path / "snaps.npy").shape == (len(diag.t), g.n, g.n)
 
 
 def test_blow_up_detection():
