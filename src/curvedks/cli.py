@@ -191,6 +191,12 @@ def load_config(path: str | None, subcommand: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(canon).hexdigest()[:16]
 
 
+def _require_positive(cfg: dict, key: str) -> None:
+    """ConfigError naming `key` unless its value is > 0; callers check before any output."""
+    if not cfg[key] > 0:
+        raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
+
+
 def _outdir(cfg: dict) -> str:
     d = os.environ.get(OUTPUT_DIR_ENV, cfg.get("output_dir", "."))
     os.makedirs(d, exist_ok=True)
@@ -238,6 +244,7 @@ def _emit(cfg: dict, cfg_hash: str, name: str, payload: dict) -> None:
 # subcommands
 
 def cmd_identities(cfg: dict, cfg_hash: str) -> int:
+    _require_positive(cfg, "tolerance")
     grid = _grid(cfg)
     dg = cfg["double_grid"]
     tol = cfg["tolerance"]
@@ -298,6 +305,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
 
 
 def cmd_residual(cfg: dict, cfg_hash: str) -> int:
+    _require_positive(cfg, "probe_frac")
     field = _density(cfg)
     rep = reduced_residual(field, probe_frac=cfg["probe_frac"])
     mem = membership_check(field)
@@ -350,8 +358,7 @@ OBSTRUCTION_SCOPE = ("rules out only stationary solutions whose transported sphe
 
 
 def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
-    if not cfg["threshold"] > 0:
-        raise ConfigError(f"threshold must be positive, got {cfg['threshold']!r}")
+    _require_positive(cfg, "threshold")
     phi = _phi(cfg)
     cert = nonexistence_certificate(phi, lam=cfg["lam"], n_lat=cfg["n_lat"],
                                     n_lon=cfg["n_lon"])
@@ -386,6 +393,7 @@ def cmd_virial(cfg: dict, cfg_hash: str) -> int:
 
 
 def cmd_flow(cfg: dict, cfg_hash: str) -> int:
+    _require_positive(cfg, "sigma")
     if cfg["initial"] == "gaussian":
         grid, phi = _grid(cfg), _phi(cfg)
         X, Y = grid.meshes()

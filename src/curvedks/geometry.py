@@ -131,9 +131,15 @@ class ConformalFactor:
         return self.kind in ("zero", "radial_bump")
 
 
-def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
-    """Per-cell integration weights e^{2 phi(x_cell)} h^2."""
-    return np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
+def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid,
+                           rho: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell weights e^{2 phi} h^2, or the charges rho e^{2 phi} h^2, in one array, in place."""
+    w = phi.on_grid(grid)
+    np.exp(np.multiply(w, 2.0, out=w), out=w)
+    if rho is not None:
+        w *= rho
+    w *= grid.cell_area
+    return w
 
 
 def laplacian_flat(field: np.ndarray, grid: CartesianGrid) -> np.ndarray:

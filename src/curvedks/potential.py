@@ -7,17 +7,18 @@ The potential of a density rho on the curved plane is the lattice sum
 with the singular j = i term replaced by rho_i e^{2 phi_i} W(h), where W(h) is
 the exact integral of G over one grid cell centered at the singularity.
 On a uniform lattice a kernel depends only on the offset i - j, so each kernel
-(G, and the gradient kernel the virial uses) is one table over offsets at
-unit spacing (_offset_table), built by symmetry from its values on the
-quadrant of nonnegative offsets. It is evaluated by FFT as a zero-padded
-circulant convolution with transforms pruned to the data rows and one reused
-workspace (the working path for large grids) or by direct block-Toeplitz
-summation (the O(N^2) reference path); resolve_method holds the one policy
-that picks. The spacing h is applied to the sum, exactly: G(h x) = G(x) -
-ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at spacing h the
-log sum shifts by -(ln h / 2pi) sum q, and the gradient sum scales by 1/h.
-The truncation tail of a potential is estimated from its density on first
-read of PotentialField.tail, so callers that never read it never pay for it.
+(G, and the gradient kernel the virial uses) is evaluated once, on the
+quadrant of nonnegative offsets at unit spacing, and gathered by symmetry.
+It is summed by FFT as a zero-padded circulant convolution (the working path
+for large grids: spectra transformed from the quadrant's distinct rows, and
+pruned transforms in one reused buffer) or by direct block-Toeplitz summation
+over a cached offset table (the O(N^2) reference path); resolve_method holds
+the one policy that picks. The spacing h is applied to the sum, exactly:
+G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at
+spacing h the log sum shifts by -(ln h / 2pi) sum q, and the gradient sum
+scales by 1/h. The truncation tail of a potential is estimated from its
+density on first read of PotentialField.tail, so callers that never read it
+never pay for it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import CartesianGrid, write_lattice_csv
-from .geometry import ConformalFactor
+from .geometry import ConformalFactor, conformal_area_element
 
 # grids above this size use FFT under method="auto". One BLAS thread, kernel
 # spectrum and workspace cached, medians of 300 calls on a 2-vCPU VM: direct
@@ -145,48 +146,66 @@ class PotentialField:
         write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)
 
 
-def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Kernel values over lattice offsets -n..n-1 at unit spacing, each (2n, 2n).
+def _quadrant(kind: str, n: int) -> np.ndarray:
+    """A kernel at unit spacing on the (n+1)^2 quadrant of offsets (a, b) >= 0.
 
-    Entry [a + n, b + n] is the kernel at offset (a, b). "log" gives (G,),
-    with W(1) at offset 0; "grad" gives (KX, KY), the two components of
+    "log" gives G, with W(1) at offset 0; "grad" gives KX, the x component of
     grad G = -(x - y) / (2pi |x - y|^2), with 0 at offset 0 (the self-cell
-    term vanishes by oddness of the kernel). Both kernels depend on (|a|, |b|)
-    only, up to the sign of a in KX, so each is evaluated on the (n+1)^2
-    quadrant of nonnegative offsets and gathered; KY is KX transposed.
+    term vanishes by oddness). G depends on (|a|, |b|) only, KX up to the
+    sign of a, and KY is KX transposed: every table and spectrum is gathered.
     """
     i = np.arange(n + 1, dtype=float)
-    fold = np.abs(np.arange(-n, n))          # offset a -> row |a| of the quadrant
     if kind == "log":
         R = np.hypot(i[:, None], i)
         R[0, 0] = 1.0                        # offset 0 takes W(1) below, not a log
         Q = -np.log(R) / (2.0 * np.pi)
         Q[0, 0] = self_cell_weight(1.0)
-        return (np.take(np.take(Q, fold, axis=0), fold, axis=1),)
+        return Q
     if kind == "grad":
         R2 = i[:, None] ** 2 + i**2
         with np.errstate(divide="ignore", invalid="ignore"):
-            Q = np.where(R2 > 0, -i[:, None] / (2.0 * np.pi * R2), 0.0)
-        sign = np.sign(np.arange(-n, n, dtype=float))[:, None]
-        KX = np.take(np.take(Q, fold, axis=0) * sign, fold, axis=1)
-        return KX, np.ascontiguousarray(KX.T)    # row-major: the direct sum reads rows
+            return np.where(R2 > 0, -i[:, None] / (2.0 * np.pi * R2), 0.0)
     raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=4)
+def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (2n, 2n) tables over offsets -n..n-1 for the direct path: (G,) or (KX, KY).
+
+    Entry [a + n, b + n] is the kernel at offset (a, b); cached per (kind, n).
+    """
+    fold = np.ix_(*2 * [np.abs(np.arange(-n, n))])    # offset a -> row |a| of the quadrant
+    if kind == "log":
+        return _read_only((_quadrant(kind, n)[fold],))
+    KX = _quadrant(kind, n)[fold] * np.sign(np.arange(-n, n, dtype=float))[:, None]
+    return _read_only((KX, np.ascontiguousarray(KX.T)))   # row-major: the direct sum reads rows
 
 
 @lru_cache(maxsize=8)
 def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only rfft2 of each unit offset table; one per (kind, n), for any h and centre.
+    """Read-only rfft2 of each offset table in FFT order; one per (kind, n), for any h and centre.
 
-    The log table is even under offset negation (mod 2n), so its spectrum is
-    real up to roundoff (imaginary part below 1e-17 of the real one) and is
-    stored as float64; the odd gradient tables keep complex spectra.
+    FFT-order row k is quadrant row min(k, 2n - k), up to the offset's sign for KX, so the row
+    rfft runs on the n+1 distinct rows, gathered to 2n rows for an in-place column fft. The
+    log table is even under offset negation (mod 2n), so its spectrum is real up to roundoff
+    (imaginary part below 1e-17 of the real one) and is stored as float64; the odd gradient
+    tables keep complex spectra.
     """
-    out = tuple(np.fft.rfft2(np.fft.ifftshift(T)) for T in _offset_table(kind, n))
+    k = np.arange(2 * n)
+    fold, sign = np.minimum(k, 2 * n - k), np.sign((k + n) % (2 * n) - n).astype(float)
+    Q = _quadrant(kind, n)
+    S = np.fft.rfft(Q[:, fold], axis=1)[fold]
     if kind == "log":
-        out = tuple(Kf.real.copy() for Kf in out)
-    for Kf in out:
-        Kf.flags.writeable = False
-    return out
+        return _read_only((np.fft.fft(S, axis=0, out=S).real.copy(),))
+    S *= sign[:, None]
+    T = np.fft.rfft(Q.T[:, fold] * sign, axis=1)[fold]
+    return _read_only(tuple(np.fft.fft(X, axis=0, out=X) for X in (S, T)))
 
 
 def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -207,14 +226,14 @@ def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _fft_workspace(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers of one grid size, reused by every FFT lattice sum at that size.
+def _fft_workspace(n: int) -> np.ndarray:
+    """The (2n, n+1) complex spectrum buffer of one grid size, reused by every FFT lattice sum.
 
-    (2n, n+1) complex for the half spectrum, (n, 2n) real for the inverse
-    row transforms. One size only: a larger cache keeps several n = 1024
-    workspaces alive. The sums run one at a time; this is not thread-safe.
+    Each inverse row transform writes into a real view of its product's spent bottom half.
+    One size only: a larger cache keeps several n = 1024 workspaces alive. The sums run one
+    at a time; this is not thread-safe.
     """
-    return np.empty((2 * n, n + 1), dtype=complex), np.empty((n, 2 * n))
+    return np.empty((2 * n, n + 1), dtype=complex)
 
 
 def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
@@ -223,11 +242,11 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     The transforms are pruned to the data: the forward row rfft runs over the
     n data rows only (written into the top half of the spectrum buffer), and
     the inverse row irfft over the n output rows only. Each result is copied
-    out of the workspace, so it owns its n x n samples.
+    out of the buffer, so it owns its n x n samples.
     """
     n = q.shape[0]
     m = 2 * n
-    S, R = _fft_workspace(n)
+    S = _fft_workspace(n)
     np.fft.rfft(q, n=m, axis=1, out=S[:n])
     S[n:] = 0.0
     np.fft.fft(S, axis=0, out=S)
@@ -236,6 +255,7 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
         # the last kernel may overwrite the data spectrum; earlier ones need a product buffer
         P = np.multiply(S, Kf, out=S if k == len(kernel_ffts) - 1 else None)
         np.fft.ifft(P, axis=0, out=P)
+        R = P[n:].view(float).reshape(-1)[:n * m].reshape(n, m)   # spent rows, as n x 2n real
         np.fft.irfft(P[:n], n=m, axis=1, out=R)
         sums.append(R[:, :n].copy())
     return sums
@@ -276,7 +296,7 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n, grid.n):
         raise ValueError("density shape does not match grid")
-    q = rho * np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
+    q = conformal_area_element(phi, grid, rho)
     method = resolve_method(method, grid)
     c = lattice_potential(q, grid, method=method)
     return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()), method=method,
@@ -290,6 +310,6 @@ def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,
     The diagonal uses the self-cell weight, so the form matches what
     newtonian_potential produces when paired against the other factor.
     """
-    w = np.exp(2.0 * phi.on_grid(grid)) * grid.cell_area
+    w = conformal_area_element(phi, grid)
     cg = lattice_potential(np.asarray(g, dtype=float) * w, grid)
     return float(np.sum(np.asarray(f, dtype=float) * w * cg))

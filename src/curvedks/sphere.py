@@ -313,7 +313,8 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     Every candidate u is zonal, as is u1 = sin(theta). As d_psi u1 = 0 on the
     grid and the d_theta pole mirrors keep row sums, obstruction_integral
     reduces exactly to 2pi sum_k glw_k d_theta(u1)_k d_theta(h_bar)_k e^{2u_k},
-    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi. The stencil
+    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi; a radial phi
+    is zonal, so h_bar is h on the one meridian psi = 0. The stencil
     of a constant is 0, so h - 1 = expm1(2 phi) is differenced in place of h:
     it keeps full relative precision when phi is small.
     """
@@ -334,7 +335,8 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     sgrid = SphereGrid(n_lat=n_lat, n_lon=n_lon)
     smap = StereographicMap(lam=lam, x_star=phi.center)
     theta = sgrid.theta[:, None]
-    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :])))
+    psi = sgrid.psi[None, :1] if phi.is_radial() else sgrid.psi[None, :]   # a meridian suffices
+    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, psi)))
     dd = dtheta(np.sin(theta), sgrid) * dtheta(h1.mean(axis=1, keepdims=True), sgrid)
     weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
     obstructions = {"u=0": float(np.sum(weight))}

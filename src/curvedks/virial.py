@@ -226,22 +226,27 @@ def assemble_virial(rho: DensityField, R_list,
     identically. Otherwise f should come from solve_aux_pde.
     """
     grid = rho.grid
-    phis = rho.phi.on_grid(grid)
     w_phi = rho.area_weights
     gcx, gcy = potential_gradient(rho)
     X, Y = grid.meshes()
     xdot = X * gcx + Y * gcy
+    del X, Y
 
     if f is None:
         f = np.zeros((grid.n, grid.n))
     gfx, gfy = grad_flat(f, grid)
     grad_l2 = _gradient_l2(gfx, gfy, grid)
 
-    i3_core = dilation_source(rho.phi, grid)
-    inv_w = np.exp(-2.0 * phis)
-    lap_f = inv_w * laplacian_flat(f, grid)
-    pairing = inv_w * (gfx * gcx + gfy * gcy)
-    i3_field = (i3_core - lap_f - pairing) * rho.samples
+    # the I3 integrand (4 r phi_r - Delta_phi f - g_phi(df, dc)) rho, formed in place
+    inv_w = rho.phi.on_grid(grid)
+    np.exp(np.multiply(inv_w, -2.0, out=inv_w), out=inv_w)
+    i3_field = dilation_source(rho.phi, grid)
+    i3_field -= inv_w * laplacian_flat(f, grid)
+    gfx *= gcx
+    gfx += np.multiply(gfy, gcy, out=gfy)
+    i3_field -= np.multiply(inv_w, gfx, out=gfx)
+    i3_field *= rho.samples
+    del gcx, gcy, gfx, gfy, inv_w
 
     reports = []
     for R in sorted(float(v) for v in R_list):

@@ -254,6 +254,25 @@ def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
     assert not (outdir / "flow.json").exists()
 
 
+@pytest.mark.parametrize("command, config, key", [
+    ("flow", {"sigma": -1.0}, "sigma"), ("flow", {"sigma": 0}, "sigma"),
+    ("residual", {"probe_frac": 0}, "probe_frac"), ("residual", {"probe_frac": -0.4}, "probe_frac"),
+    ("identities", {"tolerance": 0}, "tolerance"), ("identities", {"tolerance": -1e-2}, "tolerance"),
+])
+def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, command, config, key):
+    # a negative sigma would run, sigma 0 divided by zero, probe_frac <= 0 masked
+    # every probe cell (exit 3), a tolerance <= 0 failed every check (exit 1)
+    small = {"grid": {"half_width": 12.0, "n": 32}}
+    rc, outdir = _run(tmp_path, command, {**small, **config}, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert key in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+    direct = {**small, **config, "output_dir": str(tmp_path / "direct")}
+    cfg, cfg_hash = load_config(_write_config(tmp_path, "direct.json", direct), command)
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.COMMANDS[command](cfg, cfg_hash)
+
+
 @pytest.mark.parametrize("command, extra", [("residual", {}), ("envelope", {"annulus_R": 5.0})])
 def test_masked_density_is_numerical_failure(tmp_path, monkeypatch, command, extra):
     # a profile centred 1e76 away is floored on every cell near the grid:

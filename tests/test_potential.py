@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -151,38 +153,77 @@ def _meshgrid_offset_table(kind, n):
 @pytest.mark.parametrize("n", [8, 10, 64, 130])
 @pytest.mark.parametrize("kind", ["log", "grad"])
 def test_offset_tables_equal_the_full_mesh_formula(kind, n):
-    # the quadrant-folded tables are the full-mesh tables bit for bit, signed zeros included
+    # the quadrant-folded tables are the full-mesh tables bit for bit, signed zeros
+    # included; the direct path reads one cached, read-only set per (kind, n)
     got = potential._offset_table(kind, n)
     want = _meshgrid_offset_table(kind, n)
+    assert potential._offset_table(kind, n) is got
     assert len(got) == len(want)
     for T, W in zip(got, want):
         assert T.shape == (2 * n, 2 * n)
+        assert not T.flags.writeable
         assert np.array_equal(T, W)
         assert np.array_equal(np.signbit(T), np.signbit(W))
 
 
+@pytest.mark.parametrize("n", [8, 10, 64, 130])
+@pytest.mark.parametrize("kind", ["log", "grad"])
+def test_kernel_spectra_equal_the_full_table_transform(kind, n):
+    # oracle: rfft2 of each full (2n, 2n) table, shifted to FFT order; the
+    # spectra built from distinct quadrant rows equal it, the log one bit for
+    # bit (signed zeros included), the gradient ones in value
+    want = [np.fft.rfft2(np.fft.ifftshift(T)) for T in _meshgrid_offset_table(kind, n)]
+    got = potential._kernel_spectra(kind, n)
+    assert len(got) == len(want)
+    for Kf, W in zip(got, want):
+        if kind == "log":
+            W = W.real
+            assert Kf.dtype == np.float64
+            assert np.array_equal(np.signbit(Kf), np.signbit(W))
+        assert Kf.shape == W.shape
+        assert np.array_equal(Kf, W)
+
+
+def test_log_spectrum_build_peak_memory():
+    # a cold build transforms the n + 1 distinct quadrant rows and gathers them:
+    # about 7 n^2 doubles at its peak, where the (2n)^2 table, its shifted copy
+    # and both full transforms took about 16
+    n = 256
+    tracemalloc.start()
+    try:
+        potential._kernel_spectra.__wrapped__("log", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n * n * 8
+
+
 @pytest.mark.parametrize("kind", ["log", "grad"])
 def test_fft_sums_own_their_samples(kind):
-    # each result is an n x n array of its own, not a view of the 2n x 2n
-    # workspace, so the next sum at the same n leaves it unchanged
-    n = 40
-    g = CartesianGrid(center=(0.5, -1.0), half_width=6.0, n=n)
+    # each result is an n x n array of its own, not a view of the workspace,
+    # whose bottom half the inverse transforms reuse; so later sums at the
+    # same or another size leave it unchanged
     flat = ConformalFactor.zero()
     rng = np.random.default_rng(11)
 
-    def sums(rho):
+    def sums(n):
+        g = CartesianGrid(center=(0.5, -1.0), half_width=6.0, n=n)
+        rho = rng.random((n, n)) + 0.1
         if kind == "log":
             return [newtonian_potential(rho, flat, g, method="fft").samples]
         return list(potential_gradient(DensityField(grid=g, samples=rho, phi=flat),
                                        method="fft"))
 
-    first = sums(rng.random((n, n)) + 0.1)
-    kept = [s.copy() for s in first]
-    second = sums(rng.random((n, n)) + 0.1)
-    for s, k, t in zip(first, kept, second):
-        assert s.base is None and s.nbytes == n * n * 8
-        assert np.array_equal(s, k)
-        assert not np.array_equal(s, t)
+    results = [sums(n) for n in (40, 64, 40)]
+    kept = [[s.copy() for s in r] for r in results]
+    results.append(sums(40))
+    for r, k in zip(results, kept):
+        for s, t in zip(r, k):
+            n = s.shape[0]
+            assert s.base is None and s.nbytes == n * n * 8
+            assert np.array_equal(s, t)
+    assert not np.array_equal(results[0][0], results[2][0])
+    assert not np.array_equal(results[2][0], results[3][0])
 
 
 @pytest.mark.parametrize("method", ["direct", "fft"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,20 @@ def test_certificate_equals_2d_obstruction_integral(phi, lam):
     for label, vals in u.items():
         full = obstruction_integral(SphereField(grid=sg, values=vals, role="u"), h, 1)
         assert cert.obstructions[label] == pytest.approx(full, rel=1e-12)
+
+
+def test_radial_certificate_reads_one_meridian():
+    # a radial factor is zonal, so h is evaluated on n_lat nodes, not n_lat x n_lon:
+    # the whole certificate then peaks far below one 4 MB 512 x 1024 field
+    phi = ConformalFactor.radial_bump(0.1, 2.0)
+    nonexistence_certificate(phi, n_lat=512, n_lon=1024)    # caches the latitude nodes
+    tracemalloc.start()
+    try:
+        nonexistence_certificate(phi, n_lat=512, n_lon=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_certificate_keeps_precision_for_small_factors():
