@@ -13,8 +13,8 @@ under rescaling, so any member tested against any reference gives zero).
 The lambda scan exhibits the (m/4pi)(m - 8pi) ln(lambda) law and the
 critical-mass plateau.
 
-Every lattice sum here goes through the engine's "auto" policy
-(potential.resolve_method); none of these functions picks a path.
+Every lattice sum here takes the engine's default FFT path; none of these
+functions picks a path.
 """
 
 from __future__ import annotations

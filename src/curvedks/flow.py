@@ -116,10 +116,7 @@ def flow_init(field: DensityField, dt: float | None = None) -> FlowState:
         raise ValueError(f"time step must be positive, got dt = {dt!r}")
     phis = field.phi.on_grid(field.grid)
     min_e2phi = float(np.exp(2.0 * phis.min()))
-    # re-summed every step (flow_step keeps c.method), so always by FFT: it
-    # matches the direct sum to roundoff and is faster at every n, also in
-    # "auto"'s direct range (timings at potential._DIRECT_LIMIT)
-    c = field.potential(method="fft")
+    c = field.potential()
     if dt is None:
         dt = DT_SAFETY * cfl_bound(field, c, min_e2phi)
     return FlowState(t=0.0, field=field, c=c, dt=float(dt), e_m2phi=np.exp(-2.0 * phis),

@@ -10,10 +10,10 @@ On a uniform lattice a kernel depends only on the offset i - j, so each kernel
 (G, and the gradient kernel the virial uses) is evaluated once, on the
 quadrant of nonnegative offsets at unit spacing, and gathered by symmetry.
 It is summed by FFT as a zero-padded circulant convolution (the working path
-for large grids: spectra transformed from the quadrant's distinct rows, and
-pruned transforms in one reused buffer) or by direct block-Toeplitz summation
-over a cached offset table (the O(N^2) reference path); resolve_method holds
-the one policy that picks. The spacing h is applied to the sum, exactly:
+at every grid size: spectra transformed from the quadrant's distinct rows, and
+pruned transforms in one reused buffer); direct block-Toeplitz summation over
+a cached offset table is the O(N^2) oracle, run only when a caller asks for
+method="direct". The spacing h is applied to the sum, exactly:
 G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at
 spacing h the log sum shifts by -(ln h / 2pi) sum q, and the gradient sum
 scales by 1/h. The truncation tail of a potential is estimated from its
@@ -31,14 +31,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .domain import CartesianGrid, write_lattice_csv
 from .geometry import ConformalFactor, conformal_area_element
-
-# grids above this size use FFT under method="auto". One BLAS thread, kernel
-# spectrum and workspace cached, medians of 300 calls on a 2-vCPU VM: direct
-# 1.8-2.9 ms vs pruned FFT 0.25 ms at n = 64, 7.9-8.2 vs 0.49-0.54 ms at
-# n = 96. Both paths sum the same unit-spacing table, so the choice changes
-# cost, not the spacing law. The limit stays 96 because the benchmark's
-# `coarse` workload is where the direct sum runs, as the oracle, through "auto".
-_DIRECT_LIMIT = 96
 
 
 def green_kernel(x, y) -> np.ndarray | float:
@@ -270,16 +262,8 @@ def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     return _circulant_sums(q, _kernel_spectra("log", grid.n))[0]
 
 
-def resolve_method(method: str, grid: CartesianGrid) -> str:
-    """The lattice-sum path that `method` selects on this grid ("auto" by size)."""
-    if method == "auto":
-        return "direct" if grid.n <= _DIRECT_LIMIT else "fft"
-    return method
-
-
-def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "auto") -> np.ndarray:
-    """Potential of per-cell charges q_j (already including area weights)."""
-    method = resolve_method(method, grid)
+def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "fft") -> np.ndarray:
+    """Potential of per-cell charges q_j (already including area weights), "fft" or "direct"."""
     if method == "direct":
         c = _direct_convolve(q, grid)
     elif method == "fft":
@@ -291,13 +275,12 @@ def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "auto") 
 
 
 def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGrid,
-                        method: str = "auto") -> PotentialField:
+                        method: str = "fft") -> PotentialField:
     """Potential c of the density rho with curved area weights e^{2 phi} h^2."""
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n, grid.n):
         raise ValueError("density shape does not match grid")
     q = conformal_area_element(phi, grid, rho)
-    method = resolve_method(method, grid)
     c = lattice_potential(q, grid, method=method)
     return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()), method=method,
                           rho=rho)

@@ -76,7 +76,7 @@ class DensityField:
         """int rho |ln rho| dA_phi with the limit value 0 at rho = 0."""
         return float(np.sum(np.abs(rho_log_rho(self.samples)) * self.area_weights))
 
-    def potential(self, method: str = "auto") -> PotentialField:
+    def potential(self, method: str = "fft") -> PotentialField:
         return newtonian_potential(self.samples, self.phi, self.grid, method=method)
 
     def to_csv(self, path, meta: str | None = None) -> None:

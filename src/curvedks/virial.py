@@ -25,7 +25,7 @@ import numpy as np
 from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, boundary_mask, grad_flat, laplacian_flat
 from .potential import (PotentialField, _circulant_sums, _kernel_spectra, _offset_table,
-                        _toeplitz_sum, resolve_method)
+                        _toeplitz_sum)
 from .stationary import DensityField
 
 if TYPE_CHECKING:
@@ -200,19 +200,22 @@ def _grad_kernel_ffts(grid: CartesianGrid) -> tuple[np.ndarray, ...]:
     return _kernel_spectra("grad", grid.n)
 
 
-def potential_gradient(rho: DensityField, method: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+def potential_gradient(rho: DensityField, method: str = "fft") -> tuple[np.ndarray, np.ndarray]:
     """grad c by convolution with the kernel gradient -(x - y) / (2pi |x - y|^2).
 
     The self-cell term is zero by oddness of the kernel around the
     singularity. The sums use the unit-spacing kernel, which is h times the
-    kernel at spacing h, so they are divided by h.
+    kernel at spacing h, so they are divided by h. method is "fft" or
+    "direct" (the O(N^2) oracle).
     """
     grid = rho.grid
     q = rho.samples * rho.area_weights
-    if resolve_method(method, grid) == "direct":
+    if method == "direct":
         sums = [_toeplitz_sum(q, K) for K in _offset_table("grad", grid.n)]
-    else:
+    elif method == "fft":
         sums = _circulant_sums(q, _grad_kernel_ffts(grid))
+    else:
+        raise ValueError(f"unknown method {method!r}")
     for s in sums:
         s /= grid.h
     return tuple(sums)

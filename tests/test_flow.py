@@ -342,9 +342,11 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
 
 
 def test_flow_sums_by_fft_at_every_grid_size():
-    # n = 64 is in "auto"'s direct range; a run still sums every potential by FFT
+    # the engine's default path is FFT at every grid size, small ones included
+    for n in (8, 96):
+        small = _gaussian_field(CartesianGrid(center=(0, 0), half_width=10.0, n=n), 4 * np.pi)
+        assert potential.newtonian_potential(small.samples, small.phi, small.grid).method == "fft"
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
-    assert potential.resolve_method("auto", g) == "direct"
     _, _, snaps = run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1)
     assert len(snaps) > 2
     for s in snaps:
