@@ -7,14 +7,13 @@ latitude-longitude sphere grid with Gauss-Legendre nodes in sin(latitude)
 spherical-harmonic integrands require). A Cartesian field that depends on
 (x, y) through a radius or a product of 1-D factors is evaluated from the
 broadcast axes x[:, None] and y[None, :]; meshes() is for callers that need
-the two coordinate arrays themselves. Sampled fields on either grid share
-one lattice CSV format: a header row, then one `a,b,value` row per node in
-row-major ('ij') order, axes as %.12g and values as %.17g.
+the two coordinate arrays themselves. write_lattice_csv writes a sampled
+field as a header row, then one `a,b,value` row per node in row-major ('ij')
+order, axes as %.12g and values as %.17g; nothing in the package reads it back.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -101,32 +100,6 @@ def write_lattice_csv(path, header: str, a: np.ndarray, b: np.ndarray,
     row_tail = [f"{v:.12g},%.17g\n" for v in b.tolist()]   # "b[j],value" after a[i]
     write_csv(path, header, ((a_label + a_label.join(row_tail)) % tuple(row)
                              for a_label, row in zip(a_labels, values.tolist())), meta)
-
-
-def read_lattice_csv(path) -> tuple[CartesianGrid, np.ndarray]:
-    """Grid and (n, n) samples from x,y,value rows of a full square lattice.
-
-    Rows may come in any order; header and `#` comment rows are skipped.
-    """
-    xs, ys, vs = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith(("x", "#")):
-                continue
-            xs.append(float(row[0]))
-            ys.append(float(row[1]))
-            vs.append(float(row[2]))
-    ux, uy = np.unique(xs), np.unique(ys)
-    n = len(ux)
-    if n < 2 or n != len(uy) or n * n != len(vs):
-        raise ValueError("csv does not describe a complete square lattice")
-    grid = CartesianGrid(center=(float(ux.mean()), float(uy.mean())),
-                         half_width=n * (ux[1] - ux[0]) / 2.0, n=n)
-    samples = np.full((n, n), np.nan)
-    samples[np.searchsorted(ux, xs), np.searchsorted(uy, ys)] = vs
-    if np.isnan(samples).any():
-        raise ValueError("csv lattice has missing entries")
-    return grid, samples
 
 
 @dataclass

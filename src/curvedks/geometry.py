@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CartesianGrid, read_lattice_csv
+from .domain import CartesianGrid
 
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
@@ -41,18 +41,16 @@ def _bump_profile_deriv(s: np.ndarray) -> np.ndarray:
 class ConformalFactor:
     """Compactly supported smooth phi defining the metric e^{2 phi} g0.
 
-    kind is one of "zero", "radial_bump", "grid_sampled". The radial bump is
-    amplitude * exp(1 - 1/(1 - s^2)) with s = |x - center| / support_radius;
-    its radial derivative has a single sign determined by the amplitude sign.
-    Grid-sampled factors interpolate bilinearly and vanish off their grid.
+    kind is "zero" or "radial_bump"; both are analytic and radial about
+    center. The radial bump is amplitude * exp(1 - 1/(1 - s^2)) with
+    s = |x - center| / support_radius; its radial derivative has a single sign
+    determined by the amplitude sign.
     """
 
     kind: str
     amplitude: float = 0.0
     support_radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
-    grid: CartesianGrid | None = None
-    samples: np.ndarray | None = None
 
     @classmethod
     def zero(cls) -> "ConformalFactor":
@@ -67,22 +65,6 @@ class ConformalFactor:
                    support_radius=float(support_radius),
                    center=(float(center[0]), float(center[1])))
 
-    @classmethod
-    def from_samples(cls, grid: CartesianGrid, samples: np.ndarray,
-                     support_radius: float | None = None) -> "ConformalFactor":
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape != (grid.n, grid.n):
-            raise ValueError(f"samples shape {samples.shape} does not match grid {grid.n}")
-        sr = grid.half_width if support_radius is None else float(support_radius)
-        return cls(kind="grid_sampled", support_radius=sr, center=grid.center,
-                   grid=grid, samples=samples)
-
-    @classmethod
-    def from_csv(cls, path) -> "ConformalFactor":
-        """Load a grid-sampled factor from rows of x, y, phi on a full lattice."""
-        grid, samples = read_lattice_csv(path)
-        return cls.from_samples(grid, samples)
-
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
@@ -91,10 +73,6 @@ class ConformalFactor:
         if self.kind == "radial_bump":
             r = np.hypot(X - self.center[0], Y - self.center[1])
             return self.amplitude * _bump_profile(r / self.support_radius)
-        if self.kind == "grid_sampled":     # bilinear on the sample lattice, zero off it
-            gx, gy = self.grid.x, self.grid.y
-            outside = (X < gx[0]) | (X > gx[-1]) | (Y < gy[0]) | (Y > gy[-1])
-            return np.where(outside, 0.0, self.grid.interpolate(self.samples, X, Y))
         raise ValueError(f"unknown conformal factor kind {self.kind!r}")
 
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
@@ -117,15 +95,11 @@ class ConformalFactor:
         if self.kind == "radial_bump":
             s = r / self.support_radius
             return self.amplitude * _bump_profile_deriv(s) / self.support_radius
-        raise ValueError("radial_derivative requires a radial conformal factor")
+        raise ValueError(f"unknown conformal factor kind {self.kind!r}")
 
     def sup(self) -> float:
         """Supremum of phi (0 is always attained: compact support)."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "radial_bump":
-            return max(self.amplitude, 0.0)
-        return max(float(np.max(self.samples)), 0.0)
+        return max(self.amplitude, 0.0)
 
     def is_radial(self) -> bool:
         return self.kind in ("zero", "radial_bump")

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import CartesianGrid, write_lattice_csv
+from .domain import CartesianGrid
 from .geometry import ConformalFactor, conformal_area_element
 
 
@@ -133,9 +133,6 @@ class PotentialField:
         gx /= h
         gy /= h
         return gx, gy
-
-    def to_csv(self, path) -> None:
-        write_lattice_csv(path, "x,y,c", self.grid.x, self.grid.y, self.samples)
 
 
 def _quadrant(kind: str, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid, SphereGrid, write_lattice_csv
+from .domain import AnnulusSpec, CartesianGrid, SphereGrid
 from .geometry import ConformalFactor
 from .profiles import ScaledCauchyProfile
 from .stationary import RHO_FLOOR, DensityField, decay_envelope
@@ -67,9 +67,6 @@ class SphereField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_lat, self.grid.n_lon):
             raise ValueError("field shape does not match sphere grid")
-
-    def to_csv(self, path) -> None:
-        write_lattice_csv(path, "theta,psi,value", self.grid.theta, self.grid.psi, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +282,6 @@ class CertificateReport:
         return min(abs(v) for v in self.obstructions.values()) if self.obstructions else 0.0
 
 
-def _radial_profile_samples(phi: ConformalFactor, n_samples: int = 512):
-    r = np.linspace(0.0, phi.support_radius, n_samples)
-    if phi.kind == "grid_sampled":
-        # check radial symmetry by comparing several azimuths; the tolerance
-        # absorbs the bilinear-interpolation anisotropy of genuinely radial data
-        angles = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-        vals = np.stack([phi(phi.center[0] + r * np.cos(a),
-                             phi.center[1] + r * np.sin(a)) for a in angles])
-        scale = max(float(np.max(np.abs(vals))), 1e-12)
-        if np.max(np.abs(vals - vals.mean(axis=0))) > 0.02 * scale:
-            return None, None
-        return r, vals.mean(axis=0)
-    return r, phi(phi.center[0] + r, np.full_like(r, phi.center[1]))
-
-
 def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
                              n_lat: int = 128, n_lon: int = 256) -> CertificateReport:
     """Check the monotone-flank preconditions and report obstruction magnitudes.
@@ -310,17 +292,18 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     (CERTIFICATE_SCALES) of the critical profile. A numerical illustration
     of the obstruction, not a proof.
 
-    Every candidate u is zonal, as is u1 = sin(theta). As d_psi u1 = 0 on the
-    grid and the d_theta pole mirrors keep row sums, obstruction_integral
-    reduces exactly to 2pi sum_k glw_k d_theta(u1)_k d_theta(h_bar)_k e^{2u_k},
-    h_bar the zonal mean of h = e^{2 phi}, for any kind of phi; a radial phi
-    is zonal, so h_bar is h on the one meridian psi = 0. The stencil
-    of a constant is 0, so h - 1 = expm1(2 phi) is differenced in place of h:
-    it keeps full relative precision when phi is small.
+    Every candidate u is zonal, as is u1 = sin(theta), and so is h = e^{2 phi}
+    for the radial phi the certificate admits. As d_psi u1 = 0 on the grid,
+    obstruction_integral then reduces exactly to
+    2pi sum_k glw_k d_theta(u1)_k d_theta(h)_k e^{2u_k}, with h read on the one
+    meridian psi = 0. The stencil of a constant is 0, so h - 1 = expm1(2 phi)
+    is differenced in place of h: it keeps full relative precision when phi
+    is small.
     """
-    r, prof = _radial_profile_samples(phi)
-    if r is None:
+    if not phi.is_radial():
         return CertificateReport(False, "factor is not radially symmetric", 0, {})
+    r = np.linspace(0.0, phi.support_radius, 512)
+    prof = phi(phi.center[0] + r, np.full_like(r, phi.center[1]))
     dprof = np.gradient(prof, r)
     scale = float(np.max(np.abs(prof)))
     if scale == 0.0:
@@ -335,9 +318,8 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     sgrid = SphereGrid(n_lat=n_lat, n_lon=n_lon)
     smap = StereographicMap(lam=lam, x_star=phi.center)
     theta = sgrid.theta[:, None]
-    psi = sgrid.psi[None, :1] if phi.is_radial() else sgrid.psi[None, :]   # a meridian suffices
-    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, psi)))
-    dd = dtheta(np.sin(theta), sgrid) * dtheta(h1.mean(axis=1, keepdims=True), sgrid)
+    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :1])))
+    dd = dtheta(np.sin(theta), sgrid) * dtheta(h1, sgrid)
     weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
     obstructions = {"u=0": float(np.sum(weight))}
     x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])

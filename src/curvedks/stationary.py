@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid, read_lattice_csv, write_lattice_csv
+from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
 from .geometry import (ConformalFactor, _bump_profile, boundary_mask, conformal_area_element,
                        grad_flat)
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
@@ -81,11 +81,6 @@ class DensityField:
 
     def to_csv(self, path, meta: str | None = None) -> None:
         write_lattice_csv(path, "x,y,rho", self.grid.x, self.grid.y, self.samples, meta=meta)
-
-    @classmethod
-    def from_csv(cls, path, phi: ConformalFactor) -> "DensityField":
-        grid, samples = read_lattice_csv(path)
-        return cls(grid=grid, samples=samples, phi=phi)
 
 
 def density_from_profile(m: float, lam: float, x_star: tuple[float, float],

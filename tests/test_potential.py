@@ -392,13 +392,3 @@ def test_tail_estimated_on_first_read_only(monkeypatch, flat_phi, grid64):
     assert c.tail is first
     assert len(calls) == 1
     assert first == estimate_tail(rho, grid64)
-
-
-def test_potential_csv_export(tmp_path, flat_phi, grid64):
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(grid64)
-    c = newtonian_potential(rho, flat_phi, grid64)
-    path = tmp_path / "c.csv"
-    c.to_csv(path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (grid64.n**2, 3)
-    assert np.allclose(data[:, 2].reshape(grid64.n, grid64.n), c.samples)

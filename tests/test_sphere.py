@@ -5,7 +5,7 @@ import pytest
 
 from conftest import lstsq_order
 from curvedks.domain import CartesianGrid, SphereGrid
-from curvedks.geometry import ConformalFactor
+from curvedks.geometry import ConformalFactor, _bump_profile
 from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import (SphereField, StereographicMap, degree_one_harmonic,
                              kw_residual, laplacian_sphere, nonexistence_certificate,
@@ -237,26 +237,20 @@ def test_plane_side_agrees_with_sphere_side():
 
 
 def test_certificate_issued_for_monotone_bump():
-    cert = nonexistence_certificate(ConformalFactor.radial_bump(0.05, 2.0), n_lat=96,
-                                    n_lon=192)
-    assert cert.eligible
-    assert cert.flank_sign == -1
-    assert cert.min_magnitude > 1e-3
-    assert set(cert.obstructions) == {"u=0", "scale x0.5", "scale x2"}
-
-
-def _sampled_radial_bump():
-    # a radial bump known only on a lattice: bilinear off it, so h is not zonal
-    g = CartesianGrid(center=(0.5, -0.3), half_width=6.0, n=256)
-    X, Y = g.meshes()
-    s = np.hypot(X - 0.5, Y + 0.3) / 2.5
-    vals = 0.08 * np.exp(1 - 1 / np.maximum(1 - s * s, 1e-300))
-    return ConformalFactor.from_samples(g, np.where(s < 1, vals, 0.0), support_radius=2.5)
+    # a positive bump falls off its centre, a negative one rises
+    for amplitude, flank_sign in ((0.05, -1), (-0.05, 1)):
+        cert = nonexistence_certificate(ConformalFactor.radial_bump(amplitude, 2.0), n_lat=96,
+                                        n_lon=192)
+        assert cert.eligible
+        assert cert.flank_sign == flank_sign
+        assert cert.min_magnitude > 1e-3
+        assert set(cert.obstructions) == {"u=0", "scale x0.5", "scale x2"}
 
 
 @pytest.mark.parametrize("phi, lam", [
     (ConformalFactor.radial_bump(0.1, 2.0, (1.5, -0.7)), 1.7),
-    (_sampled_radial_bump(), 0.8)], ids=["offcentre_bump", "grid_sampled"])
+    (ConformalFactor.radial_bump(-0.08, 2.5, (0.5, -0.3)), 0.8)],
+    ids=["offcentre_bump", "negative_bump"])
 def test_certificate_equals_2d_obstruction_integral(phi, lam):
     # the certificate's zonal latitude sum against the full 2-D quadrature
     cert = nonexistence_certificate(phi, lam=lam, n_lat=96, n_lon=192)
@@ -306,33 +300,32 @@ def test_certificate_refuses_zero_factor():
     assert "constant" in cert.reason
 
 
+class _StandInFactor:
+    """An analytic factor outside ConformalFactor's kinds: what the certificate reads of phi."""
+
+    def __init__(self, f, support_radius, radial, center=(0.0, 0.0)):
+        self.f, self.support_radius, self.radial, self.center = f, support_radius, radial, center
+
+    def __call__(self, X, Y):
+        return self.f(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+
+    def is_radial(self):
+        return self.radial
+
+
 def test_certificate_refuses_ring_factor():
-    # radial but up-then-down: derivative changes sign
-    g = CartesianGrid(center=(0, 0), half_width=10.0, n=128)
-    X, Y = g.meshes()
-    r = np.hypot(X, Y)
-    ring = 0.05 * np.exp(1 - 1 / np.maximum(1 - ((r - 3.0) / 1.5) ** 2, 1e-300))
-    ring[np.abs(r - 3.0) >= 1.5] = 0.0
-    phi = ConformalFactor.from_samples(g, ring, support_radius=4.5)
-    cert = nonexistence_certificate(phi)
+    # radial but non-monotone: 0.1 b(r/2) - 0.1 b(r) rises from 0, then falls back
+    def ring(X, Y):
+        r = np.hypot(X, Y)
+        return 0.1 * _bump_profile(r / 2.0) - 0.1 * _bump_profile(r)
+    cert = nonexistence_certificate(_StandInFactor(ring, 2.0, radial=True))
     assert not cert.eligible
     assert "sign" in cert.reason
 
 
-def test_certificate_refuses_nonradial_factor(grid128):
-    X, Y = grid128.meshes()
-    lump = 0.05 * np.exp(-((X - 2.0) ** 2 + Y**2))
-    phi = ConformalFactor.from_samples(grid128, lump)
-    cert = nonexistence_certificate(phi)
+def test_certificate_refuses_nonradial_factor():
+    def lump(X, Y):
+        return 0.05 * np.exp(-((X - 2.0) ** 2 + Y**2))
+    cert = nonexistence_certificate(_StandInFactor(lump, 8.0, radial=False))
     assert not cert.eligible
     assert "radial" in cert.reason
-
-
-def test_sphere_field_csv(tmp_path):
-    sg = SphereGrid(n_lat=8, n_lon=16)
-    T, _ = sg.meshes()
-    f = SphereField(grid=sg, values=np.sin(T), role="u")
-    p = tmp_path / "u.csv"
-    f.to_csv(p)
-    data = np.loadtxt(p, delimiter=",", skiprows=1)
-    assert data.shape == (8 * 16, 3)

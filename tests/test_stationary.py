@@ -231,17 +231,3 @@ def test_membership_flags_log_divergent_mass(flat_phi):
         masses.append(rep.mass)
         assert not rep.potential_defined  # envelope slope ~ -2: tail infinite
     assert masses[1] > masses[0] + 1.0  # mass grows with the grid radius
-
-
-def test_density_csv_roundtrip(tmp_path, flat_phi, bump_phi, grid64):
-    off_centre = CartesianGrid(center=(0.0, 5.0), half_width=6.0, n=32)
-    for grid, phi in ((grid64, flat_phi), (off_centre, bump_phi)):
-        fld = density_from_profile(8 * np.pi, 1.0, grid.center, phi, grid)
-        p = tmp_path / "rho.csv"
-        fld.to_csv(p, meta="roundtrip")
-        loaded = DensityField.from_csv(p, phi)
-        assert np.allclose(loaded.samples, fld.samples)
-        assert loaded.grid.n == grid.n
-        assert loaded.grid.center == pytest.approx(grid.center, abs=1e-9)
-        assert loaded.grid.half_width == pytest.approx(grid.half_width, rel=1e-9)
-        assert loaded.mass == pytest.approx(fld.mass, rel=1e-9)

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lstsq_order
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, _bump_profile, boundary_mask, grad_flat,
                                laplacian_flat)
 from curvedks.stationary import DensityField, density_from_profile
 from curvedks.virial import (AuxSolveError, WeightedEllipticProblem, assemble_virial,
-                             cutoff_function, i2_double_sum, potential_gradient,
-                             solve_aux_pde)
+                             cutoff_function, dilation_source, i2_double_sum,
+                             potential_gradient, solve_aux_pde)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,23 @@ def curved_problem():
     g = CartesianGrid(center=(0, 0), half_width=20.0, n=96)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), phi, g)
     return WeightedEllipticProblem.build(fld)
+
+
+def test_dilation_source_is_taken_about_the_grid_centre():
+    # 4 (x - x_g) . grad phi about the grid centre x_g, not 4 r phi_r about the bump's:
+    # off centre it converges to the differenced field, centred it is 4 r phi_r
+    phi = ConformalFactor.radial_bump(0.1, 2.0, (3.0, 1.0))
+    ns, errs = (256, 512), []
+    for n in ns:
+        g = CartesianGrid(center=(0, 0), half_width=8.0, n=n)
+        X, Y = g.meshes()
+        gx, gy = grad_flat(phi.on_grid(g), g)
+        errs.append(np.max(np.abs(dilation_source(phi, g) - 4.0 * (X * gx + Y * gy))))
+    assert lstsq_order(ns, errs) >= 1.5
+    g = CartesianGrid(center=(3.0, 1.0), half_width=3.0, n=64)
+    r = g.radius()
+    expected = 4.0 * r * phi.radial_derivative(r)
+    assert np.max(np.abs(dilation_source(phi, g) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_cutoff_plateau_and_support(virial_grid):
