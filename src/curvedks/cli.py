@@ -159,17 +159,17 @@ def _checked(value, typ, where: str):
 
 
 def _validate(config: dict, schema: dict, path: str = "") -> dict:
-    """Fill defaults and reject unknown keys and mistyped values anywhere in the tree."""
+    """Fill absent keys' defaults (a present null is mistyped); reject unknown keys and
+    mistyped values anywhere in the tree."""
     if not isinstance(config, dict):
-        raise ConfigError(f"expected an object at {path or 'top level'}")
+        raise ConfigError(f"expected an object at {path[:-1] or 'top level'}, got {config!r}")
     out = {}
     for key, spec in schema.items():
-        sub = config.get(key)
         if isinstance(spec, dict):
-            out[key] = _validate(sub if sub is not None else {}, spec, f"{path}{key}.")
+            out[key] = _validate(config.get(key, {}), spec, f"{path}{key}.")
         else:
             typ, default = spec
-            out[key] = default if sub is None else _checked(sub, typ, f"{path}{key}")
+            out[key] = _checked(config[key], typ, f"{path}{key}") if key in config else default
     unknown = set(config) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(path + k for k in unknown)}")
@@ -179,11 +179,13 @@ def _validate(config: dict, schema: dict, path: str = "") -> dict:
 def load_config(path: str | None, subcommand: str) -> tuple[dict, str]:
     raw = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
     cfg = _validate(raw, SCHEMAS[subcommand])
     # the hash identifies the experiment; where outputs land is not part of it
     canon = json.dumps({k: v for k, v in cfg.items() if k != "output_dir"},
@@ -198,8 +200,12 @@ def _require_positive(cfg: dict, key: str) -> None:
 
 
 def _outdir(cfg: dict) -> str:
+    """The output directory, made if missing; ConfigError if it cannot be made."""
     d = os.environ.get(OUTPUT_DIR_ENV, cfg.get("output_dir", "."))
-    os.makedirs(d, exist_ok=True)
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {d!r}: {exc.strerror}") from exc
     return d
 
 
@@ -458,12 +464,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, cfg_hash = load_config(args.config, args.command)
+        _outdir(cfg)    # an unusable output directory fails before any computation
         return COMMANDS[args.command](cfg, cfg_hash)
     except (CFLViolation, BlowUpDetected, StepLimitReached, AuxSolveError,
             MaskedDensityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:   # ConfigError included
+    except ValueError as exc:   # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -40,7 +40,6 @@ from .stationary import DensityField
 
 CFL = 0.2                       # stability factor of the explicit step (cfl_bound)
 DT_SAFETY = 0.8                 # automatic dt / CFL bound: room for c to steepen
-ENERGY_RISE_TOLERANCE = 1e-3    # energy_trace's monotone flag: largest rise of F / max |F|
 
 
 class CFLViolation(RuntimeError):
@@ -85,13 +84,6 @@ class FlowDiagnostics:
             return 0.0
         m0 = self.mass[0]
         return max(abs(m - m0) for m in self.mass) / abs(m0)
-
-    @property
-    def dW_dt(self) -> float:
-        """Least-squares slope of the second moment trace."""
-        if len(self.t) < 2:
-            return float("nan")
-        return float(np.polyfit(self.t, self.second_moment, 1)[0])
 
 
 def second_moment(field: DensityField) -> float:
@@ -291,8 +283,9 @@ def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool) -> None:
         diag.free_energy.append(float("nan"))
 
 
-def virial_rate(diag: FlowDiagnostics, mass: float | None = None) -> tuple[float, float]:
-    """Fitted dW/dt against the closed-form rate 4m - m^2 / 2pi.
+def virial_rate(diag: FlowDiagnostics) -> tuple[float, float]:
+    """Least-squares slope dW/dt of the second moment trace, against the
+    closed-form rate 4m - m^2 / 2pi at the run's initial mass m.
 
     Only valid for the flat factor (the identity is a flat statement);
     refuses otherwise. Needs at least a 10-snapshot window.
@@ -302,32 +295,9 @@ def virial_rate(diag: FlowDiagnostics, mass: float | None = None) -> tuple[float
                          "curved runs are not comparable")
     if len(diag.t) < 10:
         raise ValueError("virial window needs at least 10 snapshots")
-    m = diag.mass[0] if mass is None else mass
-    expected = 4.0 * m - m * m / (2.0 * np.pi)
-    return diag.dW_dt, float(expected)
-
-
-@dataclass
-class EnergyTraceReport:
-    t: list[float]
-    values: list[float]
-    max_increase: float
-    monotone: bool
-
-
-def energy_trace(snapshots: list[FlowState]) -> EnergyTraceReport:
-    """Free energy along the run, each paired with its snapshot's potential;
-    flags any increase beyond ENERGY_RISE_TOLERANCE of the largest |F|."""
-    from .energy import free_energy
-    ts, vals = [], []
-    for s in snapshots:
-        ts.append(s.t)
-        vals.append(free_energy(s.field, c=s.c.samples).total)
-    scale = max(abs(v) for v in vals) or 1.0
-    increases = [b - a for a, b in zip(vals, vals[1:])]
-    max_inc = max(increases) if increases else 0.0
-    return EnergyTraceReport(t=ts, values=vals, max_increase=float(max_inc),
-                             monotone=bool(max_inc <= ENERGY_RISE_TOLERANCE * scale))
+    m = diag.mass[0]
+    slope = float(np.polyfit(diag.t, diag.second_moment, 1)[0])
+    return slope, float(4.0 * m - m * m / (2.0 * np.pi))
 
 
 def diagnostics_to_csv(diag: FlowDiagnostics, path, meta: str | None = None) -> None:

@@ -11,12 +11,12 @@ On a uniform lattice a kernel depends only on the offset i - j, so each kernel
 quadrant of nonnegative offsets at unit spacing, and gathered by symmetry.
 It is summed by FFT as a zero-padded circulant convolution (the working path
 at every grid size: spectra transformed from the quadrant's distinct rows, and
-pruned transforms in one reused buffer); direct block-Toeplitz summation over
-a cached offset table is the O(N^2) oracle, run only when a caller asks for
-method="direct". The spacing h is applied to the sum, exactly:
-G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is h-independent, so at
-spacing h the log sum shifts by -(ln h / 2pi) sum q, and the gradient sum
-scales by 1/h. The truncation tail of a potential is estimated from its
+pruned transforms in one reused buffer). Direct block-Toeplitz summation of G
+is the O(N^2) oracle, run only when a caller asks for method="direct"; the
+gradient sums have the FFT path only. The spacing h is applied to the sum,
+exactly: G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is
+h-independent, so at spacing h the log sum shifts by -(ln h / 2pi) sum q, and
+the gradient sum scales by 1/h. The truncation tail of a potential is estimated from its
 density on first read of PotentialField.tail, so callers that never read it
 never pay for it.
 """
@@ -163,19 +163,6 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=4)
-def _offset_table(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (2n, 2n) tables over offsets -n..n-1 for the direct path: (G,) or (KX, KY).
-
-    Entry [a + n, b + n] is the kernel at offset (a, b); cached per (kind, n).
-    """
-    fold = np.ix_(*2 * [np.abs(np.arange(-n, n))])    # offset a -> row |a| of the quadrant
-    if kind == "log":
-        return _read_only((_quadrant(kind, n)[fold],))
-    KX = _quadrant(kind, n)[fold] * np.sign(np.arange(-n, n, dtype=float))[:, None]
-    return _read_only((KX, np.ascontiguousarray(KX.T)))   # row-major: the direct sum reads rows
-
-
 @lru_cache(maxsize=8)
 def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
     """Read-only rfft2 of each offset table in FFT order; one per (kind, n), for any h and centre.
@@ -251,8 +238,10 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
 
 
 def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    """Reference O(N^2) summation of the unit-spacing log kernel (block-Toeplitz, no FFT)."""
-    return _toeplitz_sum(q, _offset_table("log", grid.n)[0])
+    """Reference O(N^2) summation of the unit-spacing log kernel (block-Toeplitz, no FFT)
+    over the (2n, 2n) table of offsets -n..n-1, the quadrant folded by |offset|."""
+    n = grid.n
+    return _toeplitz_sum(q, _quadrant("log", n)[np.ix_(*2 * [np.abs(np.arange(-n, n))])])
 
 
 def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:

@@ -63,12 +63,11 @@ def mu_entropy_identity(m: float, lam: float) -> float:
     return m * (np.log(m / np.pi) - 2.0 - 2.0 * np.log(lam))
 
 
-def mu_potential_identity(lam: float, x, x_star=(0.0, 0.0)) -> np.ndarray | float:
-    """Closed-form potential of the unit-mass profile: -(1/4pi) ln(lam^2 + r^2)."""
+def mu_potential_identity(lam: float, x) -> np.ndarray | float:
+    """Closed-form potential of the unit-mass profile at the origin: -(1/4pi) ln(lam^2 + |x|^2)."""
     if not lam > 0:
         raise ValueError("profile scale must be positive")
-    x = np.asarray(x, dtype=float)
-    d2 = np.sum((x - np.asarray(x_star, dtype=float)) ** 2, axis=-1)
+    d2 = np.sum(np.asarray(x, dtype=float) ** 2, axis=-1)
     out = -np.log(lam * lam + d2) / (4.0 * np.pi)
     return float(out) if out.ndim == 0 else out
 

@@ -141,7 +141,6 @@ def degree_one_harmonic(grid: SphereGrid, index: int) -> SphereField:
 class TransportReport:
     cap_fraction: float       # quadrature-weight fraction extrapolated past the grid
     envelope_K: float
-    envelope_exponent: float
 
 
 def transport_to_sphere(field: DensityField, phi: ConformalFactor,
@@ -186,8 +185,7 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
 
     u = SphereField(grid=sgrid, values=u_vals, role="u")
     h = SphereField(grid=sgrid, values=h_vals, role="h")
-    return u, h, TransportReport(cap_fraction=cap_fraction, envelope_K=env.K_best,
-                                 envelope_exponent=-2.0 * expo)
+    return u, h, TransportReport(cap_fraction=cap_fraction, envelope_K=env.K_best)
 
 
 # ---------------------------------------------------------------------------

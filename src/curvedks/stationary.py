@@ -134,16 +134,16 @@ def reduced_residual(field: DensityField, probe_frac: float = 0.4) -> ResidualRe
                           tail=cfield.tail)
 
 
-def default_test_bank(grid: CartesianGrid, seed: int = 0, scales=(0.10, 0.18, 0.30),
-                      n_positions: int = 9) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tensor-product bump test fields: 3 scales x 9 jittered lattice positions,
-    each field a(x) b(y) as its factor pair (a, b) on grid.x, grid.y (np.outer(a, b))."""
-    rng = np.random.default_rng(seed)
+def default_test_bank(grid: CartesianGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Tensor-product bump test fields: widths 0.10, 0.18, 0.30 x half_width at 3 x 3 lattice
+    positions jittered with seed 0, each field a(x) b(y) as its factor pair (a, b) on grid.x,
+    grid.y (np.outer(a, b)). The bank depends on the grid only."""
+    rng = np.random.default_rng(0)
     cx, cy = grid.center
     hw = grid.half_width
     bank = []
-    offsets = np.linspace(-0.5 * hw, 0.5 * hw, int(np.sqrt(n_positions)))
-    for s in scales:
+    offsets = np.linspace(-0.5 * hw, 0.5 * hw, 3)
+    for s in (0.10, 0.18, 0.30):
         width = s * hw
         for ox in offsets:
             for oy in offsets:

@@ -24,8 +24,7 @@ import numpy as np
 
 from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, boundary_mask, grad_flat, laplacian_flat
-from .potential import (PotentialField, _circulant_sums, _kernel_spectra, _offset_table,
-                        _toeplitz_sum)
+from .potential import PotentialField, _circulant_sums, _kernel_spectra
 from .stationary import DensityField
 
 if TYPE_CHECKING:
@@ -142,17 +141,11 @@ def _stencil_operators(problem: WeightedEllipticProblem) -> sparse.csc_matrix:
                              shape=(n * n, n * n))
 
 
-def _gradient_l2(gx: np.ndarray, gy: np.ndarray, grid: CartesianGrid) -> float:
-    """Flat L2 norm of the gradient (gx, gy): the conformally invariant Dirichlet norm."""
-    return float(np.sqrt(np.sum(gx**2 + gy**2) * grid.cell_area))
-
-
 @dataclass
 class AuxSolution:
     f: np.ndarray
     residual_trace: list[float]      # [||b||, ||b - A f||]
     iterations: int                  # solves with the factor: 0 when b = 0, else 1
-    grad_l2: float
 
 
 def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSolution:
@@ -173,7 +166,7 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSol
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return AuxSolution(f=np.zeros((grid.n, grid.n)), residual_trace=[0.0, 0.0],
-                           iterations=0, grad_l2=0.0)
+                           iterations=0)
     from scipy.sparse.linalg import splu    # lazily, as in _stencil_operators
 
     A = _stencil_operators(problem)
@@ -181,9 +174,7 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSol
     res = float(np.linalg.norm(b - A @ x))
     if not res <= tol * bnorm:
         raise AuxSolveError(f"relative residual {res / bnorm:.3e} above tolerance {tol:.1e}")
-    f = x.reshape(grid.n, grid.n)
-    return AuxSolution(f=f, residual_trace=[bnorm, res], iterations=1,
-                       grad_l2=_gradient_l2(*grad_flat(f, grid), grid))
+    return AuxSolution(f=x.reshape(grid.n, grid.n), residual_trace=[bnorm, res], iterations=1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +186,6 @@ class VirialReport:
     I1: float
     I2: float
     I3: float
-    f_gradient_L2: float
 
     @property
     def closure(self) -> float:
@@ -206,22 +196,15 @@ def _grad_kernel_ffts(grid: CartesianGrid) -> tuple[np.ndarray, ...]:
     return _kernel_spectra("grad", grid.n)
 
 
-def potential_gradient(rho: DensityField, method: str = "fft") -> tuple[np.ndarray, np.ndarray]:
-    """grad c by convolution with the kernel gradient -(x - y) / (2pi |x - y|^2).
+def potential_gradient(rho: DensityField) -> tuple[np.ndarray, np.ndarray]:
+    """grad c by FFT convolution with the kernel gradient -(x - y) / (2pi |x - y|^2).
 
     The self-cell term is zero by oddness of the kernel around the
     singularity. The sums use the unit-spacing kernel, which is h times the
-    kernel at spacing h, so they are divided by h. method is "fft" or
-    "direct" (the O(N^2) oracle).
+    kernel at spacing h, so they are divided by h.
     """
     grid = rho.grid
-    q = rho.samples * rho.area_weights
-    if method == "direct":
-        sums = [_toeplitz_sum(q, K) for K in _offset_table("grad", grid.n)]
-    elif method == "fft":
-        sums = _circulant_sums(q, _grad_kernel_ffts(grid))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sums = _circulant_sums(rho.samples * rho.area_weights, _grad_kernel_ffts(grid))
     for s in sums:
         s /= grid.h
     return tuple(sums)
@@ -244,7 +227,6 @@ def assemble_virial(rho: DensityField, R_list,
     if f is None:
         f = np.zeros((grid.n, grid.n))
     gfx, gfy = grad_flat(f, grid)
-    grad_l2 = _gradient_l2(gfx, gfy, grid)
 
     # the I3 integrand (4 r phi_r - Delta_phi f - g_phi(df, dc)) rho, formed in place
     inv_w = rho.phi.on_grid(grid)
@@ -263,29 +245,8 @@ def assemble_virial(rho: DensityField, R_list,
         I1 = float(np.sum(chi * rho.samples * w_phi))
         I2 = float(np.sum(chi * rho.samples * xdot * w_phi))
         I3 = float(np.sum(chi * i3_field) * grid.cell_area)
-        reports.append(VirialReport(R_used=R, I1=I1, I2=I2, I3=I3,
-                                    f_gradient_L2=grad_l2))
+        reports.append(VirialReport(R_used=R, I1=I1, I2=I2, I3=I3))
     return reports
-
-
-def i2_double_sum(rho: DensityField, antisymmetrized: bool = False) -> float:
-    """Direct O(N^2) evaluation of the uncut I2 kernel sum (oracle path).
-
-    The kernel -x.(x-y)/(2pi |x-y|^2) is x . grad G, so the sum is
-    sum_i q_i x_i . (grad c)_i with grad c from the direct lattice sum.
-    With antisymmetrized=True the kernel x.(x-y)/|x-y|^2 is replaced by its
-    antisymmetric part 1/2, which collapses the sum to -(sum q)^2 minus the
-    diagonal; agreement between the two confirms the cancellation used in
-    the closed-form limit.
-    """
-    grid = rho.grid
-    q = (rho.samples * rho.area_weights).ravel()
-    if antisymmetrized:
-        total = float(q.sum())
-        return -(total * total - float(q @ q)) / (4.0 * np.pi)
-    gx, gy = potential_gradient(rho, method="direct")
-    X, Y = grid.meshes()
-    return float(q @ (X * gx + Y * gy).ravel())
 
 
 def export_virial_csv(reports: list[VirialReport], path, meta: str | None = None) -> None:

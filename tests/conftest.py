@@ -3,6 +3,7 @@ import pytest
 
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
+from curvedks.potential import _toeplitz_sum, self_cell_weight
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +31,34 @@ def lstsq_order(ns, errors):
     ns = np.asarray(ns, dtype=float)
     errors = np.asarray(errors, dtype=float)
     return float(np.polyfit(np.log(1.0 / ns), np.log(errors), 1)[0])
+
+
+def meshgrid_offset_table(kind, n):
+    """Each unit-spacing kernel evaluated directly on the full (2n, 2n) offset mesh.
+
+    Entry [a + n, b + n] is the kernel at offset (a, b), a, b in -n..n-1: (G,)
+    for "log", with W(1) at offset 0, and (KX, KY), the components of grad G,
+    for "grad". It shares no folding code with the engine.
+    """
+    d = np.arange(-n, n, dtype=float)
+    DX, DY = np.meshgrid(d, d, indexing="ij")
+    if kind == "log":
+        R = np.hypot(DX, DY)
+        T = np.empty((2 * n, 2 * n))
+        nz = R > 0
+        T[nz] = -np.log(R[nz]) / (2.0 * np.pi)
+        T[n, n] = self_cell_weight(1.0)
+        return (T,)
+    R2 = DX**2 + DY**2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)
+        KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
+    return KX, KY
+
+
+def direct_gradient(rho):
+    """Oracle for virial.potential_gradient: O(N^2) block-Toeplitz sums over the full-mesh
+    gradient tables, divided by the spacing h."""
+    q = rho.samples * rho.area_weights
+    return tuple(_toeplitz_sum(q, K) / rho.grid.h
+                 for K in meshgrid_offset_table("grad", rho.grid.n))

@@ -304,6 +304,46 @@ def test_virial_aux_solve_failure_exit_code(tmp_path, monkeypatch):
     assert rc == 3
 
 
+@pytest.mark.parametrize("where", ["directory", "missing file"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, where):
+    # a config path that cannot be opened is invalid config: exit 2 naming the path
+    path = tmp_path if where == "directory" else tmp_path / "absent.json"
+    assert main(["residual", "--config", str(path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(path) in err
+    assert "Traceback" not in err
+
+
+def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsys):
+    # an output directory below a regular file cannot be made: exit 2 before the command runs
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    called = []
+    monkeypatch.setitem(cli.COMMANDS, "residual", lambda cfg, h: called.append(cfg) or EXIT_OK)
+    cfg = _write_config(tmp_path, "residual.json", {"output_dir": str(blocker / "out")})
+    monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
+    assert main(["residual", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert called == []
+    err = capsys.readouterr().err
+    assert "output directory" in err and str(blocker / "out") in err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"probe_frac": None}, "probe_frac"),          # top-level scalar
+    ({"grid": {"n": None}}, "grid.n"),             # nested scalar
+    ({"grid": None}, "grid"),                      # nested object
+])
+def test_explicit_null_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, config, key):
+    # only an absent key takes its default; a present null is invalid config:
+    # exit 2 naming the key, no output
+    rc, outdir = _run(tmp_path, "residual", config, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}:" in err or f"at {key}," in err
+    assert "None" in err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv("CURVEDKS_OUTPUT_DIR", str(override))

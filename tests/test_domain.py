@@ -149,7 +149,7 @@ def test_row_csv_writers_match_per_row_format(tmp_path):
     table = ScanTable(m=8 * np.pi, rows=[ScanRow(0.05, -1 / 3, True, 1.23456789e-7),
                                          ScanRow(5.0, np.pi, False, np.inf)],
                       slope_fit=np.nan, predicted_slope=0.0, plateau=0.0, predicted_plateau=0.0)
-    reports = [VirialReport(R_used=2.5, I1=np.pi, I2=-1e-17, I3=0.0, f_gradient_L2=0.0)]
+    reports = [VirialReport(R_used=2.5, I1=np.pi, I2=-1e-17, I3=0.0)]
     cases = [
         (lambda p: diagnostics_to_csv(diag, p, meta="config_hash=ab"),
          "# config_hash=ab\nt,mass,W,F\n" + "".join(

@@ -11,7 +11,7 @@ from curvedks import energy, potential
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, StepLimitReached,
-                           cfl_bound, energy_trace, flow_init, flow_step, flux_divergence,
+                           cfl_bound, flow_init, flow_step, flux_divergence,
                            run_flow, second_moment, virial_rate, write_snapshots)
 from curvedks.stationary import DensityField, density_from_profile
 
@@ -159,20 +159,19 @@ def test_virial_rate_refuses_curved_runs():
 def test_free_energy_dissipates():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = _gaussian_field(g, 4 * np.pi)
-    _, _, snaps = run_flow(fld, 0.03, snapshot_every=2)
-    tr = energy_trace(snaps)
-    assert tr.monotone
-    assert tr.values[-1] < tr.values[0]
+    _, diag, _ = run_flow(fld, 0.03, snapshot_every=2, with_energy=True)
+    F = diag.free_energy
+    assert max(np.diff(F)) <= 1e-3 * max(np.abs(F))    # no rise beyond 1e-3 of max |F|
+    assert F[-1] < F[0]
 
 
 def test_stationary_energy_nearly_constant(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    _, _, snaps = run_flow(fld, 0.01, snapshot_every=2)
-    tr = energy_trace(snaps)
-    steps = len(tr.values) - 1
-    per_step = (max(tr.values) - min(tr.values)) / max(steps, 1)
-    assert per_step <= 1e-3 * abs(tr.values[0])
+    _, diag, _ = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    F = diag.free_energy
+    per_step = (max(F) - min(F)) / max(len(F) - 1, 1)
+    assert per_step <= 1e-3 * abs(F[0])
 
 
 def test_reversed_step_raises_energy():
@@ -333,12 +332,11 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
     monkeypatch.setattr(energy, "lattice_potential",
                         lambda *a, **k: sums.append(1) or potential.lattice_potential(*a, **k))
     _, diag, snaps = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
-    traced = energy_trace(snaps).values
     assert sums == []     # the energy pairs the charges with the step's own potential
     monkeypatch.undo()
-    for F, G, s in zip(diag.free_energy, traced, snaps):
-        fresh = energy.free_energy(s.field).total
-        assert F == pytest.approx(fresh, rel=1e-12) and G == pytest.approx(fresh, rel=1e-12)
+    assert len(diag.free_energy) == len(snaps)
+    for F, s in zip(diag.free_energy, snaps):
+        assert F == pytest.approx(energy.free_energy(s.field).total, rel=1e-12)
 
 
 def test_flow_sums_by_fft_at_every_grid_size():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import lstsq_order
+from conftest import direct_gradient, lstsq_order, meshgrid_offset_table
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks import potential, virial
@@ -81,14 +81,11 @@ def test_fft_matches_direct_summation(flat_phi):
     cf = lattice_potential(q, g, method="fft")
     assert np.max(np.abs(cd - cf)) <= 1e-8 * np.max(np.abs(cd))
     # the engine takes "fft" or "direct" only: a retired or misspelt name is refused
-    fld = DensityField(grid=g, samples=rho, phi=flat_phi)
     for bad in ("auto", "fdt", "FFT"):
         with pytest.raises(ValueError, match="unknown method"):
             lattice_potential(q, g, method=bad)
         with pytest.raises(ValueError, match="unknown method"):
             newtonian_potential(rho, flat_phi, g, method=bad)
-        with pytest.raises(ValueError, match="unknown method"):
-            potential_gradient(fld, method=bad)
 
 
 @pytest.mark.parametrize("n, center, half_width", [(8, (0.7, -1.3), 3.0),
@@ -122,8 +119,8 @@ def test_fft_equals_direct_property(k, cx, cy, half_width, seed):
     cf = lattice_potential(q, g, method="fft")
     assert np.max(np.abs(cd - cf)) <= 1e-8 * np.max(np.abs(cd))
     fld = DensityField(grid=g, samples=rho, phi=ConformalFactor.zero())
-    gxd, gyd = potential_gradient(fld, method="direct")
-    gxf, gyf = potential_gradient(fld, method="fft")
+    gxd, gyd = direct_gradient(fld)
+    gxf, gyf = potential_gradient(fld)
     scale = np.max(np.abs(gxd)) + np.max(np.abs(gyd))
     assert np.max(np.abs(gxd - gxf)) <= 1e-10 * scale
     assert np.max(np.abs(gyd - gyf)) <= 1e-10 * scale
@@ -141,38 +138,14 @@ def test_kernel_spectra_shared_across_spacing_and_centre():
                 Kf[0, 0] = 0.0
 
 
-def _meshgrid_offset_table(kind, n):
-    """Each table evaluated directly on the full (2n, 2n) offset mesh."""
-    d = np.arange(-n, n, dtype=float)
-    DX, DY = np.meshgrid(d, d, indexing="ij")
-    if kind == "log":
-        R = np.hypot(DX, DY)
-        T = np.empty((2 * n, 2 * n))
-        nz = R > 0
-        T[nz] = -np.log(R[nz]) / (2.0 * np.pi)
-        T[n, n] = self_cell_weight(1.0)
-        return (T,)
-    R2 = DX**2 + DY**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        KX = np.where(R2 > 0, -DX / (2.0 * np.pi * R2), 0.0)
-        KY = np.where(R2 > 0, -DY / (2.0 * np.pi * R2), 0.0)
-    return KX, KY
-
-
 @pytest.mark.parametrize("n", [8, 10, 64, 130])
-@pytest.mark.parametrize("kind", ["log", "grad"])
-def test_offset_tables_equal_the_full_mesh_formula(kind, n):
-    # the quadrant-folded tables are the full-mesh tables bit for bit, signed zeros
-    # included; the direct path reads one cached, read-only set per (kind, n)
-    got = potential._offset_table(kind, n)
-    want = _meshgrid_offset_table(kind, n)
-    assert potential._offset_table(kind, n) is got
-    assert len(got) == len(want)
-    for T, W in zip(got, want):
-        assert T.shape == (2 * n, 2 * n)
-        assert not T.flags.writeable
-        assert np.array_equal(T, W)
-        assert np.array_equal(np.signbit(T), np.signbit(W))
+def test_direct_sum_reads_the_full_mesh_table(n):
+    # the direct path folds the log quadrant by |offset|; its sum is the sum over
+    # the table evaluated on the full offset mesh, bit for bit
+    g = CartesianGrid(center=(0.3, -0.8), half_width=5.0, n=n)
+    q = np.random.default_rng(n).standard_normal((n, n))
+    want = potential._toeplitz_sum(q, meshgrid_offset_table("log", n)[0])
+    assert np.array_equal(potential._direct_convolve(q, g), want)
 
 
 @pytest.mark.parametrize("n", [8, 10, 64, 130])
@@ -181,7 +154,7 @@ def test_kernel_spectra_equal_the_full_table_transform(kind, n):
     # oracle: rfft2 of each full (2n, 2n) table, shifted to FFT order; the
     # spectra built from distinct quadrant rows equal it, the log one bit for
     # bit (signed zeros included), the gradient ones in value
-    want = [np.fft.rfft2(np.fft.ifftshift(T)) for T in _meshgrid_offset_table(kind, n)]
+    want = [np.fft.rfft2(np.fft.ifftshift(T)) for T in meshgrid_offset_table(kind, n)]
     got = potential._kernel_spectra(kind, n)
     assert len(got) == len(want)
     for Kf, W in zip(got, want):
@@ -220,8 +193,7 @@ def test_fft_sums_own_their_samples(kind):
         rho = rng.random((n, n)) + 0.1
         if kind == "log":
             return [newtonian_potential(rho, flat, g, method="fft").samples]
-        return list(potential_gradient(DensityField(grid=g, samples=rho, phi=flat),
-                                       method="fft"))
+        return list(potential_gradient(DensityField(grid=g, samples=rho, phi=flat)))
 
     results = [sums(n) for n in (40, 64, 40)]
     kept = [[s.copy() for s in r] for r in results]

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lstsq_order
+from conftest import direct_gradient, lstsq_order
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, _bump_profile, boundary_mask, grad_flat,
                                laplacian_flat)
 from curvedks.stationary import DensityField, density_from_profile
 from curvedks.virial import (AuxSolveError, WeightedEllipticProblem, assemble_virial,
-                             cutoff_function, dilation_source, i2_double_sum,
-                             potential_gradient, solve_aux_pde)
+                             cutoff_function, dilation_source, potential_gradient,
+                             solve_aux_pde)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def test_aux_solve_is_one_direct_solve(curved_problem):
     assert _true_residual(curved_problem, sol.f) <= 1e-12
     bnorm, res = sol.residual_trace
     assert res / bnorm <= 1e-12
-    assert np.isfinite(sol.grad_l2) and sol.grad_l2 > 0
+    assert np.all(np.isfinite(sol.f)) and np.any(sol.f != 0.0)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -188,11 +188,10 @@ def test_i3_identically_zero_when_flat(exact_field):
 
 
 def test_potential_gradient_fft_matches_direct(flat_phi):
-    from curvedks.virial import potential_gradient
     g = CartesianGrid(center=(0, 0), half_width=12.0, n=48)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    gxd, gyd = potential_gradient(fld, method="direct")
-    gxf, gyf = potential_gradient(fld, method="fft")
+    gxd, gyd = direct_gradient(fld)
+    gxf, gyf = potential_gradient(fld)
     scale = np.max(np.abs(gxd)) + np.max(np.abs(gyd))
     assert np.max(np.abs(gxd - gxf)) <= 1e-10 * scale
     assert np.max(np.abs(gyd - gyf)) <= 1e-10 * scale
@@ -201,6 +200,7 @@ def test_potential_gradient_fft_matches_direct(flat_phi):
 @pytest.mark.parametrize("n, center, half_width", [(8, (0.7, -1.3), 3.0),
                                                    (10, (-2.1, 0.4), 6.5)])
 def test_direct_gradient_matches_pairwise_loop(n, center, half_width, bump_phi):
+    # the gradient oracle itself, against the kernel summed pair by pair
     g = CartesianGrid(center=center, half_width=half_width, n=n)
     fld = DensityField(grid=g, samples=np.random.default_rng(n).random((n, n)), phi=bump_phi)
     qf = (fld.samples * fld.area_weights).ravel()
@@ -211,8 +211,27 @@ def test_direct_gradient_matches_pairwise_loop(n, center, half_width, bump_phi):
             if j != i:
                 r2 = (xi - xj) ** 2 + (yi - yj) ** 2
                 expect[:, i] -= np.array([xi - xj, yi - yj]) / (2 * np.pi * r2) * qf[j]
-    got = np.stack([c.ravel() for c in potential_gradient(fld, method="direct")])
+    got = np.stack([c.ravel() for c in direct_gradient(fld)])
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+def i2_double_sum(rho, antisymmetrized=False):
+    """Direct O(N^2) evaluation of the uncut I2 kernel sum.
+
+    The kernel -x.(x-y)/(2pi |x-y|^2) is x . grad G, so the sum is
+    sum_i q_i x_i . (grad c)_i with grad c from the direct lattice sum.
+    With antisymmetrized=True the kernel x.(x-y)/|x-y|^2 is replaced by its
+    antisymmetric part 1/2, which collapses the sum to -(sum q)^2 minus the
+    diagonal; agreement between the two confirms the cancellation used in
+    the closed-form limit.
+    """
+    q = (rho.samples * rho.area_weights).ravel()
+    if antisymmetrized:
+        total = float(q.sum())
+        return -(total * total - float(q @ q)) / (4.0 * np.pi)
+    gx, gy = direct_gradient(rho)
+    X, Y = rho.grid.meshes()
+    return float(q @ (X * gx + Y * gy).ravel())
 
 
 def test_i2_double_sum_matches_pair_loop(bump_phi):
@@ -257,7 +276,6 @@ def test_curved_i3_small_with_solved_f(curved_problem):
     reports = assemble_virial(curved_problem.rho, [6.0, 8.0], f=sol.f)
     for rep in reports:
         assert abs(rep.I3) < 0.1
-        assert rep.f_gradient_L2 == pytest.approx(sol.grad_l2, rel=1e-12)
 
 
 def test_virial_csv_export(tmp_path, exact_field):
