@@ -26,7 +26,7 @@ from .energy import lambda_scan, log_hls_deficit
 from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
                    run_flow, virial_rate, write_snapshots)
 from .geometry import ConformalFactor
-from .potential import newtonian_potential
+from .potential import coulomb_energy, newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
                        mu_entropy_identity, mu_potential_identity)
 from .sphere import nonexistence_certificate
@@ -279,8 +279,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
 
         dgrid = CartesianGrid(center=grid.center, half_width=dg["half_width"] * lam, n=dg["n"])
         dsamples = mu.on_grid(dgrid)
-        cD = newtonian_potential(dsamples, ConformalFactor.zero(), dgrid)
-        numeric_c = float(np.sum(dsamples * cD.samples) * dgrid.cell_area)
+        numeric_c = coulomb_energy(dsamples * dgrid.cell_area, dgrid)
         closed_c = mu_coulomb_identity(lam)
 
         entry = {

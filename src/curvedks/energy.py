@@ -1,7 +1,7 @@
 """Free energies, the logarithmic HLS deficit, and the lambda scan.
 
-The free energy splits into an entropy term, a Coulomb term (symmetric
-double sum through the shared self-cell weight), and an optional curvature
+The free energy splits into an entropy term, a Coulomb term (the lattice
+self-energy of the charges, self cell included), and an optional curvature
 coupling term:
 
     F = int rho ln rho dA_phi - 1/2 (rho, G rho) + q (kappa_phi, G rho).
@@ -14,7 +14,8 @@ The lambda scan exhibits the (m/4pi)(m - 8pi) ln(lambda) law and the
 critical-mass plateau.
 
 Every lattice sum here takes the engine's default FFT path; none of these
-functions picks a path.
+functions picks a path. A Coulomb energy with no potential at hand (every
+deficit and scan row) is coulomb_energy's Parseval sum: no inverse transform.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .domain import CartesianGrid, write_csv
 from .geometry import ConformalFactor, gauss_curvature
-from .potential import coulomb_quadratic_form, estimate_tail, lattice_potential
+from .potential import coulomb_energy, estimate_tail, lattice_potential
 from .profiles import ScaledCauchyProfile
 from .stationary import DensityField, density_from_profile, rho_log_rho
 
@@ -50,15 +51,19 @@ def free_energy(field: DensityField, q: float = 0.0,
     """Entropy, Coulomb, and curvature-coupling terms by quadrature.
 
     c, if given, is the potential samples of the field's charges
-    field.samples * field.area_weights (a flow step already holds them);
-    otherwise they are summed here.
+    field.samples * field.area_weights (a flow step already holds them); the
+    Coulomb and coupling terms are then dot products with it. Without c, it is
+    summed here only for a coupling term (q != 0); else coulomb_energy is used.
     """
     grid = field.grid
     w = field.area_weights
     entropy = float(np.sum(rho_log_rho(field.samples) * w))
-    if c is None:
-        c = lattice_potential(field.samples * w, grid)
-    coulomb = float(np.sum(field.samples * w * c))
+    charges = field.samples * w
+    if c is None and q == 0.0:
+        coulomb = coulomb_energy(charges, grid)
+    else:
+        c = lattice_potential(charges, grid) if c is None else c
+        coulomb = float(np.sum(charges * c))
     coupling = 0.0
     if q != 0.0:
         kappa = gauss_curvature(field.phi, grid)
@@ -94,7 +99,7 @@ def log_hls_deficit(field: DensityField, lam: float,
     ref = m * mu * np.exp(-2.0 * phis)
     rho = field.samples
     lhs = float(np.sum(rho_log_rho(rho, ref) * field.area_weights))
-    rhs = (4.0 * np.pi / m) * coulomb_quadratic_form(rho - ref, rho - ref, field.phi, grid)
+    rhs = (4.0 * np.pi / m) * coulomb_energy((rho - ref) * field.area_weights, grid)
     return DeficitReport(lhs=lhs, rhs=rhs, mass=m)
 
 

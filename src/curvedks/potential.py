@@ -16,9 +16,10 @@ is the O(N^2) oracle, run only when a caller asks for method="direct"; the
 gradient sums have the FFT path only. The spacing h is applied to the sum,
 exactly: G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is
 h-independent, so at spacing h the log sum shifts by -(ln h / 2pi) sum q, and
-the gradient sum scales by 1/h. The truncation tail of a potential is estimated from its
-density on first read of PotentialField.tail, so callers that never read it
-never pay for it.
+the gradient sum scales by 1/h. A Coulomb self-energy (q, G q) that needs no
+potential is taken by Parseval from the forward transforms alone (coulomb_energy).
+The truncation tail of a potential is estimated from its density on first read of
+PotentialField.tail, so callers that never read it never pay for it.
 """
 
 from __future__ import annotations
@@ -212,6 +213,15 @@ def _fft_workspace(n: int) -> np.ndarray:
     return np.empty((2 * n, n + 1), dtype=complex)
 
 
+def _padded_spectrum(q: np.ndarray) -> np.ndarray:
+    """rfft2 of q zero-padded to 2n x 2n, in the workspace; the row rfft runs on the n data rows."""
+    n = q.shape[0]
+    S = _fft_workspace(n)
+    np.fft.rfft(q, n=2 * n, axis=1, out=S[:n])
+    S[n:] = 0.0
+    return np.fft.fft(S, axis=0, out=S)
+
+
 def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     """FFT lattice sums of q, zero-padded to 2n x 2n, with each kernel's rfft2.
 
@@ -222,10 +232,7 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     """
     n = q.shape[0]
     m = 2 * n
-    S = _fft_workspace(n)
-    np.fft.rfft(q, n=m, axis=1, out=S[:n])
-    S[n:] = 0.0
-    np.fft.fft(S, axis=0, out=S)
+    S = _padded_spectrum(q)
     sums = []
     for k, Kf in enumerate(kernel_ffts):
         # the last kernel may overwrite the data spectrum; earlier ones need a product buffer
@@ -272,13 +279,17 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
                           rho=rho)
 
 
-def coulomb_quadratic_form(f: np.ndarray, g: np.ndarray, phi: ConformalFactor,
-                           grid: CartesianGrid) -> float:
-    """Symmetric double sum  sum_ij f_i w_i G_ij g_j w_j  with curved weights.
+def coulomb_energy(q: np.ndarray, grid: CartesianGrid) -> float:
+    """Self-energy (q, G q) of per-cell charges q (area weights included), by Parseval.
 
-    The diagonal uses the self-cell weight, so the form matches what
-    newtonian_potential produces when paired against the other factor.
+    (q, K q) = sum_k K_k |q_k|^2 / (2n)^2 over the zero-padded spectrum: only the forward
+    transforms run, and the spectrum is weighted and summed pairwise in the shared workspace.
     """
-    w = conformal_area_element(phi, grid)
-    cg = lattice_potential(np.asarray(g, dtype=float) * w, grid)
-    return float(np.sum(np.asarray(f, dtype=float) * w * cg))
+    n = grid.n
+    K = _kernel_spectra("log", n)[0]
+    A = _padded_spectrum(q).view(float).reshape(2 * n, n + 1, 2)
+    A *= A                                   # (re^2, im^2) of each coefficient
+    for part in (A[..., 0], A[..., 1]):
+        part *= K
+    e = (2.0 * A.sum() - A[:, ::n].sum()) / (2 * n) ** 2   # rfft columns 0 and n count once
+    return float(e - np.log(grid.h) / (2.0 * np.pi) * q.sum() ** 2)

@@ -29,9 +29,9 @@ def rho_log_rho(rho: np.ndarray, ref: np.ndarray | None = None) -> np.ndarray:
     """Per-cell rho ln(rho / ref) (ref = 1 if None), 0 where rho is floored."""
     live = rho > RHO_FLOOR
     out = np.zeros_like(rho)
-    r = rho[live]
-    out[live] = r * np.log(r if ref is None else r / ref[live])
-    return out
+    np.divide(rho, 1.0 if ref is None else ref, out=out, where=live)   # rho / 1 is rho exactly
+    np.log(out, out=out, where=live)
+    return np.multiply(out, rho, out=out, where=live)
 
 
 class MaskedDensityError(ValueError):

@@ -7,7 +7,7 @@ from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.energy import (conformal_covariance_check, free_energy, lambda_scan,
                              log_hls_deficit)
-from curvedks.potential import estimate_tail
+from curvedks.potential import estimate_tail, lattice_potential
 from curvedks.profiles import ScaledCauchyProfile, mu_entropy_identity
 from curvedks.stationary import DensityField, density_from_profile
 
@@ -42,13 +42,15 @@ def test_entropy_term_matches_identity(flat_phi):
             mu_entropy_identity(8 * np.pi, lam), abs=1e-2 * max(1.0, abs(rep.entropy_term)))
 
 
-def test_coulomb_term_symmetry(flat_phi, grid64):
-    # swapping the two integration copies is the identity on the double sum
-    from curvedks.potential import coulomb_quadratic_form
-    fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, grid64)
-    q1 = coulomb_quadratic_form(fld.samples, fld.samples, flat_phi, grid64)
-    rep = free_energy(fld)
-    assert rep.coulomb_term == pytest.approx(q1, rel=1e-13)
+def test_coulomb_term_equals_charges_against_potential(bump_phi, grid64):
+    # without c the term is the Parseval energy of the charges; with c it is
+    # their dot product with c; both are (q, c) for the explicit potential
+    fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), bump_phi, grid64)
+    q = fld.samples * fld.area_weights
+    c = lattice_potential(q, grid64)
+    want = float(np.sum(q * c))
+    assert free_energy(fld).coulomb_term == pytest.approx(want, rel=1e-13)
+    assert free_energy(fld, c=c).coulomb_term == want
 
 
 def test_coupled_minimizer_at_q2():

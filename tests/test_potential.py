@@ -10,8 +10,8 @@ from conftest import direct_gradient, lstsq_order, meshgrid_offset_table
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks import potential, virial
-from curvedks.potential import (coulomb_quadratic_form, estimate_tail, green_kernel,
-                                lattice_potential, newtonian_potential, self_cell_weight)
+from curvedks.potential import (coulomb_energy, estimate_tail, green_kernel, lattice_potential,
+                                newtonian_potential, self_cell_weight)
 from curvedks.profiles import ScaledCauchyProfile
 from curvedks.stationary import DensityField
 from curvedks.virial import potential_gradient
@@ -286,13 +286,47 @@ def test_annulus_outside_grid_rejected(flat_phi, grid64):
         _far_field(c, 8 * np.pi, AnnulusSpec(R=grid64.half_width))
 
 
-def test_coulomb_form_symmetric(flat_phi, grid64):
-    rng = np.random.default_rng(1)
-    a = rng.random((grid64.n, grid64.n))
-    b = rng.random((grid64.n, grid64.n))
-    qab = coulomb_quadratic_form(a, b, flat_phi, grid64)
-    qba = coulomb_quadratic_form(b, a, flat_phi, grid64)
-    assert qab == pytest.approx(qba, rel=1e-12)
+def test_coulomb_energy_matches_direct_potential(grid64):
+    q = np.random.default_rng(1).random((grid64.n, grid64.n)) * grid64.cell_area
+    want = float(np.sum(q * lattice_potential(q, grid64, method="direct")))
+    assert coulomb_energy(q, grid64) == pytest.approx(want, rel=1e-12)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(k=st.integers(4, 48), half_width=st.floats(0.02, 200.0), zero_mass=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_coulomb_energy_equals_oracle_property(k, half_width, zero_mass, seed):
+    # Parseval on the forward spectrum against (q, c) for the direct and the FFT
+    # potential; the tolerance scales with (sum |q|)^2 (1 + |ln h|), the size of
+    # the terms that cancel in a zero-mass energy
+    g = CartesianGrid(center=(0.7, -1.3), half_width=half_width, n=2 * k)
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((g.n, g.n)) * g.cell_area
+    if zero_mass:
+        q -= q.mean()
+    e = coulomb_energy(q, g)
+    tol = 1e-15 * np.sum(np.abs(q)) ** 2 * (1.0 + abs(np.log(g.h)))
+    for method in ("direct", "fft"):
+        assert abs(e - float(np.sum(q * lattice_potential(q, g, method=method)))) <= tol
+
+
+def test_coulomb_energy_peak_memory_and_workspace_reuse():
+    # a warm energy allocates no grid-sized array; it squares the shared FFT
+    # workspace in place, which the next lattice sum overwrites before reading
+    n = 256
+    g = CartesianGrid(center=(0.2, 0.1), half_width=9.0, n=n)
+    rng = np.random.default_rng(5)
+    q, p = rng.random((n, n)) * g.cell_area, rng.standard_normal((n, n))
+    before = lattice_potential(p, g)
+    coulomb_energy(q, g)
+    tracemalloc.start()
+    try:
+        coulomb_energy(q, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * n * n * 8
+    assert np.array_equal(lattice_potential(p, g), before)
 
 
 def test_discrete_laplacian_recovers_density(flat_phi):

@@ -5,9 +5,9 @@ from conftest import lstsq_order
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor, _bump_profile, grad_flat
 from curvedks.potential import newtonian_potential
-from curvedks.stationary import (DensityField, decay_envelope, default_test_bank,
+from curvedks.stationary import (RHO_FLOOR, DensityField, decay_envelope, default_test_bank,
                                  density_from_profile, membership_check, reduced_residual,
-                                 static_weak_residual)
+                                 rho_log_rho, static_weak_residual)
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +231,23 @@ def test_membership_flags_log_divergent_mass(flat_phi):
         masses.append(rep.mass)
         assert not rep.potential_defined  # envelope slope ~ -2: tail infinite
     assert masses[1] > masses[0] + 1.0  # mass grows with the grid radius
+
+
+@pytest.mark.parametrize("with_ref", [False, True])
+def test_rho_log_rho_equals_the_gather_formula(with_ref):
+    # the masked ufuncs give the boolean-gather formula bit for bit, signed
+    # zeros included, on a field with floored cells, cells at the floor and
+    # cells where the log is exactly zero
+    g = CartesianGrid(center=(0, 0), half_width=30.0, n=64)
+    X, Y = g.meshes()
+    rho = 3.0 * np.exp(-(X**2 + Y**2) / 2.0)          # underflows to 0 far out
+    rho[0, :4] = [RHO_FLOOR, 2 * RHO_FLOOR, 1.0, 5e-324]
+    ref = np.where(np.arange(64) % 3 == 0, rho, 0.5 + np.abs(X)) if with_ref else None
+    live = rho > RHO_FLOOR
+    assert (~live).sum() > 100
+    want = np.zeros_like(rho)
+    r = rho[live]
+    want[live] = r * np.log(r if ref is None else r / ref[live])
+    got = rho_log_rho(rho, ref)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
