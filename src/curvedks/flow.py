@@ -14,9 +14,9 @@ The factor phi is fixed for a run, so flow_init samples it once: every state
 of the run shares e^{-2 phi} on the grid, min e^{2 phi} for the CFL bound,
 and the area weights e^{2 phi} h^2 of its density field. A step forms the
 curved cell masses rho e^{2 phi} h^2 once and hands them to the lattice sum
-as its charges, and the CFL bound and the fluxes read the same face
-differences of c. Every potential of a run is an FFT lattice sum, at any
-grid size.
+as its charges; the new field's stored mass is their sum. The CFL bound and
+the fluxes read the same face differences of c. Every potential of a run is
+an FFT lattice sum, at any grid size.
 
 A step allocates only the arrays it returns: flux_divergence works in one
 cached set of per-grid buffers (_flux_workspace), reused by every call at
@@ -227,9 +227,9 @@ def flow_step(state: FlowState) -> FlowState:
                            "reduce dt")
     new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi,
                              area_weights=field.area_weights)
+    mass = new_field.mass    # the sum of q below, formed once by the field
     # curved cell masses, the potential's charges, in the spent divergence
     q = np.multiply(rho_new, new_field.area_weights, out=div)
-    mass = float(q.sum())
     if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
     c_new = PotentialField(grid=field.grid, samples=lattice_potential(q, field.grid, c.method),

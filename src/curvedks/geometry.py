@@ -5,7 +5,8 @@ that Delta c = rho holds with nonnegative rho for the logarithmic kernel in
 the potential module. All conformal operations reduce to flat ones through
 dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0. A factor is
 sampled on a grid from the grid's broadcast 1-D axes, and a radial bump only
-on the index box of its support; every other cell is exactly 0.
+on the index box of its support; every other cell is exactly 0. The flat
+stencils (copy boundary) slice into their output; no padded copy is made.
 """
 
 from __future__ import annotations
@@ -120,12 +121,18 @@ def laplacian_flat(field: np.ndarray, grid: CartesianGrid) -> np.ndarray:
     """Positive flat Laplacian -(d2/dx2 + d2/dy2), 5-point stencil.
 
     Boundary cells use edge replication (copy), so downstream norms should
-    exclude the layer reported by boundary_mask.
+    exclude the layer reported by boundary_mask. The neighbours are subtracted
+    by slices, in the order and to the bits of the edge-padded formula.
     """
     f = np.asarray(field, dtype=float)
-    fp = np.pad(f, 1, mode="edge")
-    h2 = grid.h * grid.h
-    return (4.0 * f - fp[:-2, 1:-1] - fp[2:, 1:-1] - fp[1:-1, :-2] - fp[1:-1, 2:]) / h2
+    out = 4.0 * f
+    for a, o in ((f, out), (f.T, out.T)):           # x neighbours, then y neighbours
+        o[1:] -= a[:-1]
+        o[:1] -= a[:1]
+        o[:-1] -= a[1:]
+        o[-1:] -= a[-1:]
+    out /= grid.h * grid.h
+    return out
 
 
 def gauss_curvature(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
@@ -134,14 +141,23 @@ def gauss_curvature(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     return np.exp(-2.0 * phis) * laplacian_flat(phis, grid)
 
 
+def diff_flat(field: np.ndarray, grid: CartesianGrid, axis: int) -> np.ndarray:
+    """Central difference (f[i+1] - f[i-1]) / 2h along axis 0 or 1 of a 2-D field, by slices;
+    copy boundary: each end cell is its own outer neighbour, as edge padding gives."""
+    f = np.asarray(field, dtype=float)
+    out = np.empty(f.shape)
+    a, d = (f, out) if axis == 0 else (f.T, out.T)
+    n = len(a)
+    np.subtract(a[2:], a[:-2], out=d[1:-1])
+    np.subtract(a[min(1, n - 1)], a[0], out=d[0])
+    np.subtract(a[-1], a[max(n - 2, 0)], out=d[-1])
+    out *= 0.5 / grid.h
+    return out
+
+
 def grad_flat(field: np.ndarray, grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradient with copy boundary."""
-    f = np.asarray(field, dtype=float)
-    fp = np.pad(f, 1, mode="edge")
-    inv2h = 0.5 / grid.h
-    gx = (fp[2:, 1:-1] - fp[:-2, 1:-1]) * inv2h
-    gy = (fp[1:-1, 2:] - fp[1:-1, :-2]) * inv2h
-    return gx, gy
+    return diff_flat(field, grid, 0), diff_flat(field, grid, 1)
 
 
 def boundary_mask(grid: CartesianGrid, layers: int = 1) -> np.ndarray:

@@ -209,32 +209,6 @@ def obstruction_integral(u: SphereField, h: SphereField, u1_index: int) -> float
     return float(grid.integrate(integrand))
 
 
-def radial_obstruction(phi: ConformalFactor, u: SphereField,
-                       smap: StereographicMap) -> float:
-    """Zonal reduction  int cos(theta) (d_theta h) e^{2u}  by 1-D quadrature.
-
-    Valid for phi radial about the map center; d_theta h is evaluated from
-    the analytic radial derivative of phi, making this an independent
-    quadrature of the same integral as obstruction_integral with u1 = sin.
-    """
-    if not phi.is_radial():
-        raise ValueError("radial_obstruction requires a radial conformal factor")
-    if tuple(phi.center) != tuple(smap.x_star) and phi.kind != "zero":
-        raise ValueError("conformal factor must be radial about the map center")
-    grid = u.grid
-    theta = grid.theta
-    r = smap.plane_radius(theta)
-    # dh/dtheta = e^{2 phi} * 2 phi'(r) * dr/dtheta, dr/dtheta = (lam/2) sec^2(sigma/2)
-    sigma_half = (theta + np.pi / 2.0) / 2.0
-    dr_dtheta = 0.5 * smap.lam / np.cos(sigma_half) ** 2
-    phi_r = phi.radial_derivative(r)
-    phi_vals = phi(smap.x_star[0] + r, np.full_like(r, smap.x_star[1]))
-    dh_dtheta = np.exp(2.0 * phi_vals) * 2.0 * phi_r * dr_dtheta
-    e2u_zonal = np.mean(np.exp(2.0 * u.values), axis=1)
-    integrand = np.cos(theta) * dh_dtheta * e2u_zonal
-    return float(np.sum(integrand * grid.glw) * 2.0 * np.pi)
-
-
 def plane_side_obstruction(field_u: np.ndarray, phi: ConformalFactor,
                            smap: StereographicMap, grid: CartesianGrid,
                            u1_index: int = 1) -> float:

@@ -88,6 +88,15 @@ def test_residual_subcommand(tmp_path, monkeypatch):
     assert payload["f_constant"] == pytest.approx(np.log(8.0), abs=0.05)
 
 
+def test_residual_subcommand_on_a_coarse_grid(tmp_path, monkeypatch):
+    # at n = 16 three bank fields reach the outer cell rings; the bank drops them
+    rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}},
+                      monkeypatch)
+    assert rc == EXIT_OK
+    payload = json.loads((outdir / "residual.json").read_text())
+    assert np.isfinite(payload["static_residual_L2"])
+
+
 def test_obstruction_verdict(tmp_path, monkeypatch):
     rc, outdir = _run(tmp_path, "obstruction",
                       {"phi": {"kind": "radial_bump", "amplitude": 0.05,

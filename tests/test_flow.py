@@ -49,6 +49,8 @@ def test_flow_step_at_cfl_dt_property(k, half_width, curved, amplitude, support,
     state = flow_step(replace(state, dt=cfl_bound(fld, state.c, state.min_e2phi)))
     new = state.field
     assert abs(new.mass - fld.mass) <= 1e-12 * fld.mass
+    # the step's one mass sum is the field's and the potential's own
+    assert new.mass == state.c.mass_used == float(np.sum(new.samples * new.area_weights))
     assert new.samples.min() >= 0.0
     ref = new.potential(method="fft").samples
     assert np.max(np.abs(state.c.samples - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvedks.domain import CartesianGrid
@@ -162,3 +162,32 @@ def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, a
     mu = lam * lam / (np.pi * (lam * lam + d2) ** 2)
     profile = ScaledCauchyProfile(lam=lam, x_star=c, normalization=normalization)
     assert _same_bits(profile.on_grid(g), mu if normalization == "mu" else 8.0 * np.pi * mu)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40), half_width=st.floats(0.5, 50.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=27, cols=64, half_width=20.0, seed=1)     # a test-bank factor stack
+@example(rows=96, cols=96, half_width=20.0, seed=2)
+@example(rows=1, cols=1, half_width=1.0, seed=3)
+@example(rows=2, cols=1, half_width=1.0, seed=4)
+@example(rows=1, cols=2, half_width=1.0, seed=5)
+def test_stencils_equal_edge_padded_formulas(rows, cols, half_width, seed):
+    # the sliced stencils give the bits of the np.pad(edge) formulas, sign bits
+    # included, on any shape; an axis of length 1 differences each cell with itself
+    g = CartesianGrid(center=(0.0, 0.0), half_width=half_width, n=8)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-300, 300, (rows, cols))
+    f[rng.random((rows, cols)) < 0.2] = 0.0
+    f[rng.random((rows, cols)) < 0.2] = -0.0
+    fp = np.pad(f, 1, mode="edge")
+    inv2h = 0.5 / g.h
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy = grad_flat(f, g)
+        lap = laplacian_flat(f, g)
+        ref_gx = (fp[2:, 1:-1] - fp[:-2, 1:-1]) * inv2h
+        ref_gy = (fp[1:-1, 2:] - fp[1:-1, :-2]) * inv2h
+        ref_lap = (4.0 * f - fp[:-2, 1:-1] - fp[2:, 1:-1] - fp[1:-1, :-2]
+                   - fp[1:-1, 2:]) / (g.h * g.h)
+    assert _same_bits(gx, ref_gx) and _same_bits(gy, ref_gy)
+    assert _same_bits(lap, ref_lap)

@@ -10,7 +10,7 @@ from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import (SphereField, StereographicMap, degree_one_harmonic,
                              kw_residual, laplacian_sphere, nonexistence_certificate,
                              obstruction_integral, plane_side_obstruction,
-                             radial_obstruction, transport_to_sphere)
+                             transport_to_sphere)
 from curvedks.stationary import density_from_profile
 
 
@@ -190,6 +190,33 @@ def test_monotone_bump_obstruction_sign_flips_with_amplitude():
     assert vals[0.1] < 0
 
 
+def radial_obstruction(phi: ConformalFactor, u: SphereField,
+                       smap: StereographicMap) -> float:
+    """Oracle for the certificate's obstructions: the zonal reduction
+    int cos(theta) (d_theta h) e^{2u} by 1-D quadrature.
+
+    Valid for phi radial about the map center; d_theta h is evaluated from
+    the analytic radial derivative of phi, making this an independent
+    quadrature of the same integral as obstruction_integral with u1 = sin.
+    """
+    if not phi.is_radial():
+        raise ValueError("radial_obstruction requires a radial conformal factor")
+    if tuple(phi.center) != tuple(smap.x_star) and phi.kind != "zero":
+        raise ValueError("conformal factor must be radial about the map center")
+    grid = u.grid
+    theta = grid.theta
+    r = smap.plane_radius(theta)
+    # dh/dtheta = e^{2 phi} * 2 phi'(r) * dr/dtheta, dr/dtheta = (lam/2) sec^2(sigma/2)
+    sigma_half = (theta + np.pi / 2.0) / 2.0
+    dr_dtheta = 0.5 * smap.lam / np.cos(sigma_half) ** 2
+    phi_r = phi.radial_derivative(r)
+    phi_vals = phi(smap.x_star[0] + r, np.full_like(r, smap.x_star[1]))
+    dh_dtheta = np.exp(2.0 * phi_vals) * 2.0 * phi_r * dr_dtheta
+    e2u_zonal = np.mean(np.exp(2.0 * u.values), axis=1)
+    integrand = np.cos(theta) * dh_dtheta * e2u_zonal
+    return float(np.sum(integrand * grid.glw) * 2.0 * np.pi)
+
+
 def test_radial_obstruction_matches_2d_quadrature():
     sg = SphereGrid(n_lat=128, n_lon=256)
     smap = StereographicMap(lam=1.0, x_star=(0.0, 0.0))
@@ -266,8 +293,11 @@ def test_certificate_equals_2d_obstruction_integral(phi, lam):
          "scale x2": 0.5 * np.log(rho[2.0] / rho[1.0])}
     assert set(cert.obstructions) == set(u)
     for label, vals in u.items():
-        full = obstruction_integral(SphereField(grid=sg, values=vals, role="u"), h, 1)
+        uf = SphereField(grid=sg, values=vals, role="u")
+        full = obstruction_integral(uf, h, 1)
         assert cert.obstructions[label] == pytest.approx(full, rel=1e-12)
+        # the 1-D oracle takes d_theta h from the analytic phi', not a stencil
+        assert radial_obstruction(phi, uf, smap) == pytest.approx(full, rel=0.01)
 
 
 def test_radial_certificate_reads_one_meridian():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import lstsq_order
+from curvedks import stationary
 from curvedks.domain import AnnulusSpec, CartesianGrid
-from curvedks.geometry import ConformalFactor, _bump_profile, grad_flat
+from curvedks.geometry import ConformalFactor, _bump_profile, boundary_mask, grad_flat
 from curvedks.potential import newtonian_potential
 from curvedks.stationary import (RHO_FLOOR, DensityField, decay_envelope, default_test_bank,
                                  density_from_profile, membership_check, reduced_residual,
@@ -157,7 +158,7 @@ def _mesh_test_bank(grid):
     return bank
 
 
-@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("n", [20, 64, 96, 128, 256])
 @pytest.mark.parametrize("phi", [ConformalFactor.zero(), ConformalFactor.radial_bump(0.2, 3.0)],
                          ids=["flat", "curved"])
 def test_factored_weak_residual_matches_per_field_formula(n, phi):
@@ -179,6 +180,34 @@ def test_factored_weak_residual_matches_per_field_formula(n, phi):
         worst = max(worst, float(val))
     assert worst > 0.0
     assert static_weak_residual(fld, bank) == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+def test_default_bank_vanishes_near_the_boundary_on_every_grid(flat_phi):
+    # coarse grids drop the fields that reach the two outer cell rings; from n = 20
+    # on none is dropped, and the kept fields are the reference bank's
+    for n in range(8, 66, 2):
+        g = CartesianGrid(center=(1.0, -0.5), half_width=30.0, n=n)
+        bank = default_test_bank(g)
+        ring = boundary_mask(g, layers=2)
+        kept = [T for T in _mesh_test_bank(g) if not T[ring].any()]
+        assert len(bank) == len(kept) > 0
+        assert n < 20 or len(bank) == 27
+        for (a, b), T in zip(bank, kept):
+            assert np.array_equal(np.outer(a, b), T)
+        fld = density_from_profile(8 * np.pi, 1.0, (1.0, -0.5), flat_phi, g)
+        assert np.isfinite(static_weak_residual(fld, bank))
+
+
+def test_default_bank_is_one_bump_evaluation_per_axis(monkeypatch):
+    calls = []
+
+    def counted(s):
+        calls.append(np.shape(s))
+        return _bump_profile(s)
+
+    monkeypatch.setattr(stationary, "_bump_profile", counted)
+    default_test_bank(CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=64))
+    assert calls == [(27, 64), (27, 64)]
 
 
 def test_decay_envelope_critical_profile(flat_phi):
