@@ -313,7 +313,7 @@ def cmd_residual(cfg: dict, cfg_hash: str) -> int:
     _require_positive(cfg, "probe_frac")
     field = _density(cfg)
     rep = reduced_residual(field, probe_frac=cfg["probe_frac"])
-    mem = membership_check(field)
+    mem = membership_check(field, rep.tail)
     _emit(cfg, cfg_hash, "residual",
           {"reduced_residual_L2": rep.reduced_residual_L2,
            "f_constant": rep.f_constant, "f_variation": rep.f_variation,

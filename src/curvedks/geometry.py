@@ -108,12 +108,15 @@ class ConformalFactor:
 
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid,
                            rho: np.ndarray | None = None) -> np.ndarray:
-    """Per-cell weights e^{2 phi} h^2, or the charges rho e^{2 phi} h^2, in one array, in place."""
+    """Weights e^{2 phi} h^2, or charges rho e^{2 phi} h^2; flat weights are a broadcast of h^2."""
+    h2 = grid.cell_area
+    if phi.kind == "zero":
+        return np.broadcast_to(h2, (grid.n, grid.n)) if rho is None else rho * h2
     w = phi.on_grid(grid)
     np.exp(np.multiply(w, 2.0, out=w), out=w)
     if rho is not None:
         w *= rho
-    w *= grid.cell_area
+    w *= h2
     return w
 
 

@@ -9,13 +9,13 @@ the exact integral of G over one grid cell centered at the singularity.
 On a uniform lattice a kernel depends only on the offset i - j, so each kernel
 (G, and the gradient kernel the virial uses) is evaluated once, on the
 quadrant of nonnegative offsets at unit spacing, and gathered by symmetry.
-It is summed by FFT as a zero-padded circulant convolution (the working path
-at every grid size: spectra transformed from the quadrant's distinct rows, and
-pruned transforms in one reused buffer). Direct block-Toeplitz summation of G
-is the O(N^2) oracle, run only when a caller asks for method="direct"; the
-gradient sums have the FFT path only. The spacing h is applied to the sum,
-exactly: G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi is
-h-independent, so at spacing h the log sum shifts by -(ln h / 2pi) sum q, and
+It is summed by FFT as a zero-padded circulant convolution (the working path at
+every grid size: spectra from the quadrant's distinct rows, cached as the real
+half tables that fix them; pruned transforms in one reused buffer). Direct
+block-Toeplitz summation of G is the O(N^2) oracle, run only when a caller asks
+for method="direct"; the gradient sums have the FFT path only. The spacing h is
+applied to the sum, exactly: G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2pi
+is h-independent, so at spacing h the log sum shifts by -(ln h / 2pi) sum q, and
 the gradient sum scales by 1/h. A Coulomb self-energy (q, G q) that needs no
 potential is taken by Parseval from the forward transforms alone (coulomb_energy).
 The truncation tail of a potential is estimated from its density on first read of
@@ -166,23 +166,22 @@ def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=8)
 def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only rfft2 of each offset table in FFT order; one per (kind, n), for any h and centre.
+    """Read-only rows k1 = 0..n of each kernel's rfft2 in FFT order, as real (n+1, n+1) tables:
+    (K,) for "log", (X, X^T) for "grad"; one per (kind, n), for any h and centre.
 
-    FFT-order row k is quadrant row min(k, 2n - k), up to the offset's sign for KX, so the row
-    rfft runs on the n+1 distinct rows, gathered to 2n rows for an in-place column fft. The
-    log table is even under offset negation (mod 2n), so its spectrum is real up to roundoff
-    (imaginary part below 1e-17 of the real one) and is stored as float64; the odd gradient
-    tables keep complex spectra.
-    """
+    G is even in both offsets, so its spectrum is K, with row k1 > n equal to row 2n - k1. KX is
+    odd in a and even in b, so its spectrum is i X, with row k1 > n equal to -i X[2n - k1]; KY's
+    is i X^T, with +i X^T[2n - k1]. FFT-order table row k is quadrant row min(k, 2n - k), up to
+    the sign of a for KX, so the row rfft runs on the n+1 distinct rows. The real part of the
+    transformed KX table is the transform of its offset -n row, which no n x n sum reads."""
     k = np.arange(2 * n)
-    fold, sign = np.minimum(k, 2 * n - k), np.sign((k + n) % (2 * n) - n).astype(float)
-    Q = _quadrant(kind, n)
-    S = np.fft.rfft(Q[:, fold], axis=1)[fold]
-    if kind == "log":
-        return _read_only((np.fft.fft(S, axis=0, out=S).real.copy(),))
-    S *= sign[:, None]
-    T = np.fft.rfft(Q.T[:, fold] * sign, axis=1)[fold]
-    return _read_only(tuple(np.fft.fft(X, axis=0, out=X) for X in (S, T)))
+    fold, sign = np.minimum(k, 2 * n - k), np.sign((k + n) % (2 * n) - n)[:, None]
+    S = np.fft.rfft(_quadrant(kind, n)[:, fold], axis=1)[fold]
+    if kind == "grad":
+        S *= sign
+    S = np.fft.fft(S, axis=0, out=S)[:n + 1]
+    X = S.real.copy() if kind == "log" else S.imag.copy()
+    return _read_only((X,) if kind == "log" else (X, X.T.copy()))   # a transposed read is slower
 
 
 def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -213,17 +212,19 @@ def _fft_workspace(n: int) -> np.ndarray:
     return np.empty((2 * n, n + 1), dtype=complex)
 
 
-def _padded_spectrum(q: np.ndarray) -> np.ndarray:
-    """rfft2 of q zero-padded to 2n x 2n, in the workspace; the row rfft runs on the n data rows."""
+def _padded_spectrum(q: np.ndarray, scale: complex = 1.0) -> np.ndarray:
+    """rfft2 of scale * q zero-padded to 2n x 2n, in the workspace, from the n data rows."""
     n = q.shape[0]
     S = _fft_workspace(n)
     np.fft.rfft(q, n=2 * n, axis=1, out=S[:n])
+    if scale != 1.0:
+        S[:n] *= scale
     S[n:] = 0.0
     return np.fft.fft(S, axis=0, out=S)
 
 
-def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
-    """FFT lattice sums of q, zero-padded to 2n x 2n, with each kernel's rfft2.
+def _circulant_sums(q: np.ndarray, kind: str, halves, scale: float = 1.0) -> list[np.ndarray]:
+    """FFT lattice sums of scale * q, zero-padded to 2n x 2n, with the kernels of a kind.
 
     The transforms are pruned to the data: the forward row rfft runs over the
     n data rows only (written into the top half of the spectrum buffer), and
@@ -232,15 +233,19 @@ def _circulant_sums(q: np.ndarray, kernel_ffts) -> list[np.ndarray]:
     """
     n = q.shape[0]
     m = 2 * n
-    S = _padded_spectrum(q)
+    S = _padded_spectrum(q, scale * 1j if kind == "grad" else scale)   # i: X is Im(spectrum)
     sums = []
-    for k, Kf in enumerate(kernel_ffts):
-        # the last kernel may overwrite the data spectrum; earlier ones need a product buffer
-        P = np.multiply(S, Kf, out=S if k == len(kernel_ffts) - 1 else None)
+    for k in reversed(range(len(halves))):   # kernel 0 last, as it may overwrite the data spectrum
+        P = S if k == 0 else np.empty_like(S)
+        np.multiply(S[:n + 1], halves[k], out=P[:n + 1])
+        np.multiply(S[n + 1:], halves[k][n - 1:0:-1], out=P[n + 1:])   # rows 2n - k1
+        if kind == "grad" and k == 0:        # KX's mirrored rows change sign
+            np.negative(P[n + 1:].view(float), out=P[n + 1:].view(float))
         np.fft.ifft(P, axis=0, out=P)
         R = P[n:].view(float).reshape(-1)[:n * m].reshape(n, m)   # spent rows, as n x 2n real
         np.fft.irfft(P[:n], n=m, axis=1, out=R)
-        sums.append(R[:, :n].copy())
+        sums.insert(0, R[:, :n].copy())
+        del P, R                             # freed before the next result: fewer page faults
     return sums
 
 
@@ -252,7 +257,7 @@ def _direct_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
 
 
 def _fft_convolve(q: np.ndarray, grid: CartesianGrid) -> np.ndarray:
-    return _circulant_sums(q, _kernel_spectra("log", grid.n))[0]
+    return _circulant_sums(q, "log", _kernel_spectra("log", grid.n))[0]
 
 
 def lattice_potential(q: np.ndarray, grid: CartesianGrid, method: str = "fft") -> np.ndarray:
@@ -286,10 +291,14 @@ def coulomb_energy(q: np.ndarray, grid: CartesianGrid) -> float:
     transforms run, and the spectrum is weighted and summed pairwise in the shared workspace.
     """
     n = grid.n
-    K = _kernel_spectra("log", n)[0]
-    A = _padded_spectrum(q).view(float).reshape(2 * n, n + 1, 2)
-    A *= A                                   # (re^2, im^2) of each coefficient
-    for part in (A[..., 0], A[..., 1]):
-        part *= K
-    e = (2.0 * A.sum() - A[:, ::n].sum()) / (2 * n) ** 2   # rfft columns 0 and n count once
-    return float(e - np.log(grid.h) / (2.0 * np.pi) * q.sum() ** 2)
+    S = _padded_spectrum(q)
+    mass = S[0, 0].real                      # sum q, the zero-frequency coefficient
+    A = S.view(float).reshape(2 * n, n + 1, 2)
+    A *= A
+    A[..., 0] += A[..., 1]                   # |S_k|^2, freeing the imaginary slots
+    np.copyto(A[1:n, :, 1], A[:n:-1, :, 0])  # rows 2n - k1 beside rows k1, to meet K's row k1
+    B = A[:n + 1, :, 0]
+    B[1:n] += A[1:n, :, 1]
+    B *= _kernel_spectra("log", n)[0]
+    e = (2.0 * B.sum() - B[:, ::n].sum()) / (2 * n) ** 2   # rfft columns 0 and n count once
+    return float(e - np.log(grid.h) / (2.0 * np.pi) * mass ** 2)

@@ -49,8 +49,8 @@ class MaskedDensityError(ValueError):
 class DensityField:
     """Nonnegative density samples on a grid, together with its metric factor.
 
-    area_weights are the per-cell weights e^{2 phi} h^2; they are computed
-    from phi unless given, as the flow does to carry them from step to step.
+    area_weights are the per-cell weights e^{2 phi} h^2 (read-only for a flat phi); they are
+    computed from phi unless given, as the flow does to carry them from step to step.
     mass, the total mass with respect to the curved area element, is computed
     once at construction; the samples are not changed in place afterwards.
     """
@@ -237,13 +237,13 @@ class MembershipReport:
                 and self.potential_defined)
 
 
-def membership_check(field: DensityField) -> MembershipReport:
-    """Positivity a.e., finite mass and entropy, and a finite potential tail."""
+def membership_check(field: DensityField, tail: TruncationReport | None = None) -> MembershipReport:
+    """Positivity a.e., finite mass and entropy, and a finite tail (fitted unless given)."""
     rho = field.samples
     zero_fraction = float(np.mean(rho <= RHO_FLOOR))
     mass = field.mass
     entropy = field.entropy_abs
-    tail = estimate_tail(rho, field.grid)
+    tail = estimate_tail(rho, field.grid) if tail is None else tail
     return MembershipReport(mass=mass, entropy=entropy, zero_fraction=zero_fraction,
                             tail=tail,
                             positive_ae=zero_fraction <= ZERO_FRACTION_TOLERANCE,

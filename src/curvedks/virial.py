@@ -170,7 +170,7 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSol
     from scipy.sparse.linalg import splu    # lazily, as in _stencil_operators
 
     A = _stencil_operators(problem)
-    x = splu(A).solve(b)
+    x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)   # fill-reducing column order
     res = float(np.linalg.norm(b - A @ x))
     if not res <= tol * bnorm:
         raise AuxSolveError(f"relative residual {res / bnorm:.3e} above tolerance {tol:.1e}")
@@ -204,10 +204,8 @@ def potential_gradient(rho: DensityField) -> tuple[np.ndarray, np.ndarray]:
     kernel at spacing h, so they are divided by h.
     """
     grid = rho.grid
-    sums = _circulant_sums(rho.samples * rho.area_weights, _grad_kernel_ffts(grid))
-    for s in sums:
-        s /= grid.h
-    return tuple(sums)
+    return tuple(_circulant_sums(rho.samples * rho.area_weights, "grad", _grad_kernel_ffts(grid),
+                                 scale=1.0 / grid.h))
 
 
 def assemble_virial(rho: DensityField, R_list,

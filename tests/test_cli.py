@@ -88,6 +88,23 @@ def test_residual_subcommand(tmp_path, monkeypatch):
     assert payload["f_constant"] == pytest.approx(np.log(8.0), abs=0.05)
 
 
+def test_residual_fits_the_tail_once(tmp_path, monkeypatch):
+    # the membership check reuses the tail that the residual's potential fitted
+    from curvedks import potential, stationary
+    calls = []
+
+    def counted(rho, grid):
+        calls.append(grid.n)
+        return potential.TruncationReport(1.0, 1.0, 1.0, -4.0)
+    monkeypatch.setattr(potential, "estimate_tail", counted)
+    monkeypatch.setattr(stationary, "estimate_tail", counted)
+    rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}},
+                      monkeypatch)
+    assert rc == EXIT_OK
+    assert calls == [32]
+    assert json.loads((outdir / "residual.json").read_text())["tail_bound"] == 1.0
+
+
 def test_residual_subcommand_on_a_coarse_grid(tmp_path, monkeypatch):
     # at n = 16 three bank fields reach the outer cell rings; the bank drops them
     rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}},

@@ -14,6 +14,22 @@ def test_zero_factor_weights_are_flat(grid64, flat_phi):
     assert np.all(w == grid64.cell_area)
 
 
+def test_flat_weights_are_a_read_only_constant(grid64, flat_phi):
+    # a flat factor's weights are a broadcast of h^2 with no n x n array behind them; weights
+    # and charges are the bits of the e^{2 phi} route at phi = 0 (a zero-amplitude bump)
+    w = conformal_area_element(flat_phi, grid64)
+    assert w.shape == (grid64.n, grid64.n) and not w.flags.writeable
+    assert w.strides == (0, 0) and w.base.nbytes == w.itemsize
+    zero_bump = ConformalFactor.radial_bump(0.0, 3.0)
+    assert np.array_equal(w, conformal_area_element(zero_bump, grid64))
+    rho = np.random.default_rng(3).random((grid64.n, grid64.n))
+    rho[0, :3] = [0.0, -0.0, 1e-300]
+    q = conformal_area_element(flat_phi, grid64, rho)
+    for want in (np.exp(0.0) * rho * grid64.cell_area,
+                 conformal_area_element(zero_bump, grid64, rho)):
+        assert np.array_equal(q, want) and np.array_equal(np.signbit(q), np.signbit(want))
+
+
 def test_total_flat_area(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=5.0, n=32)
     assert conformal_area_element(flat_phi, g).sum() == pytest.approx(100.0, rel=1e-13)

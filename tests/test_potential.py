@@ -151,19 +151,50 @@ def test_direct_sum_reads_the_full_mesh_table(n):
 @pytest.mark.parametrize("n", [8, 10, 64, 130])
 @pytest.mark.parametrize("kind", ["log", "grad"])
 def test_kernel_spectra_equal_the_full_table_transform(kind, n):
-    # oracle: rfft2 of each full (2n, 2n) table, shifted to FFT order; the
-    # spectra built from distinct quadrant rows equal it, the log one bit for
-    # bit (signed zeros included), the gradient ones in value
+    # oracle: rfft2 of each full (2n, 2n) table, shifted to FFT order. Only rows 0..n are
+    # stored, as real tables: the log one equals the oracle there bit for bit (signed zeros
+    # included), X the imaginary part of KX's in value, and KY's imaginary part is X^T. The
+    # other rows are mirrors, with sign +1 (log, KY) or -1 (KX), of rows 2n - k1. KX's real
+    # part (KY's, transposed) is the transform of its offset -n row alone, which no n x n
+    # sum reads
     want = [np.fft.rfft2(np.fft.ifftshift(T)) for T in meshgrid_offset_table(kind, n)]
     got = potential._kernel_spectra(kind, n)
-    assert len(got) == len(want)
-    for Kf, W in zip(got, want):
-        if kind == "log":
-            W = W.real
-            assert Kf.dtype == np.float64
-            assert np.array_equal(np.signbit(Kf), np.signbit(W))
-        assert Kf.shape == W.shape
-        assert np.array_equal(Kf, W)
+    top, bottom = slice(0, n + 1), slice(n + 1, 2 * n)
+    if kind == "log":
+        (K,), (W,) = got, want
+        assert K.dtype == np.float64 and K.shape == (n + 1, n + 1)
+        assert np.array_equal(K, W.real[top])
+        assert np.array_equal(np.signbit(K), np.signbit(W.real[top]))
+        mirrors = [(W.real, K, 1.0)]
+        scale = np.abs(W).max()
+        assert np.abs(W.imag).max() <= 1e-15 * scale
+    else:
+        X, XT = got
+        WX, WY = want
+        assert X.dtype == np.float64 and X.shape == (n + 1, n + 1)
+        assert np.array_equal(X, WX.imag[top]) and np.array_equal(XT, X.T)
+        mirrors = [(WX.imag, X, -1.0), (WY.imag, XT, 1.0)]
+        scale = max(np.abs(WX).max(), np.abs(WY).max())
+        assert np.abs(WY.imag[top] - X.T).max() <= 1e-15 * scale
+        TX = meshgrid_offset_table(kind, n)[0]
+        edge = np.zeros_like(TX)
+        edge[0] = TX[0]                      # offset a = -n
+        E = np.fft.rfft2(np.fft.ifftshift(edge))
+        assert np.abs(WX.real - E.real).max() <= 1e-15 * scale
+        assert np.abs(WY.real - np.fft.rfft2(np.fft.ifftshift(edge.T)).real).max() <= 1e-15 * scale
+    for W, H, sign in mirrors:
+        assert np.abs(W[bottom] - sign * H[n - 1:0:-1]).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_kernel_spectra_cache_half_tables(n):
+    # the cache holds (n+1)^2 doubles per log table and at most twice that per gradient
+    # pair, each table owning its memory (no view keeps a full-height buffer alive)
+    (K,) = potential._kernel_spectra("log", n)
+    grad = potential._kernel_spectra("grad", n)
+    assert K.nbytes == (n + 1) ** 2 * 8 and K.base is None
+    assert sum(T.nbytes for T in grad) <= 2 * (n + 1) ** 2 * 8
+    assert all(T.base is None for T in grad)
 
 
 def test_log_spectrum_build_peak_memory():
