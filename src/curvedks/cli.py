@@ -24,7 +24,7 @@ import numpy as np
 from .domain import AnnulusSpec, CartesianGrid
 from .energy import lambda_scan, log_hls_deficit
 from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
-                   run_flow, virial_rate, write_snapshots)
+                   run_flow, snapshot_writer, virial_rate)
 from .geometry import ConformalFactor
 from .potential import coulomb_energy, newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
@@ -412,13 +412,12 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     else:
         raise ConfigError(f"unknown initial condition {cfg['initial']!r}")
     dt = None if cfg["dt"] == 0 else cfg["dt"]    # a negative dt is rejected by run_flow
-    final, diag, snaps = run_flow(field, cfg["t_end"], dt=dt,
-                                  snapshot_every=cfg["snapshot_every"],
-                                  with_energy=True)
     outdir = _outdir(cfg)
+    with snapshot_writer(os.path.join(outdir, "flow_snapshots.npy"), field.grid.n) as append:
+        final, diag = run_flow(field, cfg["t_end"], dt=dt, snapshot_every=cfg["snapshot_every"],
+                               with_energy=True, on_snapshot=lambda s: append(s.field.samples))
     diagnostics_to_csv(diag, os.path.join(outdir, "flow_diagnostics.csv"),
                        meta=f"config_hash={cfg_hash}")
-    write_snapshots(snaps, os.path.join(outdir, "flow_snapshots.npy"))
     payload = {"steps": final.step_count, "t_final": final.t,
                "mass_drift": diag.mass_drift}
     if diag.phi_is_flat and len(diag.t) >= 10:

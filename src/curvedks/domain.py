@@ -159,7 +159,7 @@ def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class AnnulusSpec:
-    """Annulus R <= r <= ratio*R around the origin, used as a diagnostic region."""
+    """Annulus R <= r <= ratio*R around the grid centre, used as a diagnostic region."""
 
     R: float
     ratio: float = 2.0

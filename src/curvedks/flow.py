@@ -22,12 +22,13 @@ A step allocates only the arrays it returns: flux_divergence works in one
 cached set of per-grid buffers (_flux_workspace), reused by every call at
 that grid size. The buffers are shared, so, like the FFT workspace of the
 lattice sum, this is not thread-safe: run one flow at a time per process.
-A run's snapshots are saved as one float64 (k, n, n) .npy stack by
-write_snapshots.
+run_flow keeps no state it records; snapshot_writer streams densities to disk.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
@@ -239,9 +240,9 @@ def flow_step(state: FlowState) -> FlowState:
 
 
 def run_flow(field: DensityField, t_end: float, dt: float | None = None,
-             snapshot_every: int = 1, with_energy: bool = False, max_steps: int = 10**6
-             ) -> tuple[FlowState, FlowDiagnostics, list[FlowState]]:
-    """March to t_end collecting diagnostics every snapshot_every steps.
+             snapshot_every: int = 1, with_energy: bool = False, max_steps: int = 10**6,
+             on_snapshot=lambda state: None) -> tuple[FlowState, FlowDiagnostics]:
+    """March to t_end; the first and every snapshot_every-th state go to diag and on_snapshot.
 
     The last step is shortened so the run ends exactly at t_end. Raises
     StepLimitReached if t_end needs more than max_steps steps, and
@@ -253,8 +254,7 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt)
     diag = FlowDiagnostics(phi_is_flat=(field.phi.kind == "zero"))
-    snapshots = [state]
-    _record(diag, state, with_energy)
+    _record(diag, state, with_energy, on_snapshot)
     while state.t < t_end:
         if state.step_count >= max_steps:
             raise StepLimitReached(f"{max_steps} steps reached t = {state.t:.6g}, "
@@ -267,12 +267,12 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
             last = flow_step(replace(state, dt=remaining))
             state = replace(last, t=t_end, dt=state.dt)
         if state.step_count % snapshot_every == 0:
-            _record(diag, state, with_energy)
-            snapshots.append(state)
-    return state, diag, snapshots
+            _record(diag, state, with_energy, on_snapshot)
+    return state, diag
 
 
-def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool) -> None:
+def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool, on_snapshot) -> None:
+    on_snapshot(state)
     diag.t.append(state.t)
     diag.mass.append(state.field.mass)
     diag.second_moment.append(second_moment(state.field))
@@ -306,16 +306,32 @@ def diagnostics_to_csv(diag: FlowDiagnostics, path, meta: str | None = None) -> 
                for row in zip(diag.t, diag.mass, diag.second_moment, diag.free_energy)), meta)
 
 
-def write_snapshots(snapshots: list[FlowState], path) -> None:
-    """Save the snapshot densities as one float64 .npy array of shape (k, n, n).
+@contextmanager
+def snapshot_writer(path, n: int):
+    """Stream (n, n) float64 slices to path as np.save(path, np.stack(slices)) would.
 
-    Slice k is snapshots[k].field.samples. The bytes are those of
-    np.save(path, np.stack(...)), but each snapshot's samples are streamed
-    after the header, so no stacked copy is built.
-    """
-    header = {"descr": npy_format.dtype_to_descr(np.dtype(float)), "fortran_order": False,
-              "shape": (len(snapshots), *snapshots[0].field.samples.shape)}
-    with open(path, "wb") as fh:
-        npy_format.write_array_header_1_0(fh, header)
-        for s in snapshots:
-            s.field.samples.tofile(fh)
+    Yields append(samples), which writes at once. A clean exit puts the count in the
+    header's padding and moves path + ".partial" to path; any exception removes it."""
+    partial = f"{path}.partial"
+    header = {"descr": npy_format.dtype_to_descr(np.dtype(float)), "fortran_order": False}
+
+    def append(samples: np.ndarray) -> None:
+        if samples.dtype != np.float64 or samples.shape != (n, n):
+            raise ValueError(f"snapshot {samples.dtype} {samples.shape} is not float64 {(n, n)}")
+        samples.tofile(fh)
+
+    fh = open(partial, "wb")
+    try:
+        with fh:
+            npy_format.write_array_header_1_0(fh, {**header, "shape": (0, n, n)})
+            size = fh.tell()
+            yield append
+            count = (fh.tell() - size) // (8 * n * n)
+            fh.seek(0)
+            npy_format.write_array_header_1_0(fh, {**header, "shape": (count, n, n)})
+            if fh.tell() != size:
+                raise RuntimeError(f"the header of {count} snapshots outgrew its placeholder")
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise

@@ -236,7 +236,7 @@ def test_criterion_8_flow_diagnostics():
     # stationary profile persists at n = 256 over t in [0, 0.1]
     g256 = CartesianGrid(center=(0, 0), half_width=15.0, n=256)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), FLAT, g256)
-    final, _, _ = run_flow(fld, 0.1, snapshot_every=10**6)
+    final, _ = run_flow(fld, 0.1, snapshot_every=10**6)
     l1 = np.sum(np.abs(final.field.samples - fld.samples)) * g256.cell_area
     rel_l1 = l1 / (np.sum(np.abs(fld.samples)) * g256.cell_area)
     ok &= rel_l1 <= 0.02
@@ -248,8 +248,8 @@ def test_criterion_8_flow_diagnostics():
         Xv, Yv = gv.meshes()
         rhov = mm / (2 * np.pi) * np.exp(-(Xv**2 + Yv**2) / 2)
         rhov *= mm / (np.sum(rhov) * gv.cell_area)
-        _, diag, _ = run_flow(DensityField(grid=gv, samples=rhov, phi=FLAT),
-                              0.05, snapshot_every=1)
+        _, diag = run_flow(DensityField(grid=gv, samples=rhov, phi=FLAT),
+                           0.05, snapshot_every=1)
         slope, expected = virial_rate(diag)
         tol = max(0.05 * abs(expected), 0.5)
         ok &= abs(slope - expected) <= tol
@@ -261,8 +261,8 @@ def test_criterion_8_flow_diagnostics():
     X8, Y8 = g128.meshes()
     rho8 = m / (2 * np.pi) * np.exp(-(X8**2 + Y8**2) / 2)
     rho8 *= m / (np.sum(rho8) * g128.cell_area)
-    _, diag, _ = run_flow(DensityField(grid=g128, samples=rho8, phi=FLAT),
-                          0.03, snapshot_every=2, with_energy=True)
+    _, diag = run_flow(DensityField(grid=g128, samples=rho8, phi=FLAT),
+                       0.03, snapshot_every=2, with_energy=True)
     F = diag.free_energy
     rise = max(b - a for a, b in zip(F, F[1:]))
     monotone = rise <= 1e-3 * max(abs(v) for v in F)    # largest rise within 1e-3 of max |F|

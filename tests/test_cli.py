@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvedks import cli
+from curvedks import cli, flow
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
-from curvedks.flow import StepLimitReached, run_flow
+from curvedks.flow import BlowUpDetected, StepLimitReached, run_flow
 from curvedks.virial import AuxSolveError
 
 
@@ -177,13 +178,15 @@ def test_virial_curved_factor_closes_i3(tmp_path, monkeypatch):
 
 
 def _spy_run_flow(monkeypatch):
-    """Record the initial field and the snapshots of each run_flow call of the CLI."""
+    """Record the initial field and the states that each run_flow call of the CLI
+    hands to its on_snapshot, passing them on to the CLI's own callback."""
     calls = []
 
-    def spy(field, *args, **kwargs):
-        out = run_flow(field, *args, **kwargs)
-        calls.append((field, out[2]))
-        return out
+    def spy(field, *args, on_snapshot, **kwargs):
+        snaps = []
+        calls.append((field, snaps))
+        return run_flow(field, *args, **kwargs,
+                        on_snapshot=lambda s: (snaps.append(s), on_snapshot(s)))
 
     monkeypatch.setattr(cli, "run_flow", spy)
     return calls
@@ -232,6 +235,62 @@ def test_flow_snapshots_are_the_run_states_and_rerun_identically(tmp_path, monke
             assert np.array_equal(stack[k].view(np.uint64), s.field.samples.view(np.uint64))
             assert float(row.split(",")[0]) == pytest.approx(s.t, rel=1e-11, abs=1e-15)
     assert blobs[0] == blobs[1]
+
+
+def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
+    # the run fails after 3 of its snapshots were streamed to the partial file:
+    # exit 3, no stack and no partial file are left, and a stack from an
+    # earlier run in the same place is kept
+    n = 32
+    cfg = {"grid": {"half_width": 12.0, "n": n}, "t_end": 0.02, "dt": 1e-3,
+           "snapshot_every": 2}
+    partial = tmp_path / "out" / "flow_snapshots.npy.partial"
+    real_step = flow.flow_step
+
+    def failing_run(step_budget):
+        steps, streamed = [], []
+
+        def step(state):
+            if len(steps) == step_budget:
+                streamed.append(partial.stat().st_size)
+                raise BlowUpDetected("more than half the mass sits in one cell")
+            steps.append(1)
+            return real_step(state)
+
+        monkeypatch.setattr(flow, "flow_step", step)
+        rc, outdir = _run(tmp_path, "flow", cfg, monkeypatch)
+        assert streamed and streamed[0] > 3 * n * n * 8
+        return rc, outdir
+
+    rc, outdir = failing_run(5)
+    assert rc == 3
+    assert list(outdir.iterdir()) == []
+    monkeypatch.setattr(flow, "flow_step", real_step)
+    rc, _ = _run(tmp_path, "flow", cfg, monkeypatch)
+    assert rc == EXIT_OK
+    earlier = (outdir / "flow_snapshots.npy").read_bytes()
+    assert len(np.load(outdir / "flow_snapshots.npy")) > 3
+    rc, _ = failing_run(5)
+    assert rc == 3
+    assert (outdir / "flow_snapshots.npy").read_bytes() == earlier
+    assert not partial.exists()
+
+
+def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path, monkeypatch):
+    # a run that records every step holds no more than one that records only
+    # its initial state: each snapshot goes to disk when it is taken
+    n, counts, peaks = 64, {}, {}
+    cfg = {"grid": {"half_width": 10.0, "n": n}, "t_end": 0.035, "dt": 1e-3}
+    _run(tmp_path, "flow", {**cfg, "snapshot_every": 1}, monkeypatch)    # warm the caches
+    for every in (1, 10**6):
+        tracemalloc.start()
+        rc, outdir = _run(tmp_path, "flow", {**cfg, "snapshot_every": every}, monkeypatch)
+        peaks[every] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert rc == EXIT_OK
+        counts[every] = len(np.load(outdir / "flow_snapshots.npy"))
+    assert counts[1] >= 30 and counts[10**6] == 1
+    assert abs(peaks[1] - peaks[10**6]) < 2 * n * n * 8
 
 
 def test_flow_virial_rate_reported(tmp_path, monkeypatch):

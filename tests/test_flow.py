@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lstsq_order
-from curvedks import energy, potential
+from curvedks import energy, flow, potential
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.flow import (BlowUpDetected, CFLViolation, FlowDiagnostics, StepLimitReached,
                            cfl_bound, flow_init, flow_step, flux_divergence,
-                           run_flow, second_moment, virial_rate, write_snapshots)
+                           run_flow, second_moment, snapshot_writer, virial_rate)
 from curvedks.stationary import DensityField, density_from_profile
 
 
@@ -105,7 +105,7 @@ def test_positivity_preserved():
 def test_stationary_profile_persists(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=256)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    final, diag, _ = run_flow(fld, 0.1, snapshot_every=100)
+    final, diag = run_flow(fld, 0.1, snapshot_every=100)
     l1 = np.sum(np.abs(final.field.samples - fld.samples)) * g.cell_area
     assert l1 / (np.sum(np.abs(fld.samples)) * g.cell_area) <= 0.02
     assert diag.mass_drift <= 1e-10
@@ -117,7 +117,7 @@ def test_stationary_drift_first_order_in_h(flat_phi):
     for n in ns:
         g = CartesianGrid(center=(0, 0), half_width=15.0, n=n)
         fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-        final, _, _ = run_flow(fld, 0.02, snapshot_every=10**6)
+        final, _ = run_flow(fld, 0.02, snapshot_every=10**6)
         drifts.append(np.sum(np.abs(final.field.samples - fld.samples)) * g.cell_area)
     assert lstsq_order(ns, drifts) >= 1.0
 
@@ -125,7 +125,7 @@ def test_stationary_drift_first_order_in_h(flat_phi):
 def test_subcritical_gaussian_spreads():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = _gaussian_field(g, 4 * np.pi)
-    final, diag, _ = run_flow(fld, 0.05, snapshot_every=1)
+    final, diag = run_flow(fld, 0.05, snapshot_every=1)
     assert diag.mass_drift <= 1e-10
     assert diag.second_moment[-1] > diag.second_moment[0]
 
@@ -134,7 +134,7 @@ def test_virial_rates_match_closed_form():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=256)
     for m in (4 * np.pi, 8 * np.pi):
         fld = _gaussian_field(g, m)
-        _, diag, _ = run_flow(fld, 0.05, snapshot_every=1)
+        _, diag = run_flow(fld, 0.05, snapshot_every=1)
         slope, expected = virial_rate(diag)
         assert slope == pytest.approx(expected, abs=max(0.05 * abs(expected), 0.85))
 
@@ -143,7 +143,7 @@ def test_supercritical_contracts():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=256)
     m = 12 * np.pi
     fld = _gaussian_field(g, m)
-    _, diag, _ = run_flow(fld, 0.02, snapshot_every=1)
+    _, diag = run_flow(fld, 0.02, snapshot_every=1)
     slope, expected = virial_rate(diag)
     assert expected == pytest.approx(4 * m - m**2 / (2 * np.pi), rel=1e-12)
     assert expected < 0
@@ -161,7 +161,7 @@ def test_virial_rate_refuses_curved_runs():
 def test_free_energy_dissipates():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = _gaussian_field(g, 4 * np.pi)
-    _, diag, _ = run_flow(fld, 0.03, snapshot_every=2, with_energy=True)
+    _, diag = run_flow(fld, 0.03, snapshot_every=2, with_energy=True)
     F = diag.free_energy
     assert max(np.diff(F)) <= 1e-3 * max(np.abs(F))    # no rise beyond 1e-3 of max |F|
     assert F[-1] < F[0]
@@ -170,7 +170,7 @@ def test_free_energy_dissipates():
 def test_stationary_energy_nearly_constant(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    _, diag, _ = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    _, diag = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
     F = diag.free_energy
     per_step = (max(F) - min(F)) / max(len(F) - 1, 1)
     assert per_step <= 1e-3 * abs(F[0])
@@ -253,13 +253,53 @@ def test_second_moment_matches_mesh_formula():
     assert second_moment(fld) == float(np.sum((X**2 + Y**2) * fld.samples) * g.cell_area)
 
 
-def test_write_snapshots_is_np_save_of_the_stack(tmp_path):
+def test_snapshot_writer_is_np_save_of_the_run_states(tmp_path):
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
-    _, diag, snaps = run_flow(_gaussian_field(g, 4 * np.pi), 0.02, snapshot_every=3)
-    write_snapshots(snaps, tmp_path / "snaps.npy")
+    snaps = []
+    with snapshot_writer(tmp_path / "snaps.npy", g.n) as append:
+        _, diag = run_flow(_gaussian_field(g, 4 * np.pi), 0.02, snapshot_every=3,
+                           on_snapshot=lambda s: (snaps.append(s), append(s.field.samples)))
     np.save(tmp_path / "stacked.npy", np.stack([s.field.samples for s in snaps]))
     assert (tmp_path / "snaps.npy").read_bytes() == (tmp_path / "stacked.npy").read_bytes()
     assert np.load(tmp_path / "snaps.npy").shape == (len(diag.t), g.n, g.n)
+    assert not (tmp_path / "snaps.npy.partial").exists()
+
+
+@pytest.mark.parametrize("k", [1, 9, 10, 100])
+def test_snapshot_writer_is_np_save_of_the_stack(tmp_path, k):
+    # the count's digits grow from 1 to 3; the header it was written in must not
+    slices = list(np.random.default_rng(k).standard_normal((k, 6, 6)))
+    with snapshot_writer(tmp_path / "snaps.npy", 6) as append:
+        for a in slices:
+            append(a)
+    np.save(tmp_path / "stacked.npy", np.stack(slices))
+    assert (tmp_path / "snaps.npy").read_bytes() == (tmp_path / "stacked.npy").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snaps.npy", "stacked.npy"]
+
+
+@pytest.mark.parametrize("bad", [np.zeros((6, 7)), np.zeros((6, 6), dtype=np.float32),
+                                 np.zeros((6, 6), dtype=">f8"), np.zeros((1, 6, 6))])
+def test_snapshot_writer_rejects_a_bad_slice_and_leaves_no_file(tmp_path, bad):
+    with pytest.raises(ValueError, match="float64"):
+        with snapshot_writer(tmp_path / "snaps.npy", 6) as append:
+            append(np.ones((6, 6)))
+            append(bad)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_writer_refuses_a_header_that_outgrows_its_placeholder(tmp_path, monkeypatch):
+    # numpy pads the v1.0 header so the count fits in place; should that ever
+    # fail, the writer raises instead of shifting the data, and publishes nothing
+    real = flow.npy_format.write_array_header_1_0
+
+    def longer_once_counted(fh, d):
+        real(fh, dict(d, descr=d["descr"] + " " * 64) if d["shape"][0] else d)
+
+    monkeypatch.setattr(flow.npy_format, "write_array_header_1_0", longer_once_counted)
+    with pytest.raises(RuntimeError, match="placeholder"):
+        with snapshot_writer(tmp_path / "snaps.npy", 6) as append:
+            append(np.ones((6, 6)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_blow_up_detection():
@@ -292,11 +332,11 @@ def test_blow_up_measures_cell_mass_with_curved_area():
 def test_run_flow_lands_on_t_end():
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
     fld = _gaussian_field(g, 4 * np.pi)
-    final, diag, _ = run_flow(fld, 0.1, dt=0.03)
+    final, diag = run_flow(fld, 0.1, dt=0.03)
     assert (final.t, final.step_count, final.dt) == (0.1, 4, 0.03)
     assert diag.t[-1] == 0.1
     # a t_end that is a whole number of steps up to roundoff takes no extra sliver step
-    final, _, _ = run_flow(fld, 0.1, dt=0.01)
+    final, _ = run_flow(fld, 0.1, dt=0.01)
     assert (final.t, final.step_count) == (0.1, 10)
 
 
@@ -306,7 +346,7 @@ def test_run_flow_raises_when_steps_run_out():
     with pytest.raises(StepLimitReached):
         run_flow(fld, 0.1, dt=0.03, max_steps=3)
     assert issubclass(StepLimitReached, RuntimeError)
-    final, _, _ = run_flow(fld, 0.09, dt=0.03, max_steps=3)
+    final, _ = run_flow(fld, 0.09, dt=0.03, max_steps=3)
     assert final.step_count == 3
 
 
@@ -321,7 +361,7 @@ def test_curved_flow_conserves_curved_mass():
     phi = ConformalFactor.radial_bump(0.1, 2.0)
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=96)
     fld = _gaussian_field(g, 4 * np.pi, phi=phi)
-    final, diag, _ = run_flow(fld, 0.01, snapshot_every=1)
+    final, diag = run_flow(fld, 0.01, snapshot_every=1)
     assert diag.mass_drift <= 1e-10
     assert final.field.samples.min() >= 0.0
 
@@ -333,7 +373,8 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
     sums = []
     monkeypatch.setattr(energy, "lattice_potential",
                         lambda *a, **k: sums.append(1) or potential.lattice_potential(*a, **k))
-    _, diag, snaps = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    snaps = []
+    _, diag = run_flow(fld, 0.01, snapshot_every=2, with_energy=True, on_snapshot=snaps.append)
     assert sums == []     # the energy pairs the charges with the step's own potential
     monkeypatch.undo()
     assert len(diag.free_energy) == len(snaps)
@@ -347,7 +388,8 @@ def test_flow_sums_by_fft_at_every_grid_size():
         small = _gaussian_field(CartesianGrid(center=(0, 0), half_width=10.0, n=n), 4 * np.pi)
         assert potential.newtonian_potential(small.samples, small.phi, small.grid).method == "fft"
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
-    _, _, snaps = run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1)
+    snaps = []
+    run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1, on_snapshot=snaps.append)
     assert len(snaps) > 2
     for s in snaps:
         assert s.c.method == "fft"
@@ -359,7 +401,7 @@ def test_diagnostics_csv(tmp_path):
     from curvedks.flow import diagnostics_to_csv
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
     fld = _gaussian_field(g, 4 * np.pi)
-    _, diag, _ = run_flow(fld, 0.01, snapshot_every=1, with_energy=True)
+    _, diag = run_flow(fld, 0.01, snapshot_every=1, with_energy=True)
     p = tmp_path / "diag.csv"
     diagnostics_to_csv(diag, p)
     lines = p.read_text().splitlines()
