@@ -219,8 +219,7 @@ def _phi(cfg: dict) -> ConformalFactor:
     if p["kind"] == "zero":
         return ConformalFactor.zero()
     if p["kind"] == "radial_bump":
-        return ConformalFactor.radial_bump(p["amplitude"], p["support_radius"],
-                                           tuple(p["center"]))
+        return ConformalFactor.radial_bump(p["amplitude"], p["support_radius"], tuple(p["center"]))
     raise ConfigError(f"unsupported phi kind in configs: {p['kind']!r}")
 
 
@@ -329,13 +328,9 @@ def cmd_residual(cfg: dict, cfg_hash: str) -> int:
 
 def cmd_energy_scan(cfg: dict, cfg_hash: str) -> int:
     phi = _phi(cfg)
-    if phi.kind == "zero":
-        # flat factor: lambda-scaled per-row grids give clean slopes
-        table = lambda_scan(cfg["m"], phi, cfg["lambdas"],
-                            scaled_half_width=cfg["grid"]["half_width"],
-                            scaled_n=cfg["grid"]["n"])
-    else:
-        table = lambda_scan(cfg["m"], phi, cfg["lambdas"], _grid(cfg))
+    # a flat factor scans on lambda-scaled per-row grids (grid None): they give clean slopes
+    table = lambda_scan(cfg["m"], phi, cfg["lambdas"], None if phi.is_flat else _grid(cfg),
+                        scaled_half_width=cfg["grid"]["half_width"], scaled_n=cfg["grid"]["n"])
     table.to_csv(os.path.join(_outdir(cfg), "energy_scan.csv"), meta=f"config_hash={cfg_hash}")
     _emit(cfg, cfg_hash, "energy_scan",
           {"m": cfg["m"], "slope_fit": table.slope_fit,
@@ -386,7 +381,7 @@ def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
 def cmd_virial(cfg: dict, cfg_hash: str) -> int:
     field = _density(cfg)
     # a curved factor closes I3 through the auxiliary solve; flat leaves f = 0
-    f = None if field.phi.kind == "zero" else solve_aux_pde(WeightedEllipticProblem.build(field)).f
+    f = None if field.phi.is_flat else solve_aux_pde(WeightedEllipticProblem.build(field)).f
     reports = assemble_virial(field, cfg["radii"], f=f)
     export_virial_csv(reports, os.path.join(_outdir(cfg), "virial.csv"),
                       meta=f"config_hash={cfg_hash}")
@@ -405,7 +400,7 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
         sigma = cfg["sigma"]
         rho = cfg["mass"] / (2.0 * np.pi * sigma**2) * np.exp(
             -(X**2 + Y**2) / (2.0 * sigma**2))
-        rho *= cfg["mass"] / (np.sum(rho * np.exp(2.0 * phi(X, Y))) * grid.cell_area)
+        rho *= cfg["mass"] / (np.sum(rho * np.exp(2.0 * phi.on_grid(grid))) * grid.cell_area)
         field = DensityField(grid=grid, samples=rho, phi=phi)
     elif cfg["initial"] == "profile":
         field = _density(cfg)

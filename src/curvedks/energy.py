@@ -176,7 +176,7 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
     lam_arr = sorted(float(v) for v in lam_list)
     if len(lam_arr) >= 2 and lam_arr[-1] / lam_arr[0] < 100.0:
         raise ValueError("lambda list should span at least two decades")
-    if grid is None and phi.kind != "zero":
+    if grid is None and not phi.is_flat:
         raise ValueError("a fixed grid is required to scan a curved factor")
     lo, hi = (0.0, np.inf) if grid is None else (_RESOLUTION_CELLS * grid.h, grid.half_width / 8.0)
     resolved = [lo <= lam <= hi for lam in lam_arr]
@@ -198,6 +198,6 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
     predicted_slope = (m / (4.0 * np.pi)) * (m - 8.0 * np.pi)
     # plateau is meaningful near the critical mass; report the small-lambda end
     plateau = float(np.mean([r.value for r in good[: max(2, len(good) // 3)]]))
-    predicted_plateau = 8.0 * np.pi * np.log(8.0 / np.e) - 16.0 * np.pi * phi.sup()
+    predicted_plateau = 8.0 * np.pi * np.log(8.0 / np.e) - 16.0 * np.pi * float(phi(*x_star))
     return ScanTable(m=m, rows=rows, slope_fit=slope, predicted_slope=predicted_slope,
                      plateau=plateau, predicted_plateau=predicted_plateau)

@@ -253,7 +253,7 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt)
-    diag = FlowDiagnostics(phi_is_flat=(field.phi.kind == "zero"))
+    diag = FlowDiagnostics(phi_is_flat=field.phi.is_flat)
     _record(diag, state, with_energy, on_snapshot)
     while state.t < t_end:
         if state.step_count >= max_steps:

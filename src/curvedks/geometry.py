@@ -3,10 +3,10 @@
 Sign convention: the Laplacian is positive, Delta = -(d2/dx2 + d2/dy2), so
 that Delta c = rho holds with nonnegative rho for the logarithmic kernel in
 the potential module. All conformal operations reduce to flat ones through
-dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0. A factor is
-sampled on a grid from the grid's broadcast 1-D axes, and a radial bump only
-on the index box of its support; every other cell is exactly 0. The flat
-stencils (copy boundary) slice into their output; no padded copy is made.
+dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0. Only ConformalFactor
+knows the factor's shape: callers ask it is_flat, on_grid and grad, which
+evaluate a bump only on the index box of its support (every other cell is
+exactly 0). The flat stencils (copy boundary) slice into their output.
 """
 
 from __future__ import annotations
@@ -28,89 +28,90 @@ def _bump_profile(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bump_profile_deriv(s: np.ndarray) -> np.ndarray:
-    """d/ds of the mollifier profile; vanishes to all orders at |s| = 1."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - si * si)) * (-2.0 * si / (1.0 - si * si) ** 2)
-    return out
-
-
 @dataclass
 class ConformalFactor:
     """Compactly supported smooth phi defining the metric e^{2 phi} g0.
 
-    kind is "zero" or "radial_bump"; both are analytic and radial about
-    center. The radial bump is amplitude * exp(1 - 1/(1 - s^2)) with
-    s = |x - center| / support_radius; its radial derivative has a single sign
-    determined by the amplitude sign.
+    phi is the mollifier bump amplitude * exp(1 - 1/(1 - s^2)), radial about
+    center with s = |x - center| / support_radius; its radial derivative has
+    the sign of the amplitude. Amplitude 0 is the flat plane, zero(). Callers
+    ask the factor (is_flat, on_grid, grad) instead of reading its fields.
     """
 
-    kind: str
     amplitude: float = 0.0
     support_radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
 
     @classmethod
     def zero(cls) -> "ConformalFactor":
-        return cls(kind="zero")
+        return cls()
 
     @classmethod
     def radial_bump(cls, amplitude: float, support_radius: float,
                     center: tuple[float, float] = (0.0, 0.0)) -> "ConformalFactor":
         if not support_radius > 0:
             raise ValueError("support_radius must be positive")
-        return cls(kind="radial_bump", amplitude=float(amplitude),
-                   support_radius=float(support_radius),
+        return cls(amplitude=float(amplitude), support_radius=float(support_radius),
                    center=(float(center[0]), float(center[1])))
 
+    @property
+    def is_flat(self) -> bool:
+        """phi = 0 everywhere, so the metric is g0."""
+        return self.amplitude == 0.0
+
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if self.kind == "zero":
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+        if self.is_flat:
             return np.zeros(np.broadcast(X, Y).shape)
-        if self.kind == "radial_bump":
-            r = np.hypot(X - self.center[0], Y - self.center[1])
-            return self.amplitude * _bump_profile(r / self.support_radius)
-        raise ValueError(f"unknown conformal factor kind {self.kind!r}")
+        r = np.hypot(X - self.center[0], Y - self.center[1])
+        return self.amplitude * _bump_profile(r / self.support_radius)
+
+    def _box(self, grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+        """np.ix_ index of the cells with |x - cx|, |y - cy| < R; phi vanishes off it."""
+        R = self.support_radius
+        return np.ix_(np.abs(grid.x - self.center[0]) < R, np.abs(grid.y - self.center[1]) < R)
 
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
-        """phi at the cell centres, from the broadcast axes x[:, None], y[None, :];
-        a radial bump only on the box |x - cx|, |y - cy| < R. Off it r >= R, so
-        phi is amplitude * 0 there (-0.0 for a negative amplitude)."""
-        if self.kind != "radial_bump":
-            return self(grid.x[:, None], grid.y[None, :])
-        R = self.support_radius
-        box = np.ix_(np.abs(grid.x - self.center[0]) < R, np.abs(grid.y - self.center[1]) < R)
+        """phi at the cell centres, from the broadcast axes, evaluated only on the support
+        box. Off it r >= R, so phi is amplitude * 0 there (-0.0 for a negative amplitude)."""
+        if self.is_flat:
+            return np.zeros((grid.n, grid.n))
+        box = self._box(grid)
         out = np.full((grid.n, grid.n), 0.0 * self.amplitude)
         out[box] = self(grid.x[box[0]], grid.y[box[1]])
         return out
 
-    def radial_derivative(self, r: np.ndarray) -> np.ndarray:
-        """d phi / dr for radial kinds (zero and radial_bump)."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "zero":
-            return np.zeros_like(r)
-        if self.kind == "radial_bump":
-            s = r / self.support_radius
-            return self.amplitude * _bump_profile_deriv(s) / self.support_radius
-        raise ValueError(f"unknown conformal factor kind {self.kind!r}")
+    def grad(self, grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Analytic (d phi / dx, d phi / dy) at the cell centres, 0 off the support box."""
+        gx, gy = np.zeros((grid.n, grid.n)), np.zeros((grid.n, grid.n))
+        if self.is_flat:
+            return gx, gy
+        box = self._box(grid)
+        dx, dy = grid.x[box[0]] - self.center[0], grid.y[box[1]] - self.center[1]
+        k = self._slope(dx * dx + dy * dy, self(grid.x[box[0]], grid.y[box[1]]))
+        gx[box], gy[box] = k * dx, k * dy
+        return gx, gy
 
-    def sup(self) -> float:
-        """Supremum of phi (0 is always attained: compact support)."""
-        return max(self.amplitude, 0.0)
+    def radial_derivative(self, r: np.ndarray) -> np.ndarray:
+        """d phi / dr at distance r >= 0 from the centre."""
+        r = np.asarray(r, dtype=float)
+        return r * self._slope(r * r, self.amplitude * _bump_profile(r / self.support_radius))
+
+    def _slope(self, r2: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """(d phi / dr) / r from r^2 and phi there: b'(s) / s = -2 b / (1 - s^2)^2 has no 0/0."""
+        R2 = self.support_radius ** 2
+        q = np.maximum(1.0 - r2 / R2, 1e-300)    # 1 - s^2; phi = 0 where s >= 1
+        return -2.0 * phi / q / q / R2
 
     def is_radial(self) -> bool:
-        return self.kind in ("zero", "radial_bump")
+        return True
 
 
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid,
                            rho: np.ndarray | None = None) -> np.ndarray:
     """Weights e^{2 phi} h^2, or charges rho e^{2 phi} h^2; flat weights are a broadcast of h^2."""
     h2 = grid.cell_area
-    if phi.kind == "zero":
+    if phi.is_flat:
         return np.broadcast_to(h2, (grid.n, grid.n)) if rho is None else rho * h2
     w = phi.on_grid(grid)
     np.exp(np.multiply(w, 2.0, out=w), out=w)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import AnnulusSpec, CartesianGrid, SphereGrid
-from .geometry import ConformalFactor
+from .geometry import ConformalFactor, grad_flat
 from .profiles import ScaledCauchyProfile
 from .stationary import RHO_FLOOR, DensityField, decay_envelope
 
@@ -218,7 +218,6 @@ def plane_side_obstruction(field_u: np.ndarray, phi: ConformalFactor,
     the plane-side integrand needs no metric weights; u1~ is the pushforward
     of the degree-one harmonic.
     """
-    from .geometry import grad_flat
     X, Y = grid.meshes()
     dx = X - smap.x_star[0]
     dy = Y - smap.x_star[1]
@@ -232,7 +231,7 @@ def plane_side_obstruction(field_u: np.ndarray, phi: ConformalFactor,
         u1 = 2.0 * smap.lam * dy / (lam2 + r2)
     else:
         raise ValueError("u1 index must be 1, 2 or 3")
-    e2phi = np.exp(2.0 * phi(X, Y))
+    e2phi = np.exp(2.0 * phi.on_grid(grid))
     g1 = grad_flat(u1, grid)
     gh = grad_flat(e2phi, grid)
     integrand = (g1[0] * gh[0] + g1[1] * gh[1]) * np.exp(2.0 * field_u)

@@ -141,11 +141,11 @@ _BANK_SCALE, _BANK_OX, _BANK_OY = (v.ravel() for v in np.meshgrid(
     [0.10, 0.18, 0.30], [-0.5, 0.0, 0.5], [-0.5, 0.0, 0.5], indexing="ij"))
 
 
-def default_test_bank(grid: CartesianGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+def default_test_bank(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product bump test fields: widths 0.10, 0.18, 0.30 x half_width at 3 x 3 lattice
-    positions jittered with seed 0, each field a(x) b(y) as its factor pair (a, b) on grid.x,
-    grid.y (np.outer(a, b)), one bump evaluation per axis. Fields that reach the two outer
-    cell rings are left out (only grids with n < 20 have any). It depends on the grid only."""
+    positions jittered with seed 0, as (k, n) stacks (A, B): field k is np.outer(A[k], B[k])
+    on grid.x, grid.y; one bump evaluation per axis. Fields that reach the two outer cell
+    rings are left out (only grids with n < 20 have any). It depends on the grid only."""
     cx, cy = grid.center
     hw = grid.half_width
     width = (_BANK_SCALE * hw)[:, None]
@@ -153,7 +153,7 @@ def default_test_bank(grid: CartesianGrid) -> list[tuple[np.ndarray, np.ndarray]
     A = _bump_profile((grid.x - (cx + _BANK_OX * hw + jx)[:, None]) / width)
     B = _bump_profile((grid.y - (cy + _BANK_OY * hw + jy)[:, None]) / width)
     keep = ~_reaches_boundary(A, B)
-    return list(zip(A[keep], B[keep]))
+    return A[keep], B[keep]
 
 
 def _reaches_boundary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -162,12 +162,13 @@ def _reaches_boundary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             | ((B[:, [0, 1, -2, -1]] != 0).any(axis=1) & (A != 0).any(axis=1)))
 
 
-def static_weak_residual(field: DensityField, test_bank: list[tuple[np.ndarray, np.ndarray]],
+def static_weak_residual(field: DensityField, test_bank: tuple[np.ndarray, np.ndarray],
                          _gf: tuple[np.ndarray, np.ndarray] | None = None) -> float:
     """Max over the bank of | sum rho g0(grad T, grad f) h^2 | / ||grad T||.
 
-    Each test field T = a(x) b(y) is given as its factor pair (a, b) and must
-    vanish near the grid boundary (compact support). grad T = (a' b, a b'), so
+    The bank is (k, n) stacks (A, B), as default_test_bank gives: each test
+    field T = a(x) b(y) is a row pair (a, b) and must vanish near the grid
+    boundary (compact support). grad T = (a' b, a b'), so
     the bank pairs with rho grad f in two matrix products, and ||grad T||^2 =
     (|a'|^2 |b|^2 + |a|^2 |b'|^2) h^2 comes from 1-D norms.
     """
@@ -177,9 +178,9 @@ def static_weak_residual(field: DensityField, test_bank: list[tuple[np.ndarray, 
         f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR)))
         _gf = grad_flat(f - field.potential().samples, grid)
     gfx, gfy = _gf
-    if not test_bank:
+    A, B = test_bank
+    if len(A) == 0:
         raise ValueError("empty test bank: a residual over no test field checks nothing")
-    A, B = (np.array(factors, dtype=float) for factors in zip(*test_bank))    # (k, n) each
     if np.any(_reaches_boundary(A, B)):
         raise ValueError("test field does not vanish near the grid boundary")
     dA, dB = diff_flat(A, grid, 1), diff_flat(B, grid, 1)

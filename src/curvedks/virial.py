@@ -36,19 +36,11 @@ class AuxSolveError(RuntimeError):
 
 
 def dilation_source(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
-    """Samples of 4 (x - x_g) . grad phi, x_g the grid centre, from the analytic gradient.
-
-    For the bump phi = A b(s), s = |x - c| / R, grad phi = A (b'(s) / s) (x - c) / R^2,
-    and b'(s) / s = -2 b(s) / (1 - s^2)^2 has no 0/0 at the bump centre. In
-    polar coordinates about x_g this is 4 r phi_r.
-    """
-    if phi.kind == "zero":
-        return np.zeros((grid.n, grid.n))
-    R2 = phi.support_radius ** 2
-    dx, dy = grid.x[:, None] - phi.center[0], grid.y[None, :] - phi.center[1]
-    q = np.maximum(1.0 - (dx * dx + dy * dy) / R2, 1e-300)    # 1 - s^2; phi = 0 where s >= 1
-    xdot = (grid.x[:, None] - grid.center[0]) * dx + (grid.y[None, :] - grid.center[1]) * dy
-    return -8.0 * phi.on_grid(grid) / q / q * xdot / R2
+    """Samples of 4 (x - x_g) . grad phi, x_g the grid centre: 4 r phi_r in polar coordinates."""
+    gx, gy = phi.grad(grid)
+    gx *= 4.0 * (grid.x[:, None] - grid.center[0])
+    gx += np.multiply(gy, 4.0 * (grid.y[None, :] - grid.center[1]), out=gy)
+    return gx
 
 
 def cutoff_function(R: float, grid: CartesianGrid) -> np.ndarray:

@@ -313,6 +313,35 @@ def test_energy_scan_subcommand(tmp_path, monkeypatch):
     assert payload["slope_fit"] == pytest.approx(-4 * np.pi, rel=0.05)
 
 
+def test_zero_amplitude_bump_scans_as_the_flat_factor(tmp_path, monkeypatch):
+    # an amplitude-0 bump is flat: lambda-scaled grids, and the rows of kind "zero"
+    rows = []
+    for i, phi in enumerate(({"kind": "zero"},
+                             {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0})):
+        (tmp_path / str(i)).mkdir()
+        rc, outdir = _run(tmp_path / str(i), "energy-scan",
+                          {"grid": {"half_width": 30.0, "n": 64}, "phi": phi,
+                           "lambdas": [0.05, 0.5, 5.0]}, monkeypatch)
+        assert rc == EXIT_OK
+        lines = (outdir / "energy_scan.csv").read_text().splitlines()
+        assert lines[0].startswith("# config_hash=")
+        rows.append(lines[1:])
+    assert rows[0] == rows[1] and len(rows[0]) == 4
+
+
+def test_zero_amplitude_bump_virial_skips_the_aux_solve(tmp_path, monkeypatch):
+    def refuse(problem, *args, **kwargs):
+        raise AssertionError("a flat factor needs no auxiliary solve")
+
+    monkeypatch.setattr(cli, "solve_aux_pde", refuse)
+    rc, outdir = _run(tmp_path, "virial",
+                      {"grid": {"half_width": 16.0, "n": 64},
+                       "phi": {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0},
+                       "radii": [4.0]}, monkeypatch)
+    assert rc == EXIT_OK
+    assert json.loads((outdir / "virial.json").read_text())["I3"] == 0.0
+
+
 def test_deficit_subcommand(tmp_path, monkeypatch):
     rc, outdir = _run(tmp_path, "deficit",
                       {"grid": {"half_width": 50.0, "n": 256}}, monkeypatch)

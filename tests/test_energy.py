@@ -211,6 +211,22 @@ def test_scan_flags_unresolved_rows(scan_grid):
             assert np.isnan(r.value) and np.isnan(r.tail_bound)
 
 
+@pytest.mark.parametrize("amp, x_star", [(-0.05, (0.0, 0.0)), (0.05, (1.5, -1.0))],
+                         ids=["negative-amplitude", "off-centre"])
+def test_scan_plateau_shift_is_phi_at_x_star(amp, x_star):
+    # the family concentrates at x_star, so the plateau moves by -16 pi phi(x_star): sup phi
+    # would predict no shift for the negative bump and 31% too much at the off-centre point
+    phi = ConformalFactor.radial_bump(amp, 4.0)
+    assert 0.0 != phi(*x_star) != max(amp, 0.0)
+    g = CartesianGrid(center=(0, 0), half_width=8.0, n=256)
+    lams = [0.01, 0.15, 0.2, 0.3, 0.5, 1.0]
+    curved = lambda_scan(8 * np.pi, phi, lams, grid=g, x_star=x_star)
+    flat = lambda_scan(8 * np.pi, ConformalFactor.zero(), lams, grid=g, x_star=x_star)
+    target = -16 * np.pi * float(phi(*x_star))
+    assert curved.predicted_plateau == flat.predicted_plateau + target
+    assert curved.plateau - flat.plateau == pytest.approx(target, rel=0.05)
+
+
 def test_scan_csv_export(tmp_path):
     lams = list(np.geomspace(0.05, 5.0, 5))
     tab = lambda_scan(8 * np.pi, ConformalFactor.zero(), lams, scaled_n=256)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +10,8 @@ from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, boundary_mask, conformal_area_element,
                                gauss_curvature, grad_flat, laplacian_flat)
 from curvedks.profiles import ScaledCauchyProfile
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "curvedks"
 
 
 def test_zero_factor_weights_are_flat(grid64, flat_phi):
@@ -207,3 +212,55 @@ def test_stencils_equal_edge_padded_formulas(rows, cols, half_width, seed):
                    - fp[1:-1, 2:]) / (g.h * g.h)
     assert _same_bits(gx, ref_gx) and _same_bits(gy, ref_gy)
     assert _same_bits(lap, ref_lap)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(amp=st.floats(0.01, 1.0), negative=st.booleans(), R=st.floats(0.3, 10.0),
+       cx=st.floats(0.5, 20.0), cy=st.floats(-20.0, -0.5),
+       bx=st.floats(-0.9, 0.9), by=st.floats(-0.9, 0.9))
+def test_grad_matches_central_differences_at_second_order(amp, negative, R, cx, cy, bx, by):
+    # on a grid centred off the origin, the analytic gradient and radial derivative
+    # agree with central differences of phi whose error quarters as the step halves
+    amp = -amp if negative else amp
+    g = CartesianGrid(center=(cx, cy), half_width=10.0, n=40)
+    c = (cx + 10.0 * bx, cy + 10.0 * by)
+    phi = ConformalFactor.radial_bump(amp, R, c)
+    X, Y = g.meshes()
+    gx, gy = phi.grad(g)
+    r = np.linspace(0.0, 1.2 * R, 301)
+    errs = []
+    for e in (0.01 * R, 0.005 * R):
+        ex = (phi(X + e, Y) - phi(X - e, Y)) / (2.0 * e) - gx
+        ey = (phi(X, Y + e) - phi(X, Y - e)) / (2.0 * e) - gy
+        along = (phi(c[0] + r + e, c[1]) - phi(c[0] + r - e, c[1])) / (2.0 * e)
+        errs.append((max(np.abs(ex).max(), np.abs(ey).max()),
+                     np.abs(along - phi.radial_derivative(r)).max()))
+    for coarse, fine in zip(*errs):
+        assert coarse <= 0.02 * abs(amp) / R
+        assert fine <= 0.3 * coarse
+    outside = np.hypot(X - c[0], Y - c[1]) >= R
+    assert np.all(gx[outside] == 0.0) and np.all(gy[outside] == 0.0)
+
+
+def test_zero_amplitude_bump_is_the_flat_factor(grid64):
+    flat, zero_bump = ConformalFactor.zero(), ConformalFactor.radial_bump(0.0, 3.0, (1.0, -2.0))
+    assert flat.is_flat and zero_bump.is_flat
+    assert not ConformalFactor.radial_bump(1e-3, 3.0).is_flat
+    X, Y = grid64.meshes()
+    zeros = np.zeros((grid64.n, grid64.n))
+    for phi in (flat, zero_bump):
+        assert _same_bits(phi.on_grid(grid64), zeros) and _same_bits(phi(X, Y), zeros)
+        assert all(_same_bits(d, zeros) for d in phi.grad(grid64))
+
+
+def test_only_geometry_reads_the_factor_fields():
+    # the factor's shape is geometry's decision: every other module asks the factor
+    # (is_flat, on_grid, grad) and reads neither a kind nor an amplitude
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("kind", "amplitude"):
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []

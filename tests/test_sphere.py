@@ -201,7 +201,7 @@ def radial_obstruction(phi: ConformalFactor, u: SphereField,
     """
     if not phi.is_radial():
         raise ValueError("radial_obstruction requires a radial conformal factor")
-    if tuple(phi.center) != tuple(smap.x_star) and phi.kind != "zero":
+    if tuple(phi.center) != tuple(smap.x_star) and not phi.is_flat:
         raise ValueError("conformal factor must be radial about the map center")
     grid = u.grid
     theta = grid.theta

@@ -99,7 +99,7 @@ def test_scaling_coherence(flat_phi):
 
 
 def test_weak_residual_zero_test_field(exact_field):
-    assert static_weak_residual(exact_field, [(np.zeros(256), np.zeros(256))]) == 0.0
+    assert static_weak_residual(exact_field, (np.zeros((1, 256)), np.zeros((1, 256)))) == 0.0
 
 
 def test_weak_residual_small_for_exact_solution(exact_field):
@@ -129,15 +129,15 @@ def test_weak_residual_grows_with_noise(flat_phi):
 
 
 def test_weak_residual_rejects_boundary_supported_test(exact_field):
-    bad = (np.ones(256), np.ones(256))
+    bad = (np.ones((1, 256)), np.ones((1, 256)))
     with pytest.raises(ValueError):
-        static_weak_residual(exact_field, [bad])
+        static_weak_residual(exact_field, bad)
 
 
 def test_weak_residual_rejects_empty_bank(exact_field):
     # a maximum over no test field would report 0 having checked nothing
     with pytest.raises(ValueError, match="empty test bank"):
-        static_weak_residual(exact_field, [])
+        static_weak_residual(exact_field, (np.zeros((0, 256)), np.zeros((0, 256))))
 
 
 def _mesh_test_bank(grid):
@@ -166,8 +166,8 @@ def test_factored_weak_residual_matches_per_field_formula(n, phi):
     fld = density_from_profile(8 * np.pi, 1.0, (1.0, -0.5), phi, g)
     bank = default_test_bank(g)
     fields = _mesh_test_bank(g)
-    assert len(bank) == len(fields) == 27
-    for (a, b), T in zip(bank, fields):
+    assert len(bank[0]) == len(bank[1]) == len(fields) == 27
+    for a, b, T in zip(*bank, fields):
         assert np.array_equal(np.outer(a, b), T)
     # per-field reference: 2-D gradients of each field, 2-D sums
     f = np.log(fld.samples) - fld.potential().samples
@@ -190,9 +190,9 @@ def test_default_bank_vanishes_near_the_boundary_on_every_grid(flat_phi):
         bank = default_test_bank(g)
         ring = boundary_mask(g, layers=2)
         kept = [T for T in _mesh_test_bank(g) if not T[ring].any()]
-        assert len(bank) == len(kept) > 0
-        assert n < 20 or len(bank) == 27
-        for (a, b), T in zip(bank, kept):
+        assert len(bank[0]) == len(bank[1]) == len(kept) > 0
+        assert n < 20 or len(bank[0]) == 27
+        for a, b, T in zip(*bank, kept):
             assert np.array_equal(np.outer(a, b), T)
         fld = density_from_profile(8 * np.pi, 1.0, (1.0, -0.5), flat_phi, g)
         assert np.isfinite(static_weak_residual(fld, bank))
