@@ -26,7 +26,7 @@ from .energy import lambda_scan, log_hls_deficit
 from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
                    run_flow, snapshot_writer, virial_rate)
 from .geometry import ConformalFactor
-from .potential import coulomb_energy, newtonian_potential
+from .potential import coulomb_energy, estimate_tail, newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
                        mu_entropy_identity, mu_potential_identity)
 from .sphere import nonexistence_certificate
@@ -257,7 +257,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
     failed = False
     for lam in cfg["lambdas"]:
         lam = float(lam)
-        mu = ScaledCauchyProfile(lam=lam, normalization="mu")
+        mu = ScaledCauchyProfile(lam=lam)
         m = 8.0 * np.pi
 
         # entropy on the acceptance suite's criterion-1 layout: the integrand
@@ -285,7 +285,7 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
             "lambda": lam,
             "entropy": {"closed_form": closed_e, "numeric": numeric_e,
                         "error": abs(numeric_e - closed_e) / max(abs(closed_e), 1e-30),
-                        "tail_bound": cfield.tail.bound},
+                        "tail_bound": estimate_tail(samples, grid).bound},
             "potential_probes": [
                 {"closed_form": cp, "numeric": nu,
                  "error": abs(nu - cp) / max(abs(cp), 1e-30)}
@@ -396,10 +396,10 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     _require_positive(cfg, "sigma")
     if cfg["initial"] == "gaussian":
         grid, phi = _grid(cfg), _phi(cfg)
-        X, Y = grid.meshes()
+        cx, cy = grid.center
         sigma = cfg["sigma"]
         rho = cfg["mass"] / (2.0 * np.pi * sigma**2) * np.exp(
-            -(X**2 + Y**2) / (2.0 * sigma**2))
+            -((grid.x[:, None] - cx) ** 2 + (grid.y[None, :] - cy) ** 2) / (2.0 * sigma**2))
         rho *= cfg["mass"] / (np.sum(rho * np.exp(2.0 * phi.on_grid(grid))) * grid.cell_area)
         field = DensityField(grid=grid, samples=rho, phi=phi)
     elif cfg["initial"] == "profile":
@@ -410,7 +410,7 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     outdir = _outdir(cfg)
     with snapshot_writer(os.path.join(outdir, "flow_snapshots.npy"), field.grid.n) as append:
         final, diag = run_flow(field, cfg["t_end"], dt=dt, snapshot_every=cfg["snapshot_every"],
-                               with_energy=True, on_snapshot=lambda s: append(s.field.samples))
+                               on_snapshot=lambda s: append(s.field.samples))
     diagnostics_to_csv(diag, os.path.join(outdir, "flow_diagnostics.csv"),
                        meta=f"config_hash={cfg_hash}")
     payload = {"steps": final.step_count, "t_final": final.t,

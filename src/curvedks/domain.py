@@ -110,13 +110,12 @@ class SphereGrid:
     Gauss-Legendre abscissas of t = sin(theta), and psi uniform on [0, 2pi).
     The weight of node (k, l) is glw_k * 2pi/n_lon, so constants integrate
     to 4pi exactly and polynomials of degree <= 2*n_lat - 1 in sin(theta)
-    are integrated exactly. Grids of one n_lat share the read-only t, glw
-    and theta arrays.
+    are integrated exactly. Grids of one n_lat share the read-only glw and
+    theta arrays.
     """
 
     n_lat: int
     n_lon: int
-    t: np.ndarray = field(init=False, repr=False)       # sin(latitude) nodes
     glw: np.ndarray = field(init=False, repr=False)     # Gauss-Legendre weights
     theta: np.ndarray = field(init=False, repr=False)   # latitude
     psi: np.ndarray = field(init=False, repr=False)     # azimuth
@@ -127,7 +126,7 @@ class SphereGrid:
         if self.n_lon < 8 or self.n_lon % 2 != 0:
             # even n_lon so the across-pole mirror lands on grid nodes
             raise ValueError(f"n_lon must be even and >= 8, got {self.n_lon}")
-        self.t, self.glw, self.theta = _latitude_nodes(self.n_lat)
+        self.glw, self.theta = _latitude_nodes(self.n_lat)
         self.psi = 2.0 * np.pi * np.arange(self.n_lon) / self.n_lon
 
     def node_weights(self) -> np.ndarray:
@@ -144,14 +143,14 @@ class SphereGrid:
 
 
 @lru_cache(maxsize=16)
-def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes t, weights and latitudes arcsin(t), read-only.
+def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre weights and latitudes arcsin(t) of the nodes t, read-only.
 
     leggauss is an O(n^3) eigensolve (about 0.13 s at n_lat = 1024), so grids
     of one n_lat share one set of node arrays.
     """
     t, glw = np.polynomial.legendre.leggauss(n_lat)
-    nodes = (t, glw, np.arcsin(t))
+    nodes = (glw, np.arcsin(t))
     for a in nodes:
         a.flags.writeable = False
     return nodes

@@ -94,7 +94,7 @@ def log_hls_deficit(field: DensityField, lam: float,
     """
     grid = field.grid
     m = field.mass
-    mu = ScaledCauchyProfile(lam=lam, x_star=x_star, normalization="mu").on_grid(grid)
+    mu = ScaledCauchyProfile(lam=lam, x_star=x_star).on_grid(grid)
     phis = field.phi.on_grid(grid)
     ref = m * mu * np.exp(-2.0 * phis)
     rho = field.samples

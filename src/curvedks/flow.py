@@ -36,6 +36,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from .domain import write_csv
+from .energy import free_energy
 from .potential import PotentialField, lattice_potential
 from .stationary import DensityField
 
@@ -233,14 +234,13 @@ def flow_step(state: FlowState) -> FlowState:
     q = np.multiply(rho_new, new_field.area_weights, out=div)
     if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
-    c_new = PotentialField(grid=field.grid, samples=lattice_potential(q, field.grid, c.method),
-                           mass_used=mass, method=c.method, rho=rho_new)
+    c_new = PotentialField(field.grid, lattice_potential(q, field.grid))
     return replace(state, t=state.t + state.dt, field=new_field, c=c_new,
                    step_count=state.step_count + 1)
 
 
 def run_flow(field: DensityField, t_end: float, dt: float | None = None,
-             snapshot_every: int = 1, with_energy: bool = False, max_steps: int = 10**6,
+             snapshot_every: int = 1, max_steps: int = 10**6,
              on_snapshot=lambda state: None) -> tuple[FlowState, FlowDiagnostics]:
     """March to t_end; the first and every snapshot_every-th state go to diag and on_snapshot.
 
@@ -254,7 +254,7 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt)
     diag = FlowDiagnostics(phi_is_flat=field.phi.is_flat)
-    _record(diag, state, with_energy, on_snapshot)
+    _record(diag, state, on_snapshot)
     while state.t < t_end:
         if state.step_count >= max_steps:
             raise StepLimitReached(f"{max_steps} steps reached t = {state.t:.6g}, "
@@ -267,20 +267,16 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
             last = flow_step(replace(state, dt=remaining))
             state = replace(last, t=t_end, dt=state.dt)
         if state.step_count % snapshot_every == 0:
-            _record(diag, state, with_energy, on_snapshot)
+            _record(diag, state, on_snapshot)
     return state, diag
 
 
-def _record(diag: FlowDiagnostics, state: FlowState, with_energy: bool, on_snapshot) -> None:
+def _record(diag: FlowDiagnostics, state: FlowState, on_snapshot) -> None:
     on_snapshot(state)
     diag.t.append(state.t)
     diag.mass.append(state.field.mass)
     diag.second_moment.append(second_moment(state.field))
-    if with_energy:
-        from .energy import free_energy
-        diag.free_energy.append(free_energy(state.field, c=state.c.samples).total)
-    else:
-        diag.free_energy.append(float("nan"))
+    diag.free_energy.append(free_energy(state.field, c=state.c.samples).total)
 
 
 def virial_rate(diag: FlowDiagnostics) -> tuple[float, float]:

@@ -61,8 +61,8 @@ class ConformalFactor:
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-        if self.is_flat:
-            return np.zeros(np.broadcast(X, Y).shape)
+        if self.is_flat:     # amplitude * 0, as off the support: -0.0 for amplitude -0.0
+            return np.full(np.broadcast(X, Y).shape, 0.0 * self.amplitude)
         r = np.hypot(X - self.center[0], Y - self.center[1])
         return self.amplitude * _bump_profile(r / self.support_radius)
 
@@ -74,10 +74,10 @@ class ConformalFactor:
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
         """phi at the cell centres, from the broadcast axes, evaluated only on the support
         box. Off it r >= R, so phi is amplitude * 0 there (-0.0 for a negative amplitude)."""
-        if self.is_flat:
-            return np.zeros((grid.n, grid.n))
-        box = self._box(grid)
         out = np.full((grid.n, grid.n), 0.0 * self.amplitude)
+        if self.is_flat:
+            return out
+        box = self._box(grid)
         out[box] = self(grid.x[box[0]], grid.y[box[1]])
         return out
 
@@ -91,11 +91,6 @@ class ConformalFactor:
         k = self._slope(dx * dx + dy * dy, self(grid.x[box[0]], grid.y[box[1]]))
         gx[box], gy[box] = k * dx, k * dy
         return gx, gy
-
-    def radial_derivative(self, r: np.ndarray) -> np.ndarray:
-        """d phi / dr at distance r >= 0 from the centre."""
-        r = np.asarray(r, dtype=float)
-        return r * self._slope(r * r, self.amplitude * _bump_profile(r / self.support_radius))
 
     def _slope(self, r2: np.ndarray, phi: np.ndarray) -> np.ndarray:
         """(d phi / dr) / r from r^2 and phi there: b'(s) / s = -2 b / (1 - s^2)^2 has no 0/0."""

@@ -18,13 +18,13 @@ applied to the sum, exactly: G(h x) = G(x) - ln h / 2pi and W(h)/h^2 + ln h / 2p
 is h-independent, so at spacing h the log sum shifts by -(ln h / 2pi) sum q, and
 the gradient sum scales by 1/h. A Coulomb self-energy (q, G q) that needs no
 potential is taken by Parseval from the forward transforms alone (coulomb_energy).
-The truncation tail of a potential is estimated from its density on first read of
-PotentialField.tail, so callers that never read it never pay for it.
+A potential carries no truncation tail: a caller that reports one fits it from the
+density with estimate_tail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -110,21 +110,10 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
 
 @dataclass
 class PotentialField:
-    """Sampled Newtonian potential with the quadrature metadata that made it.
-
-    rho is the density the potential was computed from (the caller's array,
-    not a copy); the truncation tail is estimated from it on first read.
-    """
+    """Sampled Newtonian potential on its grid."""
 
     grid: CartesianGrid
     samples: np.ndarray
-    mass_used: float
-    method: str
-    rho: np.ndarray = field(repr=False)
-
-    @cached_property
-    def tail(self) -> TruncationReport:
-        return estimate_tail(self.rho, self.grid)
 
     @cached_property
     def face_gradients(self) -> tuple[np.ndarray, np.ndarray]:
@@ -279,9 +268,7 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
     if rho.shape != (grid.n, grid.n):
         raise ValueError("density shape does not match grid")
     q = conformal_area_element(phi, grid, rho)
-    c = lattice_potential(q, grid, method=method)
-    return PotentialField(grid=grid, samples=c, mass_used=float(q.sum()), method=method,
-                          rho=rho)
+    return PotentialField(grid, lattice_potential(q, grid, method=method))
 
 
 def coulomb_energy(q: np.ndarray, grid: CartesianGrid) -> float:

@@ -3,8 +3,8 @@
 These closed forms are the exact oracles used throughout the test suite:
 the unit-mass profile mu has an explicit entropy, an explicit logarithmic
 potential, and an explicit Coulomb self-energy, all elementary to derive by
-radial integration. The mass-8pi normalization rho = 8pi mu is the explicit
-stationary family of the flat problem.
+radial integration. Its mass-8pi multiple rho = 8pi mu, which callers form as
+8.0 * np.pi * profile(...), is the explicit stationary family of the flat problem.
 """
 
 from __future__ import annotations
@@ -18,33 +18,21 @@ from .domain import CartesianGrid
 
 @dataclass(frozen=True)
 class ScaledCauchyProfile:
-    """Profile lambda^2 / (pi (lambda^2 + |x - x_star|^2)^2), optionally times 8pi.
-
-    normalization "mu" integrates to 1 over the flat plane; "rho" is the
-    8pi-mass variant 8 lambda^2 / (lambda^2 + |x - x_star|^2)^2.
-    """
+    """Unit-mass profile mu = lambda^2 / (pi (lambda^2 + |x - x_star|^2)^2) of the flat plane."""
 
     lam: float
     x_star: tuple[float, float] = (0.0, 0.0)
-    normalization: str = "mu"
 
     def __post_init__(self):
         if not self.lam > 0:
             raise ValueError("profile scale must be positive")
-        if self.normalization not in ("mu", "rho"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-
-    @property
-    def mass(self) -> float:
-        return 1.0 if self.normalization == "mu" else 8.0 * np.pi
 
     def __call__(self, X, Y) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         d2 = (X - self.x_star[0]) ** 2 + (Y - self.x_star[1]) ** 2
         lam2 = self.lam * self.lam
-        mu = lam2 / (np.pi * (lam2 + d2) ** 2)
-        return mu if self.normalization == "mu" else 8.0 * np.pi * mu
+        return lam2 / (np.pi * (lam2 + d2) ** 2)
 
     def on_grid(self, grid: CartesianGrid) -> np.ndarray:
         """Profile at the cell centres, from the broadcast axes x[:, None], y[None, :]."""

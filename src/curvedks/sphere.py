@@ -47,13 +47,6 @@ class StereographicMap:
         r = self.plane_radius(theta)
         return (self.x_star[0] + r * np.cos(psi), self.x_star[1] + r * np.sin(psi))
 
-    def to_sphere(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dx = np.asarray(x, dtype=float) - self.x_star[0]
-        dy = np.asarray(y, dtype=float) - self.x_star[1]
-        r = np.hypot(dx, dy)
-        theta = 2.0 * np.arctan(r / self.lam) - np.pi / 2.0
-        return theta, np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
-
 
 @dataclass
 class SphereField:
@@ -140,7 +133,6 @@ def degree_one_harmonic(grid: SphereGrid, index: int) -> SphereField:
 @dataclass
 class TransportReport:
     cap_fraction: float       # quadrature-weight fraction extrapolated past the grid
-    envelope_K: float
 
 
 def transport_to_sphere(field: DensityField, phi: ConformalFactor,
@@ -170,8 +162,7 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
     # bilinear interpolation is far better conditioned than on rho itself
     log_rho = np.log(np.maximum(field.samples, RHO_FLOOR))
     log_interp = g.interpolate(log_rho, X, Y)
-    ref = ScaledCauchyProfile(lam=smap.lam, x_star=smap.x_star, normalization="rho")
-    rho_ref = ref(X, Y)
+    rho_ref = 8.0 * np.pi * ScaledCauchyProfile(lam=smap.lam, x_star=smap.x_star)(X, Y)
 
     # envelope for the cap: rho ~ K (1 + r^2)^(-m/4pi)
     ann = AnnulusSpec(R=0.45 * g.half_width, ratio=2.0)
@@ -185,7 +176,7 @@ def transport_to_sphere(field: DensityField, phi: ConformalFactor,
 
     u = SphereField(grid=sgrid, values=u_vals, role="u")
     h = SphereField(grid=sgrid, values=h_vals, role="h")
-    return u, h, TransportReport(cap_fraction=cap_fraction, envelope_K=env.K_best)
+    return u, h, TransportReport(cap_fraction=cap_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +285,8 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
     obstructions = {"u=0": float(np.sum(weight))}
     x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])
-    den = ScaledCauchyProfile(lam=lam, x_star=smap.x_star, normalization="rho")(x, y)
+    den = 8.0 * np.pi * ScaledCauchyProfile(lam=lam, x_star=smap.x_star)(x, y)
     for s in CERTIFICATE_SCALES:    # e^{2u} of the transported rho_{s*lam} against rho_lam
-        num = ScaledCauchyProfile(lam=s * lam, x_star=smap.x_star, normalization="rho")
-        obstructions[f"scale x{s:g}"] = float(np.sum(weight * num(x, y) / den))
+        num = 8.0 * np.pi * ScaledCauchyProfile(lam=s * lam, x_star=smap.x_star)(x, y)
+        obstructions[f"scale x{s:g}"] = float(np.sum(weight * num / den))
     return CertificateReport(True, "monotone radial flank", flank_sign, obstructions)

@@ -92,7 +92,7 @@ def density_from_profile(m: float, lam: float, x_star: tuple[float, float],
     Represented through the profile and phi (never premultiplied samples of a
     product grid), so the curved-mass quadrature reduces to the flat one.
     """
-    mu = ScaledCauchyProfile(lam=lam, x_star=x_star, normalization="mu").on_grid(grid)
+    mu = ScaledCauchyProfile(lam=lam, x_star=x_star).on_grid(grid)
     rho = m * mu * np.exp(-2.0 * phi.on_grid(grid))
     return DensityField(grid=grid, samples=rho, phi=phi)
 
@@ -119,21 +119,21 @@ def reduced_residual(field: DensityField, probe_frac: float = 0.4) -> ResidualRe
     probe = (field.grid.radius() <= probe_frac * field.grid.half_width) & ~low & ~bmask
     if probe.sum() == 0:
         raise MaskedDensityError("no usable interior cells: field is all-masked")
-    cfield = field.potential()
-    f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR))) - cfield.samples
+    c = field.potential().samples
+    f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR))) - c
 
     gx, gy = grad_flat(f, field.grid)
     dens = np.where(low | bmask, 0.0, field.samples)
     red = float(np.sqrt(np.sum(dens * (gx**2 + gy**2)) * field.grid.cell_area))
 
     fv = f[probe]
-    weak = static_weak_residual(field, default_test_bank(field.grid), _gf=(gx, gy))
+    weak = static_weak_residual(field, default_test_bank(field.grid), (gx, gy))
     return ResidualReport(reduced_residual_L2=red,
                           f_constant=float(fv.mean()),
                           f_variation=float(fv.max() - fv.min()),
                           static_residual_L2=weak,
                           n_masked_low=int(low.sum()),
-                          tail=cfield.tail)
+                          tail=estimate_tail(field.samples, field.grid))
 
 
 # default_test_bank's 27 widths and 3 x 3 lattice offsets, in half-widths
@@ -163,9 +163,10 @@ def _reaches_boundary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def static_weak_residual(field: DensityField, test_bank: tuple[np.ndarray, np.ndarray],
-                         _gf: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+                         grad_f: tuple[np.ndarray, np.ndarray]) -> float:
     """Max over the bank of | sum rho g0(grad T, grad f) h^2 | / ||grad T||.
 
+    grad_f is the flat gradient of f = ln rho - c, as reduced_residual forms it.
     The bank is (k, n) stacks (A, B), as default_test_bank gives: each test
     field T = a(x) b(y) is a row pair (a, b) and must vanish near the grid
     boundary (compact support). grad T = (a' b, a b'), so
@@ -173,11 +174,7 @@ def static_weak_residual(field: DensityField, test_bank: tuple[np.ndarray, np.nd
     (|a'|^2 |b|^2 + |a|^2 |b'|^2) h^2 comes from 1-D norms.
     """
     grid = field.grid
-    if _gf is None:     # grad f, f = ln rho - c as in reduced_residual
-        low = field.samples <= RHO_FLOOR
-        f = np.where(low, 0.0, np.log(np.maximum(field.samples, RHO_FLOOR)))
-        _gf = grad_flat(f - field.potential().samples, grid)
-    gfx, gfy = _gf
+    gfx, gfy = grad_f
     A, B = test_bank
     if len(A) == 0:
         raise ValueError("empty test bank: a residual over no test field checks nothing")
@@ -225,8 +222,6 @@ class MembershipReport:
 
     mass: float
     entropy: float
-    zero_fraction: float
-    tail: TruncationReport
     positive_ae: bool
     finite_mass: bool
     finite_entropy: bool
@@ -238,15 +233,12 @@ class MembershipReport:
                 and self.potential_defined)
 
 
-def membership_check(field: DensityField, tail: TruncationReport | None = None) -> MembershipReport:
-    """Positivity a.e., finite mass and entropy, and a finite tail (fitted unless given)."""
-    rho = field.samples
-    zero_fraction = float(np.mean(rho <= RHO_FLOOR))
+def membership_check(field: DensityField, tail: TruncationReport) -> MembershipReport:
+    """Positivity a.e., finite mass and entropy, and a finite tail (estimate_tail's fit)."""
+    zero_fraction = float(np.mean(field.samples <= RHO_FLOOR))
     mass = field.mass
     entropy = field.entropy_abs
-    tail = estimate_tail(rho, field.grid) if tail is None else tail
-    return MembershipReport(mass=mass, entropy=entropy, zero_fraction=zero_fraction,
-                            tail=tail,
+    return MembershipReport(mass=mass, entropy=entropy,
                             positive_ae=zero_fraction <= ZERO_FRACTION_TOLERANCE,
                             finite_mass=bool(np.isfinite(mass) and mass > 0),
                             finite_entropy=bool(np.isfinite(entropy)),

@@ -4,7 +4,7 @@ The assembly pairs the reduced equation against cut-off dilation fields and
 splits the result into
 
     I1(R) = int chi_R rho dA_phi                      -> m,
-    I2(R) = int chi_R rho (x . grad c) dA_phi         -> -m^2 / 4pi,
+    I2(R) = int chi_R rho ((x - x_g) . grad c) dA_phi -> -m^2 / 4pi,
     I3(R) = int chi_R rho (4 r phi_r - Delta_phi f - g_phi(df, dc)) dA0,
 
 so 4 I1 + 2 I2 + I3 tends to 4m - m^2/2pi. For a flat factor that limit holds
@@ -71,32 +71,6 @@ class WeightedEllipticProblem:
     def build(cls, rho: DensityField) -> "WeightedEllipticProblem":
         return cls(phi=rho.phi, rho=rho, c=rho.potential(),
                    rhs=dilation_source(rho.phi, rho.grid))
-
-    def norm_sq(self, psi: np.ndarray) -> float:
-        """|| psi ||^2 = || grad psi ||^2_{L2(g_phi)} + 1/2 || sqrt(rho) psi ||^2_{L2(g_phi)}.
-
-        The gradient part is conformally invariant in two dimensions, so it
-        is the flat Dirichlet energy; the zeroth-order part carries e^{2 phi}.
-        """
-        grid = self.rho.grid
-        gx, gy = grad_flat(psi, grid)
-        dirichlet = np.sum(gx**2 + gy**2) * grid.cell_area
-        weighted = np.sum(self.rho.samples * psi**2 * self.rho.area_weights)
-        return float(dirichlet + 0.5 * weighted)
-
-    def bilinear(self, f: np.ndarray, psi: np.ndarray) -> float:
-        """B(f, psi) = <d psi, d f>_{L2(g_phi)} + int psi g_phi(df, dc) dA_phi."""
-        grid = self.rho.grid
-        gfx, gfy = grad_flat(f, grid)
-        gpx, gpy = grad_flat(psi, grid)
-        gcx, gcy = grad_flat(self.c.samples, grid)
-        first = np.sum(gpx * gfx + gpy * gfy) * grid.cell_area
-        second = np.sum(psi * (gfx * gcx + gfy * gcy)) * grid.cell_area
-        return float(first + second)
-
-    def functional(self, psi: np.ndarray) -> float:
-        """Phi(psi) = int psi (4 r phi_r) dA_phi."""
-        return float(np.sum(psi * self.rhs * self.rho.area_weights))
 
 
 def _stencil_operators(problem: WeightedEllipticProblem) -> sparse.csc_matrix:
@@ -210,9 +184,8 @@ def assemble_virial(rho: DensityField, R_list,
     grid = rho.grid
     w_phi = rho.area_weights
     gcx, gcy = potential_gradient(rho)
-    X, Y = grid.meshes()
-    xdot = X * gcx + Y * gcy
-    del X, Y
+    # (x - x_g) . grad c about the grid centre x_g, as the cutoff and dilation_source are
+    xdot = (grid.x - grid.center[0])[:, None] * gcx + (grid.y - grid.center[1])[None, :] * gcy
 
     if f is None:
         f = np.zeros((grid.n, grid.n))

@@ -56,6 +56,18 @@ def meshgrid_offset_table(kind, n):
     return KX, KY
 
 
+def radial_derivative(phi, r):
+    """Oracle for ConformalFactor.grad: d phi / dr of the bump A exp(1 - 1/(1 - s^2)),
+    s = r / R, in closed form: -2 A s exp(1 - 1/(1 - s^2)) / (R (1 - s^2)^2) on s < 1, else 0."""
+    s = np.asarray(r, dtype=float) / phi.support_radius
+    out = np.zeros_like(s)
+    inside = s < 1.0
+    q = 1.0 - s[inside] ** 2
+    out[inside] = (-2.0 * phi.amplitude * s[inside] * np.exp(1.0 - 1.0 / q)
+                   / (phi.support_radius * q * q))
+    return out
+
+
 def direct_gradient(rho):
     """Oracle for virial.potential_gradient: O(N^2) block-Toeplitz sums over the full-mesh
     gradient tables, divided by the spacing h."""

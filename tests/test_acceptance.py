@@ -41,14 +41,14 @@ def test_criterion_1_mu_identity_suite():
         # entropy, n = 1024 single integral on a lambda-proportional domain
         g = CartesianGrid(center=(0, 0), half_width=250.0 * lam, n=1024)
         m = 8 * np.pi
-        vals = m * ScaledCauchyProfile(lam=lam, normalization="mu").on_grid(g)
+        vals = m * ScaledCauchyProfile(lam=lam).on_grid(g)
         numeric = g.integrate(vals * np.log(vals))
         closed = mu_entropy_identity(m, lam)
         worst = max(worst, abs(numeric - closed) / abs(closed))
 
         # potential at 5 probe points, n = 1024
         gp = CartesianGrid(center=(0, 0), half_width=60.0 * max(1.0, lam), n=1024)
-        mu = ScaledCauchyProfile(lam=lam, normalization="mu").on_grid(gp)
+        mu = ScaledCauchyProfile(lam=lam).on_grid(gp)
         c = newtonian_potential(mu, FLAT, gp)
         for rfrac in (1.5, 2.0, 3.0, 5.0, 8.0):
             i = int(np.argmin(np.abs(gp.x - lam * rfrac)))
@@ -58,7 +58,7 @@ def test_criterion_1_mu_identity_suite():
 
         # Coulomb double integral, n = 512, lambda-proportional domain
         gd = CartesianGrid(center=(0, 0), half_width=60.0 * lam, n=512)
-        mud = ScaledCauchyProfile(lam=lam, normalization="mu").on_grid(gd)
+        mud = ScaledCauchyProfile(lam=lam).on_grid(gd)
         cd = newtonian_potential(mud, FLAT, gd)
         numeric_c = float(np.sum(mud * cd.samples) * gd.cell_area)
         closed_c = mu_coulomb_identity(lam)
@@ -262,7 +262,7 @@ def test_criterion_8_flow_diagnostics():
     rho8 = m / (2 * np.pi) * np.exp(-(X8**2 + Y8**2) / 2)
     rho8 *= m / (np.sum(rho8) * g128.cell_area)
     _, diag = run_flow(DensityField(grid=g128, samples=rho8, phi=FLAT),
-                       0.03, snapshot_every=2, with_energy=True)
+                       0.03, snapshot_every=2)
     F = diag.free_energy
     rise = max(b - a for a, b in zip(F, F[1:]))
     monotone = rise <= 1e-3 * max(abs(v) for v in F)    # largest rise within 1e-3 of max |F|

@@ -214,6 +214,21 @@ def test_flow_subcommand(tmp_path, monkeypatch):
     assert np.array_equal(stack[0], initial.samples)
 
 
+def test_flow_gaussian_is_centred_on_the_grid(tmp_path, monkeypatch):
+    # the initial Gaussian sits at the grid centre wherever the grid is: off the
+    # origin it peaks at the centre cells and matches the centred run's density
+    stacks = []
+    for centre in ([0.0, 0.0], [40.0, 0.0]):
+        (tmp_path / str(centre[0])).mkdir()
+        rc, outdir = _run(tmp_path / str(centre[0]), "flow",
+                          {"grid": {"center": centre, "n": 32}, "t_end": 0.001}, monkeypatch)
+        assert rc == EXIT_OK
+        stacks.append(np.load(outdir / "flow_snapshots.npy")[0])
+    peak = np.unravel_index(np.argmax(stacks[1]), stacks[1].shape)
+    assert set(peak) <= {15, 16}
+    assert np.allclose(stacks[1], stacks[0], rtol=1e-9, atol=0.0)
+
+
 def test_flow_snapshots_are_the_run_states_and_rerun_identically(tmp_path, monkeypatch):
     # slice k is snapshot k, bit for bit, paired with diagnostics row k, and a
     # rerun of the same config writes the same bytes

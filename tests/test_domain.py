@@ -42,7 +42,7 @@ def test_unit_mass_profile_integral():
     # truncation tail of the unit-mass profile is lam^2/(pi R^2)-order;
     # at half_width 200 that is ~8e-6, far below the 1e-3 target
     g = CartesianGrid((0, 0), 200.0, 2048)
-    mu = ScaledCauchyProfile(lam=1.0, normalization="mu")
+    mu = ScaledCauchyProfile(lam=1.0)
     total = g.integrate(mu.on_grid(g))
     assert total == pytest.approx(1.0, abs=1e-3)
 
@@ -87,12 +87,13 @@ def test_sphere_sin_squared():
 
 def test_sphere_grids_share_read_only_nodes():
     a, b = SphereGrid(48, 96), SphereGrid(48, 16)
-    for name in ("t", "glw", "theta"):
+    for name in ("glw", "theta"):
         assert getattr(a, name) is getattr(b, name)
         with pytest.raises(ValueError):
             getattr(a, name)[0] = 0.0
-    assert SphereGrid(50, 96).t is not a.t
-    assert np.array_equal(a.t, np.polynomial.legendre.leggauss(48)[0])
+    assert SphereGrid(50, 96).glw is not a.glw
+    t, glw = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(a.glw, glw) and np.array_equal(a.theta, np.arcsin(t))
 
 
 @pytest.mark.parametrize("n_lat,n_lon", [(3, 16), (8, 7), (8, 9)])

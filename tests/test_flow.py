@@ -49,8 +49,8 @@ def test_flow_step_at_cfl_dt_property(k, half_width, curved, amplitude, support,
     state = flow_step(replace(state, dt=cfl_bound(fld, state.c, state.min_e2phi)))
     new = state.field
     assert abs(new.mass - fld.mass) <= 1e-12 * fld.mass
-    # the step's one mass sum is the field's and the potential's own
-    assert new.mass == state.c.mass_used == float(np.sum(new.samples * new.area_weights))
+    # the stored mass is the curved sum of the new samples
+    assert new.mass == float(np.sum(new.samples * new.area_weights))
     assert new.samples.min() >= 0.0
     ref = new.potential(method="fft").samples
     assert np.max(np.abs(state.c.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -161,7 +161,7 @@ def test_virial_rate_refuses_curved_runs():
 def test_free_energy_dissipates():
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = _gaussian_field(g, 4 * np.pi)
-    _, diag = run_flow(fld, 0.03, snapshot_every=2, with_energy=True)
+    _, diag = run_flow(fld, 0.03, snapshot_every=2)
     F = diag.free_energy
     assert max(np.diff(F)) <= 1e-3 * max(np.abs(F))    # no rise beyond 1e-3 of max |F|
     assert F[-1] < F[0]
@@ -170,7 +170,7 @@ def test_free_energy_dissipates():
 def test_stationary_energy_nearly_constant(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=15.0, n=128)
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), flat_phi, g)
-    _, diag = run_flow(fld, 0.01, snapshot_every=2, with_energy=True)
+    _, diag = run_flow(fld, 0.01, snapshot_every=2)
     F = diag.free_energy
     per_step = (max(F) - min(F)) / max(len(F) - 1, 1)
     assert per_step <= 1e-3 * abs(F[0])
@@ -374,7 +374,7 @@ def test_recorded_free_energy_reuses_step_potential(monkeypatch):
     monkeypatch.setattr(energy, "lattice_potential",
                         lambda *a, **k: sums.append(1) or potential.lattice_potential(*a, **k))
     snaps = []
-    _, diag = run_flow(fld, 0.01, snapshot_every=2, with_energy=True, on_snapshot=snaps.append)
+    _, diag = run_flow(fld, 0.01, snapshot_every=2, on_snapshot=snaps.append)
     assert sums == []     # the energy pairs the charges with the step's own potential
     monkeypatch.undo()
     assert len(diag.free_energy) == len(snaps)
@@ -386,13 +386,15 @@ def test_flow_sums_by_fft_at_every_grid_size():
     # the engine's default path is FFT at every grid size, small ones included
     for n in (8, 96):
         small = _gaussian_field(CartesianGrid(center=(0, 0), half_width=10.0, n=n), 4 * np.pi)
-        assert potential.newtonian_potential(small.samples, small.phi, small.grid).method == "fft"
+        q = small.samples * small.area_weights
+        assert np.array_equal(potential.newtonian_potential(small.samples, small.phi,
+                                                            small.grid).samples,
+                              potential.lattice_potential(q, small.grid, "fft"))
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
     snaps = []
     run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1, on_snapshot=snaps.append)
     assert len(snaps) > 2
     for s in snaps:
-        assert s.c.method == "fft"
         q = s.field.samples * s.field.area_weights
         assert np.array_equal(s.c.samples, potential.lattice_potential(q, g, "fft"))
 
@@ -401,7 +403,7 @@ def test_diagnostics_csv(tmp_path):
     from curvedks.flow import diagnostics_to_csv
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
     fld = _gaussian_field(g, 4 * np.pi)
-    _, diag = run_flow(fld, 0.01, snapshot_every=1, with_energy=True)
+    _, diag = run_flow(fld, 0.01, snapshot_every=1)
     p = tmp_path / "diag.csv"
     diagnostics_to_csv(diag, p)
     lines = p.read_text().splitlines()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import radial_derivative
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, boundary_mask, conformal_area_element,
                                gauss_curvature, grad_flat, laplacian_flat)
@@ -149,9 +150,11 @@ def _same_bits(a, b):
 @given(k=st.integers(4, 48), cx=st.floats(-20.0, 20.0), cy=st.floats(-20.0, 20.0),
        half_width=st.floats(0.5, 50.0), bx=st.floats(-2.0, 2.0), by=st.floats(-2.0, 2.0),
        log_r=st.floats(-0.7, 2.5), amp=st.floats(-1.0, 1.0), lam=st.floats(0.01, 20.0),
-       normalization=st.sampled_from(["mu", "rho"]), seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1))
+@example(k=8, cx=1.0, cy=-2.0, half_width=10.0, bx=0.1, by=0.2, log_r=1.0, amp=-0.0, lam=1.0,
+         seed=0)     # a flat factor of amplitude -0.0 is -0.0 everywhere, as amp * bump is
 def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, amp, lam,
-                                         normalization, seed):
+                                         seed):
     # every field built from broadcast axes is bit-equal to its formula on full meshes
     g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
     X, Y = np.meshgrid(g.x, g.y, indexing="ij")
@@ -181,8 +184,7 @@ def test_grid_fields_equal_mesh_formulas(k, cx, cy, half_width, bx, by, log_r, a
 
     d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2
     mu = lam * lam / (np.pi * (lam * lam + d2) ** 2)
-    profile = ScaledCauchyProfile(lam=lam, x_star=c, normalization=normalization)
-    assert _same_bits(profile.on_grid(g), mu if normalization == "mu" else 8.0 * np.pi * mu)
+    assert _same_bits(ScaledCauchyProfile(lam=lam, x_star=c).on_grid(g), mu)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -234,7 +236,7 @@ def test_grad_matches_central_differences_at_second_order(amp, negative, R, cx, 
         ey = (phi(X, Y + e) - phi(X, Y - e)) / (2.0 * e) - gy
         along = (phi(c[0] + r + e, c[1]) - phi(c[0] + r - e, c[1])) / (2.0 * e)
         errs.append((max(np.abs(ex).max(), np.abs(ey).max()),
-                     np.abs(along - phi.radial_derivative(r)).max()))
+                     np.abs(along - radial_derivative(phi, r)).max()))
     for coarse, fine in zip(*errs):
         assert coarse <= 0.02 * abs(amp) / R
         assert fine <= 0.3 * coarse
@@ -251,6 +253,11 @@ def test_zero_amplitude_bump_is_the_flat_factor(grid64):
     for phi in (flat, zero_bump):
         assert _same_bits(phi.on_grid(grid64), zeros) and _same_bits(phi(X, Y), zeros)
         assert all(_same_bits(d, zeros) for d in phi.grad(grid64))
+    # amplitude -0.0 is flat too, and like amplitude * bump it is -0.0 everywhere
+    negative_zero = ConformalFactor.radial_bump(-0.0, 3.0)
+    assert negative_zero.is_flat
+    assert _same_bits(negative_zero.on_grid(grid64), -zeros)
+    assert _same_bits(negative_zero(X, Y), -zeros)
 
 
 def test_only_geometry_reads_the_factor_fields():

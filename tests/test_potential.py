@@ -8,7 +8,7 @@ from scipy import integrate
 
 from conftest import direct_gradient, lstsq_order, meshgrid_offset_table
 from curvedks.domain import AnnulusSpec, CartesianGrid
-from curvedks.geometry import ConformalFactor
+from curvedks.geometry import ConformalFactor, conformal_area_element
 from curvedks import potential, virial
 from curvedks.potential import (coulomb_energy, estimate_tail, green_kernel, lattice_potential,
                                 newtonian_potential, self_cell_weight)
@@ -253,7 +253,7 @@ def test_potential_shifts_by_log_spacing(method):
 def test_cauchy_profile_potential_closed_form(flat_phi):
     # c of the critical profile is -2 ln(1 + r^2); exact value 0 at the origin
     g = CartesianGrid(center=(0, 0), half_width=40.0, n=256)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(rho, flat_phi, g)
     X, Y = g.meshes()
     exact = -2.0 * np.log1p(X**2 + Y**2)
@@ -265,7 +265,7 @@ def test_cauchy_profile_potential_closed_form(flat_phi):
 
 def test_log_density_minus_potential_constant(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=40.0, n=256)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(rho, flat_phi, g)
     f = np.log(rho) - c.samples
     inner = g.radius() < 16.0
@@ -280,7 +280,7 @@ def _far_field(c, m, annulus):
 
 def test_far_field_combination_bounded(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=60.0, n=512)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(rho, flat_phi, g)
     combo = _far_field(c, 8 * np.pi, AnnulusSpec(R=20.0))
     assert np.ptp(combo) <= 0.05
@@ -290,7 +290,7 @@ def test_far_field_combination_bounded(flat_phi):
 
 def test_far_field_detects_mass_mismatch(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=60.0, n=256)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(rho, flat_phi, g)
     good = np.ptp(_far_field(c, 8 * np.pi, AnnulusSpec(R=20.0)))
     skew = np.ptp(_far_field(c, 8.8 * np.pi, AnnulusSpec(R=20.0)))
@@ -304,14 +304,15 @@ def test_far_field_bounded_under_conformal_factor():
     # the kernel is conformally invariant: curved-area potential keeps the bound
     g = CartesianGrid(center=(0, 0), half_width=60.0, n=256)
     phi = ConformalFactor.radial_bump(0.1, 2.0)
-    mu = ScaledCauchyProfile(lam=1.0, normalization="mu").on_grid(g)
+    mu = ScaledCauchyProfile(lam=1.0).on_grid(g)
     rho = 8 * np.pi * mu * np.exp(-2.0 * phi.on_grid(g))
     c = newtonian_potential(rho, phi, g)
-    assert np.ptp(_far_field(c, c.mass_used, AnnulusSpec(R=20.0))) <= 0.05
+    mass = float(np.sum(conformal_area_element(phi, g, rho)))
+    assert np.ptp(_far_field(c, mass, AnnulusSpec(R=20.0))) <= 0.05
 
 
 def test_annulus_outside_grid_rejected(flat_phi, grid64):
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(grid64)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(grid64)
     c = newtonian_potential(rho, flat_phi, grid64)
     with pytest.raises(ValueError):
         _far_field(c, 8 * np.pi, AnnulusSpec(R=grid64.half_width))
@@ -395,16 +396,16 @@ def test_potential_probe_convergence_order(flat_phi):
 
 def test_truncation_tail_reported(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=30.0, n=128)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
-    c = newtonian_potential(rho, flat_phi, g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
+    tail = estimate_tail(rho, g)
     # analytic tail mass of the critical profile beyond the grid: 8 pi lam^2 / R^2
-    assert c.tail.finite
-    assert c.tail.m_tail == pytest.approx(8 * np.pi / 30.0**2, rel=0.3)
+    assert tail.finite
+    assert tail.m_tail == pytest.approx(8 * np.pi / 30.0**2, rel=0.3)
 
 
 def test_tail_fit_is_the_least_squares_line():
     g = CartesianGrid(center=(0.3, -0.2), half_width=25.0, n=96)
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(g)
+    rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     rho *= np.exp(0.1 * np.random.default_rng(0).standard_normal(rho.shape))
     rep = estimate_tail(rho, g)
     r = g.radius()
@@ -412,20 +413,3 @@ def test_tail_fit_is_the_least_squares_line():
     slope, intercept = np.polyfit(np.log(r[ring]), np.log(rho[ring]), 1)
     assert rep.envelope_slope == pytest.approx(slope, rel=1e-12)
     assert rep.envelope_K == pytest.approx(np.exp(intercept), rel=1e-12)
-
-
-def test_tail_estimated_on_first_read_only(monkeypatch, flat_phi, grid64):
-    rho = ScaledCauchyProfile(lam=1.0, normalization="rho").on_grid(grid64)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return estimate_tail(*args, **kwargs)
-
-    monkeypatch.setattr(potential, "estimate_tail", counted)
-    c = newtonian_potential(rho, flat_phi, grid64, method="fft")
-    assert calls == []
-    first = c.tail
-    assert c.tail is first
-    assert len(calls) == 1
-    assert first == estimate_tail(rho, grid64)

@@ -9,28 +9,19 @@ from curvedks.profiles import (ScaledCauchyProfile, mu_coulomb_identity, mu_entr
 
 
 def test_rho_peak_value():
-    p = ScaledCauchyProfile(lam=1.0, normalization="rho")
-    assert p(0.0, 0.0) == pytest.approx(8.0, rel=1e-14)
+    p = ScaledCauchyProfile(lam=1.0)
+    assert 8 * np.pi * p(0.0, 0.0) == pytest.approx(8.0, rel=1e-14)
 
 
 def test_mu_peak_value():
-    p = ScaledCauchyProfile(lam=1.0, normalization="mu")
+    p = ScaledCauchyProfile(lam=1.0)
     assert p(0.0, 0.0) == pytest.approx(1 / np.pi, rel=1e-14)
 
 
 def test_mu_off_center_value():
     # lam=2 at distance 2: 4 / (pi * (4+4)^2) = 1/(16 pi)
-    p = ScaledCauchyProfile(lam=2.0, normalization="mu")
+    p = ScaledCauchyProfile(lam=2.0)
     assert p(2.0, 0.0) == pytest.approx(1 / (16 * np.pi), rel=1e-14)
-
-
-def test_rho_is_8pi_mu_pointwise():
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-10, 10, size=(50, 2))
-    rho = ScaledCauchyProfile(lam=0.7, x_star=(1.0, -2.0), normalization="rho")
-    mu = ScaledCauchyProfile(lam=0.7, x_star=(1.0, -2.0), normalization="mu")
-    for x in pts:
-        assert rho(*x) == pytest.approx(8 * np.pi * mu(*x), rel=1e-14)
 
 
 def test_entropy_identity_lambda_shift():
@@ -44,7 +35,7 @@ def test_entropy_identity_against_quadrature():
     # brute-force quadrature oracle for the closed form
     g = CartesianGrid(center=(0, 0), half_width=400.0, n=2048)
     m = 8 * np.pi
-    vals = m * ScaledCauchyProfile(lam=1.0, normalization="mu").on_grid(g)
+    vals = m * ScaledCauchyProfile(lam=1.0).on_grid(g)
     numeric = g.integrate(vals * np.log(vals))
     assert numeric == pytest.approx(mu_entropy_identity(m, 1.0), abs=1e-2)
 
@@ -55,7 +46,7 @@ def test_potential_identity_center_value():
 
 def test_potential_identity_matches_numeric_convolution():
     g = CartesianGrid(center=(0, 0), half_width=150.0, n=1024)
-    mu = ScaledCauchyProfile(lam=1.0, normalization="mu").on_grid(g)
+    mu = ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(mu, ConformalFactor.zero(), g)
     for probe in [(0.73, 0.0), (2.2, 1.1), (5.0, -3.0)]:
         i = np.argmin(np.abs(g.x - probe[0]))
@@ -80,7 +71,7 @@ def test_coulomb_identity_values():
 
 def test_coulomb_identity_against_double_sum():
     g = CartesianGrid(center=(0, 0), half_width=60.0, n=512)
-    mu = ScaledCauchyProfile(lam=1.0, normalization="mu").on_grid(g)
+    mu = ScaledCauchyProfile(lam=1.0).on_grid(g)
     c = newtonian_potential(mu, ConformalFactor.zero(), g)
     numeric = np.sum(mu * c.samples) * g.cell_area
     assert numeric == pytest.approx(mu_coulomb_identity(1.0), abs=2e-3)
@@ -94,18 +85,18 @@ def test_identities_hold_under_refinement():
     for n in ns:
         g = CartesianGrid(center=(0, 0), half_width=100.0, n=n)
         m = 8 * np.pi
-        vals = m * ScaledCauchyProfile(lam=0.5, normalization="mu").on_grid(g)
+        vals = m * ScaledCauchyProfile(lam=0.5).on_grid(g)
         numeric = g.integrate(vals * np.log(vals))
         # compare against the tail-corrected target so truncation does not floor the order
         tail = _entropy_tail(m, 0.5, 100.0)
         ent_errs.append(abs(numeric - (mu_entropy_identity(m, 0.5) - tail)))
-        mu = ScaledCauchyProfile(lam=0.5, normalization="mu").on_grid(g)
+        mu = ScaledCauchyProfile(lam=0.5).on_grid(g)
         c = newtonian_potential(mu, ConformalFactor.zero(), g)
         i = np.argmin(np.abs(g.x - 1.0))
         j = np.argmin(np.abs(g.y))
         pot_errs.append(abs(c.samples[i, j] - mu_potential_identity(0.5, (g.x[i], g.y[j]))))
         gc = CartesianGrid(center=(0, 0), half_width=30.0, n=n)
-        muc = ScaledCauchyProfile(lam=0.5, normalization="mu").on_grid(gc)
+        muc = ScaledCauchyProfile(lam=0.5).on_grid(gc)
         cc = newtonian_potential(muc, ConformalFactor.zero(), gc)
         cou_errs.append(abs(np.sum(muc * cc.samples) * gc.cell_area
                             - mu_coulomb_identity(0.5)))
@@ -129,7 +120,7 @@ def _entropy_tail(m, lam, R):
 def test_translation_invariance_of_identities():
     # identity values do not depend on the center
     g = CartesianGrid(center=(3.0, -1.0), half_width=60.0, n=512)
-    mu = ScaledCauchyProfile(lam=1.0, x_star=(3.0, -1.0), normalization="mu").on_grid(g)
+    mu = ScaledCauchyProfile(lam=1.0, x_star=(3.0, -1.0)).on_grid(g)
     c = newtonian_potential(mu, ConformalFactor.zero(), g)
     numeric = np.sum(mu * c.samples) * g.cell_area
     assert numeric == pytest.approx(mu_coulomb_identity(1.0), abs=2e-3)

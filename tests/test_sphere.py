@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import lstsq_order
+from conftest import lstsq_order, radial_derivative
 from curvedks.domain import CartesianGrid, SphereGrid
 from curvedks.geometry import ConformalFactor, _bump_profile
 from curvedks.profiles import ScaledCauchyProfile
@@ -30,12 +30,20 @@ def test_map_poles():
     assert smap.plane_radius(np.array(np.pi / 2 - 1e-8)) > 1e7
 
 
+def _to_sphere(smap, x, y):
+    """Inverse of StereographicMap.to_plane: latitude 2 arctan(r / lam) - pi/2, azimuth
+    in [0, 2pi)."""
+    dx, dy = x - smap.x_star[0], y - smap.x_star[1]
+    theta = 2.0 * np.arctan(np.hypot(dx, dy) / smap.lam) - np.pi / 2.0
+    return theta, np.mod(np.arctan2(dy, dx), 2.0 * np.pi)
+
+
 def test_map_roundtrip():
     smap = StereographicMap(lam=0.7, x_star=(1.0, 2.0))
     rng = np.random.default_rng(2)
     x = rng.uniform(-5, 5, 40)
     y = rng.uniform(-5, 5, 40)
-    theta, psi = smap.to_sphere(x, y)
+    theta, psi = _to_sphere(smap, x, y)
     xb, yb = smap.to_plane(theta, psi)
     assert np.allclose(xb, x, atol=1e-12) and np.allclose(yb, y, atol=1e-12)
 
@@ -209,7 +217,7 @@ def radial_obstruction(phi: ConformalFactor, u: SphereField,
     # dh/dtheta = e^{2 phi} * 2 phi'(r) * dr/dtheta, dr/dtheta = (lam/2) sec^2(sigma/2)
     sigma_half = (theta + np.pi / 2.0) / 2.0
     dr_dtheta = 0.5 * smap.lam / np.cos(sigma_half) ** 2
-    phi_r = phi.radial_derivative(r)
+    phi_r = radial_derivative(phi, r)
     phi_vals = phi(smap.x_star[0] + r, np.full_like(r, smap.x_star[1]))
     dh_dtheta = np.exp(2.0 * phi_vals) * 2.0 * phi_r * dr_dtheta
     e2u_zonal = np.mean(np.exp(2.0 * u.values), axis=1)
@@ -287,7 +295,7 @@ def test_certificate_equals_2d_obstruction_integral(phi, lam):
     T, P = sg.meshes()
     h = SphereField(grid=sg, values=np.exp(2.0 * phi(*smap.to_plane(T, P))), role="h")
     r = smap.plane_radius(T)
-    rho = {s: ScaledCauchyProfile(lam=s * lam, normalization="rho")(r, 0.0)
+    rho = {s: 8 * np.pi * ScaledCauchyProfile(lam=s * lam)(r, 0.0)
            for s in (0.5, 1.0, 2.0)}
     u = {"u=0": np.zeros_like(T), "scale x0.5": 0.5 * np.log(rho[0.5] / rho[1.0]),
          "scale x2": 0.5 * np.log(rho[2.0] / rho[1.0])}

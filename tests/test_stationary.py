@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import lstsq_order
+from conftest import lstsq_order, radial_derivative
 from curvedks import stationary
 from curvedks.domain import AnnulusSpec, CartesianGrid
 from curvedks.geometry import ConformalFactor, _bump_profile, boundary_mask, grad_flat
-from curvedks.potential import newtonian_potential
+from curvedks.potential import estimate_tail, newtonian_potential
 from curvedks.stationary import (RHO_FLOOR, DensityField, decay_envelope, default_test_bank,
                                  density_from_profile, membership_check, reduced_residual,
                                  rho_log_rho, static_weak_residual)
@@ -47,7 +47,7 @@ def test_reduced_residual_curved_minimizer_not_a_solution():
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), phi, g)
     rep = reduced_residual(fld)
     r = g.radius()
-    dphi = phi.radial_derivative(r)
+    dphi = radial_derivative(phi, r)
     predicted = np.sqrt(np.sum(fld.samples * 4.0 * dphi**2) * g.cell_area)
     flat_rep = reduced_residual(density_from_profile(
         8 * np.pi, 1.0, (0.0, 0.0), ConformalFactor.zero(), g))
@@ -98,13 +98,21 @@ def test_scaling_coherence(flat_phi):
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def _grad_f(fld):
+    """Flat gradient of f = ln rho - c, the field reduced_residual hands the weak residual."""
+    low = fld.samples <= RHO_FLOOR
+    f = np.where(low, 0.0, np.log(np.maximum(fld.samples, RHO_FLOOR)))
+    return grad_flat(f - fld.potential().samples, fld.grid)
+
+
 def test_weak_residual_zero_test_field(exact_field):
-    assert static_weak_residual(exact_field, (np.zeros((1, 256)), np.zeros((1, 256)))) == 0.0
+    zero = (np.zeros((1, 256)), np.zeros((1, 256)))
+    assert static_weak_residual(exact_field, zero, _grad_f(exact_field)) == 0.0
 
 
 def test_weak_residual_small_for_exact_solution(exact_field):
     bank = default_test_bank(exact_field.grid)
-    assert static_weak_residual(exact_field, bank) < 0.05
+    assert static_weak_residual(exact_field, bank, _grad_f(exact_field)) < 0.05
 
 
 def test_weak_residual_grows_with_noise(flat_phi):
@@ -124,20 +132,21 @@ def test_weak_residual_grows_with_noise(flat_phi):
     for amp in [0.01, 0.03, 0.09]:
         fld = DensityField(grid=g, samples=rho * np.clip(1 + amp * noise, 0.1, None),
                            phi=flat_phi)
-        vals.append(static_weak_residual(fld, bank))
+        vals.append(static_weak_residual(fld, bank, _grad_f(fld)))
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_weak_residual_rejects_boundary_supported_test(exact_field):
     bad = (np.ones((1, 256)), np.ones((1, 256)))
     with pytest.raises(ValueError):
-        static_weak_residual(exact_field, bad)
+        static_weak_residual(exact_field, bad, _grad_f(exact_field))
 
 
 def test_weak_residual_rejects_empty_bank(exact_field):
     # a maximum over no test field would report 0 having checked nothing
     with pytest.raises(ValueError, match="empty test bank"):
-        static_weak_residual(exact_field, (np.zeros((0, 256)), np.zeros((0, 256))))
+        static_weak_residual(exact_field, (np.zeros((0, 256)), np.zeros((0, 256))),
+                             _grad_f(exact_field))
 
 
 def _mesh_test_bank(grid):
@@ -179,7 +188,7 @@ def test_factored_weak_residual_matches_per_field_formula(n, phi):
         val = abs(np.sum(fld.samples * (gtx * gfx + gty * gfy)) * g.cell_area) / energy
         worst = max(worst, float(val))
     assert worst > 0.0
-    assert static_weak_residual(fld, bank) == pytest.approx(worst, rel=1e-12, abs=0.0)
+    assert static_weak_residual(fld, bank, (gfx, gfy)) == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
 def test_default_bank_vanishes_near_the_boundary_on_every_grid(flat_phi):
@@ -195,7 +204,7 @@ def test_default_bank_vanishes_near_the_boundary_on_every_grid(flat_phi):
         for a, b, T in zip(*bank, kept):
             assert np.array_equal(np.outer(a, b), T)
         fld = density_from_profile(8 * np.pi, 1.0, (1.0, -0.5), flat_phi, g)
-        assert np.isfinite(static_weak_residual(fld, bank))
+        assert np.isfinite(static_weak_residual(fld, bank, _grad_f(fld)))
 
 
 def test_default_bank_is_one_bump_evaluation_per_axis(monkeypatch):
@@ -238,7 +247,7 @@ def test_decay_envelope_gaussian_diverges(flat_phi):
 
 
 def test_membership_exact_profile(exact_field):
-    rep = membership_check(exact_field)
+    rep = membership_check(exact_field, estimate_tail(exact_field.samples, exact_field.grid))
     assert rep.verdict
     assert rep.mass == pytest.approx(8 * np.pi, rel=0.01)
 
@@ -256,7 +265,7 @@ def test_membership_flags_log_divergent_mass(flat_phi):
         X, Y = g.meshes()
         rho = 1.0 / (1.0 + X**2 + Y**2)
         fld = DensityField(grid=g, samples=rho, phi=flat_phi)
-        rep = membership_check(fld)
+        rep = membership_check(fld, estimate_tail(rho, g))
         masses.append(rep.mass)
         assert not rep.potential_defined  # envelope slope ~ -2: tail infinite
     assert masses[1] > masses[0] + 1.0  # mass grows with the grid radius

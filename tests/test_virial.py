@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_gradient, lstsq_order
+from conftest import direct_gradient, lstsq_order, radial_derivative
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, _bump_profile, boundary_mask, grad_flat,
                                laplacian_flat)
@@ -44,7 +44,7 @@ def test_dilation_source_is_taken_about_the_grid_centre():
     assert lstsq_order(ns, errs) >= 1.5
     g = CartesianGrid(center=(3.0, 1.0), half_width=3.0, n=64)
     r = g.radius()
-    expected = 4.0 * r * phi.radial_derivative(r)
+    expected = 4.0 * r * radial_derivative(phi, r)
     assert np.max(np.abs(dilation_source(phi, g) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -123,6 +123,34 @@ def test_aux_solve_satisfies_discrete_equation(n, amplitude, radius, offset):
     assert _true_residual(problem, sol.f) <= 1e-12
 
 
+def _norm_sq(problem, psi):
+    """|| psi ||^2 = || grad psi ||^2_{L2(g_phi)} + 1/2 || sqrt(rho) psi ||^2_{L2(g_phi)}.
+
+    The gradient part is conformally invariant in two dimensions, so it is the
+    flat Dirichlet energy; the zeroth-order part carries e^{2 phi}.
+    """
+    grid = problem.rho.grid
+    gx, gy = grad_flat(psi, grid)
+    dirichlet = np.sum(gx**2 + gy**2) * grid.cell_area
+    return float(dirichlet + 0.5 * np.sum(problem.rho.samples * psi**2 * problem.rho.area_weights))
+
+
+def _bilinear(problem, f, psi):
+    """B(f, psi) = <d psi, d f>_{L2(g_phi)} + int psi g_phi(df, dc) dA_phi."""
+    grid = problem.rho.grid
+    gfx, gfy = grad_flat(f, grid)
+    gpx, gpy = grad_flat(psi, grid)
+    gcx, gcy = grad_flat(problem.c.samples, grid)
+    first = np.sum(gpx * gfx + gpy * gfy) * grid.cell_area
+    second = np.sum(psi * (gfx * gcx + gfy * gcy)) * grid.cell_area
+    return float(first + second)
+
+
+def _functional(problem, psi):
+    """Phi(psi) = int psi (4 r phi_r) dA_phi."""
+    return float(np.sum(psi * problem.rhs * problem.rho.area_weights))
+
+
 def test_aux_solve_satisfies_weak_form(curved_problem):
     # B(f, psi) == Phi(psi) up to discretization for interior probe fields
     sol = solve_aux_pde(curved_problem, tol=1e-10)
@@ -130,8 +158,8 @@ def test_aux_solve_satisfies_weak_form(curved_problem):
     X, Y = g.meshes()
     psi = np.exp(-((X / 6) ** 2 + (Y / 6) ** 2) * 2)
     psi[g.radius() > 0.8 * g.half_width] = 0.0
-    b_val = curved_problem.bilinear(sol.f, psi)
-    phi_val = curved_problem.functional(psi)
+    b_val = _bilinear(curved_problem, sol.f, psi)
+    phi_val = _functional(curved_problem, psi)
     assert b_val == pytest.approx(phi_val, rel=0.05)
 
 
@@ -155,8 +183,8 @@ def _bumps(grid):
 def test_coercivity_ratios_near_one(curved_problem):
     # B(psi, psi) = ||psi||^2, since int psi grad psi . grad c = 1/2 int psi^2 e^{2 phi} rho
     for psi in _bumps(curved_problem.rho.grid):
-        assert curved_problem.bilinear(psi, psi) == \
-            pytest.approx(curved_problem.norm_sq(psi), rel=0.05)
+        assert _bilinear(curved_problem, psi, psi) == \
+            pytest.approx(_norm_sq(curved_problem, psi), rel=0.05)
 
 
 def test_continuity_bounded_by_envelope_constant(curved_problem):
@@ -164,7 +192,23 @@ def test_continuity_bounded_by_envelope_constant(curved_problem):
     rho = curved_problem.rho
     K = np.sqrt(2.0 * np.sum(curved_problem.rhs**2 / rho.samples * rho.area_weights))
     for psi in _bumps(rho.grid):
-        assert abs(curved_problem.functional(psi)) <= K * np.sqrt(curved_problem.norm_sq(psi))
+        assert abs(_functional(curved_problem, psi)) <= K * np.sqrt(_norm_sq(curved_problem, psi))
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.1], ids=["flat", "curved"])
+def test_virial_terms_are_invariant_under_translation(amplitude):
+    # moving the grid, the density and the factor together moves no term: I2 is taken
+    # about the grid centre, as the cutoff and the dilation source are
+    reports = []
+    for shift in (0.0, 5.0, 50.0):
+        c = (shift, -0.5 * shift)
+        g = CartesianGrid(center=c, half_width=40.0, n=256)
+        phi = ConformalFactor.radial_bump(amplitude, 2.0, (c[0] + 1.0, c[1]))
+        fld = density_from_profile(8 * np.pi, 1.0, (c[0] + 3.0, c[1]), phi, g)
+        reports.append(assemble_virial(fld, [10.0])[0])
+    for rep in reports[1:]:
+        for term in ("I1", "I2", "I3", "closure"):
+            assert getattr(rep, term) == pytest.approx(getattr(reports[0], term), rel=1e-9)
 
 
 def test_virial_closure_flat_exact(exact_field):
