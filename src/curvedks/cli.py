@@ -115,7 +115,9 @@ SCHEMAS = {
         "mass": (float, 4.0 * np.pi),
         "sigma": (float, 1.0),
         "t_end": (float, 0.05),
-        "dt": (float, 0.0),                # 0 -> CFL-limited automatic step; < 0 rejected
+        # dt 0: DT_SAFETY x the CFL bound at t = 0, kept for the whole run, so a run whose
+        # bound later falls below it exits 3; a dt < 0 is rejected
+        "dt": (float, 0.0),
         "snapshot_every": (int, 10),
         "output_dir": (str, "."),
     },

@@ -139,7 +139,6 @@ class ScanRow:
 
 @dataclass
 class ScanTable:
-    m: float
     rows: list[ScanRow]
     slope_fit: float
     predicted_slope: float
@@ -199,5 +198,5 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
     # plateau is meaningful near the critical mass; report the small-lambda end
     plateau = float(np.mean([r.value for r in good[: max(2, len(good) // 3)]]))
     predicted_plateau = 8.0 * np.pi * np.log(8.0 / np.e) - 16.0 * np.pi * float(phi(*x_star))
-    return ScanTable(m=m, rows=rows, slope_fit=slope, predicted_slope=predicted_slope,
+    return ScanTable(rows=rows, slope_fit=slope, predicted_slope=predicted_slope,
                      plateau=plateau, predicted_plateau=predicted_plateau)

@@ -245,14 +245,16 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
     """March to t_end; the first and every snapshot_every-th state go to diag and on_snapshot.
 
     The last step is shortened so the run ends exactly at t_end. Raises
-    StepLimitReached if t_end needs more than max_steps steps, and
-    ValueError unless t_end > 0 and snapshot_every >= 1.
+    StepLimitReached if t_end needs more than max_steps steps (before the first
+    step, as dt is fixed), and ValueError unless t_end > 0 and snapshot_every >= 1.
     """
     if not t_end > 0:
         raise ValueError(f"t_end must be positive, got {t_end!r}")
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt)
+    if t_end > max_steps * state.dt * (1.0 + 1e-12):    # the last step may take 1e-12 dt more
+        raise StepLimitReached(f"t_end {t_end:g} needs over {max_steps} steps of dt {state.dt:.3g}")
     diag = FlowDiagnostics(phi_is_flat=field.phi.is_flat)
     _record(diag, state, on_snapshot)
     while state.t < t_end:

@@ -17,6 +17,8 @@ import numpy as np
 
 from .domain import CartesianGrid
 
+MAX_AMPLITUDE = 0.5 * float(np.log(np.finfo(float).max))   # sup |phi| with e^{2|phi|} finite
+
 
 def _bump_profile(s: np.ndarray) -> np.ndarray:
     """Standard mollifier profile exp(1 - 1/(1 - s^2)) on |s| < 1, else 0."""
@@ -51,6 +53,8 @@ class ConformalFactor:
                     center: tuple[float, float] = (0.0, 0.0)) -> "ConformalFactor":
         if not support_radius > 0:
             raise ValueError("support_radius must be positive")
+        if not abs(amplitude) <= MAX_AMPLITUDE:
+            raise ValueError(f"amplitude {amplitude:g} overflows e^2|phi| past {MAX_AMPLITUDE:.2f}")
         return cls(amplitude=float(amplitude), support_radius=float(support_radius),
                    center=(float(center[0]), float(center[1])))
 
@@ -97,9 +101,6 @@ class ConformalFactor:
         R2 = self.support_radius ** 2
         q = np.maximum(1.0 - r2 / R2, 1e-300)    # 1 - s^2; phi = 0 where s >= 1
         return -2.0 * phi / q / q / R2
-
-    def is_radial(self) -> bool:
-        return True
 
 
 def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid,

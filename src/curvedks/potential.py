@@ -72,8 +72,6 @@ class TruncationReport:
 
     m_tail: float
     bound: float
-    envelope_K: float
-    envelope_slope: float
 
     @property
     def finite(self) -> bool:
@@ -85,7 +83,7 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
     r = grid.radius()
     ring = (r >= 0.7 * grid.half_width) & (r <= grid.half_width) & (rho > 0)
     if ring.sum() < 8:
-        return TruncationReport(np.inf, np.inf, np.nan, np.nan)
+        return TruncationReport(np.inf, np.inf)
     lr = np.log(r[ring])
     lrho = np.log(rho[ring])
     # least-squares line through the centred data, as polyfit(lr, lrho, 1) gives
@@ -95,7 +93,6 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
     intercept = float(lrho_mean - slope * lr_mean)
     W = grid.half_width
     with np.errstate(over="ignore", invalid="ignore"):
-        K = np.exp(intercept)
         if slope < -2.2:  # integrable tail with usable margin from the r^-2 edge
             p = -slope
             # evaluate in log space: exp(intercept + (2 - p) ln W) / (p - 2)
@@ -105,7 +102,7 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
         else:
             m_tail = np.inf
             bound = np.inf
-    return TruncationReport(float(m_tail), float(bound), float(K), float(slope))
+    return TruncationReport(float(m_tail), float(bound))
 
 
 @dataclass

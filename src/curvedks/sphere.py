@@ -248,22 +248,19 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
                              n_lat: int = 128, n_lon: int = 256) -> CertificateReport:
     """Check the monotone-flank preconditions and report obstruction magnitudes.
 
-    A certificate is issued when phi is radial, nonconstant, and its radial
-    derivative is single-signed; the report then lists the sin(theta)
-    obstruction for u = 0 and for transported scale perturbations
-    (CERTIFICATE_SCALES) of the critical profile. A numerical illustration
-    of the obstruction, not a proof.
+    phi is radial about its center, as every ConformalFactor is. The
+    certificate refuses a constant phi and one whose radial derivative changes
+    sign; otherwise the report lists the sin(theta) obstruction for u = 0 and
+    for transported scale perturbations (CERTIFICATE_SCALES) of the critical
+    profile. A numerical illustration of the obstruction, not a proof.
 
-    Every candidate u is zonal, as is u1 = sin(theta), and so is h = e^{2 phi}
-    for the radial phi the certificate admits. As d_psi u1 = 0 on the grid,
-    obstruction_integral then reduces exactly to
+    Every candidate u is zonal, and so are u1 = sin(theta) and h = e^{2 phi}.
+    As d_psi u1 = 0 on the grid, obstruction_integral then reduces exactly to
     2pi sum_k glw_k d_theta(u1)_k d_theta(h)_k e^{2u_k}, with h read on the one
     meridian psi = 0. The stencil of a constant is 0, so h - 1 = expm1(2 phi)
     is differenced in place of h: it keeps full relative precision when phi
     is small.
     """
-    if not phi.is_radial():
-        return CertificateReport(False, "factor is not radially symmetric", 0, {})
     r = np.linspace(0.0, phi.support_radius, 512)
     prof = phi(phi.center[0] + r, np.full_like(r, phi.center[1]))
     dprof = np.gradient(prof, r)

@@ -96,7 +96,7 @@ def test_residual_fits_the_tail_once(tmp_path, monkeypatch):
 
     def counted(rho, grid):
         calls.append(grid.n)
-        return potential.TruncationReport(1.0, 1.0, 1.0, -4.0)
+        return potential.TruncationReport(1.0, 1.0)
     monkeypatch.setattr(potential, "estimate_tail", counted)
     monkeypatch.setattr(stationary, "estimate_tail", counted)
     rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}},
@@ -400,6 +400,21 @@ def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, c
     cfg, cfg_hash = load_config(_write_config(tmp_path, "direct.json", direct), command)
     with pytest.raises(cli.ConfigError, match=key):
         cli.COMMANDS[command](cfg, cfg_hash)
+
+
+@pytest.mark.parametrize("amplitude", [400.0, -400.0])
+@pytest.mark.parametrize("command", sorted(c for c in cli.SCHEMAS if "phi" in cli.SCHEMAS[c]))
+def test_overflowing_amplitude_is_a_config_error(tmp_path, monkeypatch, capsys, command,
+                                                amplitude):
+    # e^{2|phi|} overflows past |amplitude| = 354.89: it used to surface as "density must
+    # have positive mass" (exit 2) or as NaN in obstruction.json (exit 1)
+    config = {"phi": {"kind": "radial_bump", "amplitude": amplitude}}
+    if "grid" in cli.SCHEMAS[command]:
+        config["grid"] = {"half_width": 4.0, "n": 32}
+    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert "overflows" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
 
 
 @pytest.mark.parametrize("command, extra", [("residual", {}), ("envelope", {"annulus_R": 5.0})])

@@ -147,8 +147,8 @@ def test_row_csv_writers_match_per_row_format(tmp_path):
     from curvedks.virial import VirialReport, export_virial_csv
     diag = FlowDiagnostics(t=[0.0, 0.1 / 3], mass=[4 * np.pi, -0.0],
                            second_moment=[1e-300, 2.5], free_energy=[np.nan, -np.inf])
-    table = ScanTable(m=8 * np.pi, rows=[ScanRow(0.05, -1 / 3, True, 1.23456789e-7),
-                                         ScanRow(5.0, np.pi, False, np.inf)],
+    table = ScanTable(rows=[ScanRow(0.05, -1 / 3, True, 1.23456789e-7),
+                            ScanRow(5.0, np.pi, False, np.inf)],
                       slope_fit=np.nan, predicted_slope=0.0, plateau=0.0, predicted_plateau=0.0)
     reports = [VirialReport(R_used=2.5, I1=np.pi, I2=-1e-17, I3=0.0)]
     cases = [

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import radial_derivative
 from curvedks.domain import CartesianGrid
-from curvedks.geometry import (ConformalFactor, boundary_mask, conformal_area_element,
-                               gauss_curvature, grad_flat, laplacian_flat)
+from curvedks.geometry import (MAX_AMPLITUDE, ConformalFactor, boundary_mask,
+                               conformal_area_element, gauss_curvature, grad_flat,
+                               laplacian_flat)
 from curvedks.profiles import ScaledCauchyProfile
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "curvedks"
@@ -242,6 +243,15 @@ def test_grad_matches_central_differences_at_second_order(amp, negative, R, cx, 
         assert fine <= 0.3 * coarse
     outside = np.hypot(X - c[0], Y - c[1]) >= R
     assert np.all(gx[outside] == 0.0) and np.all(gy[outside] == 0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_amplitude_stops_where_the_metric_overflows(grid64, sign):
+    # at |amplitude| = ln(DBL_MAX) / 2 both e^{2 phi} and e^{-2 phi} are finite; past it, refused
+    phis = ConformalFactor.radial_bump(sign * MAX_AMPLITUDE, 3.0).on_grid(grid64)
+    assert np.all(np.isfinite(np.exp(2.0 * phis))) and np.all(np.isfinite(np.exp(-2.0 * phis)))
+    with pytest.raises(ValueError, match="overflows"):
+        ConformalFactor.radial_bump(sign * np.nextafter(MAX_AMPLITUDE, np.inf), 3.0)
 
 
 def test_zero_amplitude_bump_is_the_flat_factor(grid64):

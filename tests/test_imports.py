@@ -1,17 +1,48 @@
-"""No module of the package imports a name it never reads.
+"""Nothing in the package goes unread.
 
-No linter ships with the project's toolchain, so this is the one check that a
-deletion leaves no stale import behind. A name counts as read if it appears as
-a name anywhere in the module (annotations included) or, in a package
-__init__, in its __all__.
+No linter ships with the project's toolchain, so these are the checks that a
+deletion leaves nothing stale behind: no module imports a name it never reads,
+and every function, method, property and dataclass field defined in the
+package is read somewhere in it besides its own definition. A name counts as
+read if it is loaded as a name or an attribute anywhere (annotations included)
+or, in a package __init__, listed in its __all__; a method, property or field
+is read only as an attribute, since a bare name of the same spelling is
+another variable. Reads are matched by name, not by type, so a dead method
+that shares its name with a live one passes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "curvedks"
+
+# Definitions that nothing in the package reads, each kept for its one reason.
+ALLOWED_UNREAD = {
+    # criteria APIs that tests/test_acceptance.py and bench/ call
+    "sphere.transport_to_sphere": "criterion 7's round-sphere check and the fine workload",
+    "sphere.kw_residual": "criterion 7's manufactured residual and the fine workload",
+    "sphere.obstruction_integral": "criterion 7's 2-D oracle for the certificate's 1-D reduction",
+    "sphere.plane_side_obstruction": "criterion 7's plane-side evaluation of the same obstruction",
+    "sphere.TransportReport.cap_fraction": "what criterion 7 and the fine workload assert on",
+    "energy.conformal_covariance_check": "criterion 6's covariance check and the fine workload",
+    "energy.CovarianceCheck.difference": "what criterion 6 and the fine workload assert on",
+    # fields only bench/ reads or sets, until the benchmark stops using them
+    "sphere.SphereField.role": "bench/workloads.py constructs SphereField with role=",
+    "virial.AuxSolution.iterations": "bench/tracer.py counts the solves of each auxiliary solve",
+    "virial.AuxSolution.residual_trace": "bench/tracer.py records the auxiliary solve's residual",
+}
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names |= {elt.value for elt in node.value.elts}
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,12 +55,66 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            read |= {elt.value for elt in node.value.elts}
+    read |= _all_names(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in read)
+
+
+def _loads(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is loaded under node as a bare name, and as an attribute."""
+    names, attributes = Counter(), Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            attributes[n.attr] += 1
+    return names, attributes
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+
+def _definitions(node: ast.AST, prefix: str, in_class: bool = False):
+    """(qualified name, name, defining node, is a class member) of each function, method,
+    property and dataclass field under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}.{child.name}", child.name, child, in_class
+            yield from _definitions(child, f"{prefix}.{child.name}")
+        elif isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                for stmt in child.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        yield f"{prefix}.{child.name}.{stmt.target.id}", stmt.target.id, stmt, True
+            yield from _definitions(child, f"{prefix}.{child.name}", in_class=True)
+        else:
+            yield from _definitions(child, prefix, in_class)
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """Qualified names (module.Class.name) of the definitions in sources, a map from
+    module name to source, that no load outside their own definition reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = _loads(tree)
+        names += tree_names
+        names.update(_all_names(tree))
+        attributes += tree_attributes
+    unread = []
+    for mod, tree in trees.items():
+        for qual, name, node, member in _definitions(tree, mod):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own_names, own_attributes = _loads(node)
+            reads = attributes[name] - own_attributes[name]
+            if not member:
+                reads += names[name] - own_names[name]
+            if reads <= 0:
+                unread.append(qual)
+    return sorted(unread)
 
 
 def test_the_check_finds_an_unused_import():
@@ -42,3 +127,39 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_unread_definition():
+    source = """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Report:
+    used: float
+    unused: float
+
+    def __post_init__(self):
+        pass
+
+    @property
+    def doubled(self):
+        return 2 * self.used
+
+def helper():
+    return 1
+
+def countdown(n):
+    return countdown(n - 1) if n else 0
+
+def main(report):
+    unused = report.doubled
+    return unused
+"""
+    # unused is read only as a local variable, countdown only by itself
+    assert unread_definitions({"m": source, "__init__": "__all__ = ['main']\n"}) == [
+        "m.Report.unused", "m.countdown", "m.helper"]
+
+
+def test_everything_defined_in_the_package_is_read():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unread_definitions(sources) == sorted(ALLOWED_UNREAD)

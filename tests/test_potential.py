@@ -411,5 +411,6 @@ def test_tail_fit_is_the_least_squares_line():
     r = g.radius()
     ring = (r >= 0.7 * g.half_width) & (r <= g.half_width)
     slope, intercept = np.polyfit(np.log(r[ring]), np.log(rho[ring]), 1)
-    assert rep.envelope_slope == pytest.approx(slope, rel=1e-12)
-    assert rep.envelope_K == pytest.approx(np.exp(intercept), rel=1e-12)
+    p, W = -slope, g.half_width
+    m_tail = 2 * np.pi * np.exp(intercept + (2 - p) * np.log(W)) / (p - 2)
+    assert rep.m_tail == pytest.approx(m_tail, rel=1e-12)

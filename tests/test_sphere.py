@@ -207,8 +207,6 @@ def radial_obstruction(phi: ConformalFactor, u: SphereField,
     the analytic radial derivative of phi, making this an independent
     quadrature of the same integral as obstruction_integral with u1 = sin.
     """
-    if not phi.is_radial():
-        raise ValueError("radial_obstruction requires a radial conformal factor")
     if tuple(phi.center) != tuple(smap.x_star) and not phi.is_flat:
         raise ValueError("conformal factor must be radial about the map center")
     grid = u.grid
@@ -339,16 +337,13 @@ def test_certificate_refuses_zero_factor():
 
 
 class _StandInFactor:
-    """An analytic factor outside ConformalFactor's kinds: what the certificate reads of phi."""
+    """A radial factor ConformalFactor cannot build: what the certificate reads of phi."""
 
-    def __init__(self, f, support_radius, radial, center=(0.0, 0.0)):
-        self.f, self.support_radius, self.radial, self.center = f, support_radius, radial, center
+    def __init__(self, f, support_radius, center=(0.0, 0.0)):
+        self.f, self.support_radius, self.center = f, support_radius, center
 
     def __call__(self, X, Y):
         return self.f(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
-
-    def is_radial(self):
-        return self.radial
 
 
 def test_certificate_refuses_ring_factor():
@@ -356,14 +351,6 @@ def test_certificate_refuses_ring_factor():
     def ring(X, Y):
         r = np.hypot(X, Y)
         return 0.1 * _bump_profile(r / 2.0) - 0.1 * _bump_profile(r)
-    cert = nonexistence_certificate(_StandInFactor(ring, 2.0, radial=True))
+    cert = nonexistence_certificate(_StandInFactor(ring, 2.0))
     assert not cert.eligible
     assert "sign" in cert.reason
-
-
-def test_certificate_refuses_nonradial_factor():
-    def lump(X, Y):
-        return 0.05 * np.exp(-((X - 2.0) ** 2 + Y**2))
-    cert = nonexistence_certificate(_StandInFactor(lump, 8.0, radial=False))
-    assert not cert.eligible
-    assert "radial" in cert.reason
