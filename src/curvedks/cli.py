@@ -1,14 +1,20 @@
 """Experiment driver: every module behind a subcommand with a JSON config.
 
-Configs are JSON key-value trees validated against per-subcommand schemas;
-unknown keys are rejected so typos fail fast. Outputs are CSV (header row,
-'.' decimal, LF endings) and JSON (UTF-8, sorted keys), each embedding the
-config hash and grid parameters, plus flow's snapshot stack, a float64
-(k, n, n) .npy array whose slice k pairs with diagnostics row k. All are
-byte-identical across reruns of the same config (fixed seeds, row-major
+Configs are JSON key-value trees validated against per-subcommand schemas
+before any command runs; unknown keys and out-of-range values are rejected,
+never coerced. A subcommand computes and returns an Outcome; `main` alone
+writes it into the output directory: its CSV tables (a `# config_hash=` line,
+header row, '.' decimal, LF endings), then <command>.json (UTF-8, sorted keys,
+stamped with the config hash and, where the schema has one, the grid; a
+non-finite float is written as null). flow also streams its snapshot stack, a
+float64 (k, n, n) .npy array whose slice k pairs with diagnostics row k. All
+are byte-identical across reruns of the same config (fixed seeds, row-major
 reductions).
 
-Exit codes: 0 pass, 1 check failed, 2 invalid config, 3 numerical failure.
+Exit codes: 0 pass, 1 check failed, 2 invalid config, 3 numerical failure. A
+command that ran prints its one summary line on stdout, whatever its code;
+only a config error (2) or a numerical failure (3) prints, on stderr, and then
+no output is written.
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -48,8 +56,9 @@ class ConfigError(ValueError):
     pass
 
 
-# schema type of a point-valued key: a list of exactly two numbers
+# schema types beyond Python's: a list of exactly two numbers, and a number > 0
 _POINT = "point"
+_POSITIVE = "positive"
 
 # per-subcommand schema: key -> (type, default); nested dicts spell out trees
 _GRID_SCHEMA = {"half_width": (float, 60.0), "n": (int, 256),
@@ -67,14 +76,14 @@ SCHEMAS = {
                  "center": (_POINT, [0.0, 0.0])},
         "double_grid": {"half_width": (float, 60.0), "n": (int, 512)},
         "lambdas": (list, [0.5, 1.0, 2.0]),
-        "tolerance": (float, 1e-2),
+        "tolerance": (_POSITIVE, 1e-2),
         "output_dir": (str, "."),
     },
     "residual": {
         "grid": _GRID_SCHEMA,
         "phi": _PHI_SCHEMA,
         "profile": _PROFILE_SCHEMA,
-        "probe_frac": (float, 0.4),
+        "probe_frac": (_POSITIVE, 0.4),
         "output_dir": (str, "."),
     },
     "energy-scan": {
@@ -96,7 +105,7 @@ SCHEMAS = {
         "lam": (float, 1.0),
         "n_lat": (int, 128),
         "n_lon": (int, 256),
-        "threshold": (float, 1e-3),
+        "threshold": (_POSITIVE, 1e-3),
         "output_dir": (str, "."),
     },
     "virial": {
@@ -113,7 +122,7 @@ SCHEMAS = {
         "initial": (str, "gaussian"),      # gaussian | profile
         "profile": _PROFILE_SCHEMA,
         "mass": (float, 4.0 * np.pi),
-        "sigma": (float, 1.0),
+        "sigma": (_POSITIVE, 1.0),
         "t_end": (float, 0.05),
         # dt 0: DT_SAFETY x the CFL bound at t = 0, kept for the whole run, so a run whose
         # bound later falls below it exits 3; a dt < 0 is rejected
@@ -142,9 +151,10 @@ def _checked(value, typ, where: str):
     """`value` as `typ`, or ConfigError; nothing is coerced across kinds.
 
     An int key takes only integral values; a float key also takes ints,
-    because JSON `1` loads as int. Every list key holds numbers, kept as
-    given so the config hash does not change; an empty list is rejected,
-    and a _POINT key holds exactly two.
+    because JSON `1` loads as int, and so does a _POSITIVE key, as a float
+    above 0. Every list key holds numbers, kept as given so the config hash
+    does not change; an empty list is rejected, and a _POINT key holds exactly
+    two.
     """
     if typ is list or typ == _POINT:
         ok = isinstance(value, list) and all(_is_number(v) for v in value) \
@@ -152,6 +162,8 @@ def _checked(value, typ, where: str):
         want = "a point [x, y]" if typ == _POINT else "a non-empty list of numbers"
     elif typ is str:
         ok, want = isinstance(value, str), "str"
+    elif typ == _POSITIVE:
+        ok, want, typ = _is_number(value) and value > 0, "a positive number", float
     else:
         ok = _is_number(value) and (typ is float or value == int(value))
         want = typ.__name__
@@ -195,12 +207,6 @@ def load_config(path: str | None, subcommand: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(canon).hexdigest()[:16]
 
 
-def _require_positive(cfg: dict, key: str) -> None:
-    """ConfigError naming `key` unless its value is > 0; callers check before any output."""
-    if not cfg[key] > 0:
-        raise ConfigError(f"{key} must be positive, got {cfg[key]!r}")
-
-
 def _outdir(cfg: dict) -> str:
     """The output directory, made if missing; ConfigError if it cannot be made."""
     d = os.environ.get(OUTPUT_DIR_ENV, cfg.get("output_dir", "."))
@@ -231,32 +237,34 @@ def _density(cfg: dict) -> DensityField:
                                 _grid(cfg))
 
 
-def _emit(cfg: dict, cfg_hash: str, name: str, payload: dict) -> None:
-    """Write payload as <name>.json, stamped with the config hash and grid, if any."""
-    def _plain(o):
-        if isinstance(o, np.generic):
-            return o.item()
-        raise TypeError(f"not JSON serializable: {type(o).__name__}")
+def _plain(o):
+    """o with numpy scalars as Python ones and each non-finite float as None (JSON null)."""
+    if isinstance(o, dict):
+        return {k: _plain(v) for k, v in o.items()}
+    if isinstance(o, list):
+        return [_plain(v) for v in o]
+    if isinstance(o, np.generic):
+        o = o.item()
+    return None if isinstance(o, float) and not np.isfinite(o) else o
 
-    payload = {**payload, "config_hash": cfg_hash}
-    if "grid" in cfg:
-        payload["grid"] = cfg["grid"]
-    with open(os.path.join(_outdir(cfg), f"{name}.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, default=_plain)
-        fh.write("\n")
+
+@dataclass(frozen=True)
+class Outcome:
+    """What a subcommand returns for `main` to write, print and exit with."""
+    payload: dict     # <command>.json before `main` stamps the config hash and grid in
+    line: str         # the one summary line, printed on stdout
+    code: int = EXIT_OK
+    tables: dict = dc_field(default_factory=dict)    # CSV file name -> write(path, meta)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_identities(cfg: dict, cfg_hash: str) -> int:
-    _require_positive(cfg, "tolerance")
+def cmd_identities(cfg: dict, outdir: str) -> Outcome:
     grid = _grid(cfg)
     dg = cfg["double_grid"]
     tol = cfg["tolerance"]
     results = []
-    failed = False
     for lam in cfg["lambdas"]:
         lam = float(lam)
         mu = ScaledCauchyProfile(lam=lam)
@@ -298,59 +306,49 @@ def cmd_identities(cfg: dict, cfg_hash: str) -> int:
         errs = [entry["entropy"]["error"], entry["coulomb"]["error"]] \
             + [p["error"] for p in entry["potential_probes"]]
         entry["pass"] = bool(max(errs) <= tol)
-        failed = failed or not entry["pass"]
         results.append(entry)
-    _emit(cfg, cfg_hash, "identities", {"double_grid": dg, "tolerance": tol,
-                                        "identities": results})
-    if failed:
-        worst = [r["lambda"] for r in results if not r["pass"]]
-        print(f"FAIL identities at lambda {worst}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print("identities: all within tolerance")
-    return EXIT_OK
+    payload = {"double_grid": dg, "tolerance": tol, "identities": results}
+    worst = [r["lambda"] for r in results if not r["pass"]]
+    if worst:
+        return Outcome(payload, f"FAIL identities at lambda {worst}", EXIT_CHECK_FAILED)
+    return Outcome(payload, "identities: all within tolerance")
 
 
-def cmd_residual(cfg: dict, cfg_hash: str) -> int:
-    _require_positive(cfg, "probe_frac")
+def cmd_residual(cfg: dict, outdir: str) -> Outcome:
     field = _density(cfg)
     rep = reduced_residual(field, probe_frac=cfg["probe_frac"])
     mem = membership_check(field, rep.tail)
-    _emit(cfg, cfg_hash, "residual",
-          {"reduced_residual_L2": rep.reduced_residual_L2,
-           "f_constant": rep.f_constant, "f_variation": rep.f_variation,
-           "static_residual_L2": rep.static_residual_L2,
-           "n_masked_low": rep.n_masked_low,
-           "tail_bound": rep.tail.bound,
-           "membership": {"mass": mem.mass, "entropy": mem.entropy,
-                          "verdict": mem.verdict}})
-    print(f"residual: f_constant={rep.f_constant:.6f} "
-          f"f_variation={rep.f_variation:.3e}")
-    return EXIT_OK
+    return Outcome({"reduced_residual_L2": rep.reduced_residual_L2,
+                    "f_constant": rep.f_constant, "f_variation": rep.f_variation,
+                    "static_residual_L2": rep.static_residual_L2,
+                    "n_masked_low": rep.n_masked_low,
+                    "tail_bound": rep.tail.bound,
+                    "membership": {"mass": mem.mass, "entropy": mem.entropy,
+                                   "verdict": mem.verdict}},
+                   f"residual: f_constant={rep.f_constant:.6f} "
+                   f"f_variation={rep.f_variation:.3e}")
 
 
-def cmd_energy_scan(cfg: dict, cfg_hash: str) -> int:
+def cmd_energy_scan(cfg: dict, outdir: str) -> Outcome:
     phi = _phi(cfg)
     # a flat factor scans on lambda-scaled per-row grids (grid None): they give clean slopes
     table = lambda_scan(cfg["m"], phi, cfg["lambdas"], None if phi.is_flat else _grid(cfg),
                         scaled_half_width=cfg["grid"]["half_width"], scaled_n=cfg["grid"]["n"])
-    table.to_csv(os.path.join(_outdir(cfg), "energy_scan.csv"), meta=f"config_hash={cfg_hash}")
-    _emit(cfg, cfg_hash, "energy_scan",
-          {"m": cfg["m"], "slope_fit": table.slope_fit,
-           "predicted_slope": table.predicted_slope,
-           "plateau": table.plateau,
-           "predicted_plateau": table.predicted_plateau})
-    print(f"energy-scan: slope={table.slope_fit:.4f} "
-          f"(predicted {table.predicted_slope:.4f})")
-    return EXIT_OK
+    return Outcome({"m": cfg["m"], "slope_fit": table.slope_fit,
+                    "predicted_slope": table.predicted_slope,
+                    "plateau": table.plateau,
+                    "predicted_plateau": table.predicted_plateau},
+                   f"energy-scan: slope={table.slope_fit:.4f} "
+                   f"(predicted {table.predicted_slope:.4f})",
+                   tables={"energy_scan.csv": table.to_csv})
 
 
-def cmd_deficit(cfg: dict, cfg_hash: str) -> int:
+def cmd_deficit(cfg: dict, outdir: str) -> Outcome:
     rep = log_hls_deficit(_density(cfg), cfg["reference_lam"],
                           tuple(cfg["profile"]["x_star"]))
-    _emit(cfg, cfg_hash, "deficit", {"lhs": rep.lhs, "rhs": rep.rhs,
-                                     "deficit": rep.deficit, "mass": rep.mass})
-    print(f"deficit: {rep.deficit:.6e}")
-    return EXIT_CHECK_FAILED if rep.deficit < -1e-3 else EXIT_OK
+    return Outcome({"lhs": rep.lhs, "rhs": rep.rhs, "deficit": rep.deficit, "mass": rep.mass},
+                   f"deficit: {rep.deficit:.6e}",
+                   EXIT_CHECK_FAILED if rep.deficit < -1e-3 else EXIT_OK)
 
 
 # what a NONZERO OBSTRUCTION verdict rules out, written into every obstruction.json
@@ -359,43 +357,36 @@ OBSTRUCTION_SCOPE = ("rules out only stationary solutions whose transported sphe
                      "it does not rule out stationary solutions of every mass")
 
 
-def cmd_obstruction(cfg: dict, cfg_hash: str) -> int:
-    _require_positive(cfg, "threshold")
+def cmd_obstruction(cfg: dict, outdir: str) -> Outcome:
     phi = _phi(cfg)
     cert = nonexistence_certificate(phi, lam=cfg["lam"], n_lat=cfg["n_lat"],
                                     n_lon=cfg["n_lon"])
-    verdict = "REFUSED"
-    if cert.eligible:
-        verdict = ("NONZERO OBSTRUCTION"
-                   if cert.min_magnitude >= cfg["threshold"] else "INCONCLUSIVE")
-    _emit(cfg, cfg_hash, "obstruction",
-          {"phi": cfg["phi"], "lam": cfg["lam"],
-           "eligible": cert.eligible, "reason": cert.reason,
-           "flank_sign": cert.flank_sign,
-           "obstructions": cert.obstructions, "verdict": verdict,
-           "scope": OBSTRUCTION_SCOPE})
-    print(f"obstruction: {verdict}")
-    if not cert.eligible:
-        return EXIT_BAD_CONFIG
-    return EXIT_OK if verdict == "NONZERO OBSTRUCTION" else EXIT_CHECK_FAILED
+    verdict, code = "REFUSED", EXIT_BAD_CONFIG
+    if cert.eligible and cert.min_magnitude >= cfg["threshold"]:
+        verdict, code = "NONZERO OBSTRUCTION", EXIT_OK
+    elif cert.eligible:
+        verdict, code = "INCONCLUSIVE", EXIT_CHECK_FAILED
+    return Outcome({"phi": cfg["phi"], "lam": cfg["lam"],
+                    "eligible": cert.eligible, "reason": cert.reason,
+                    "flank_sign": cert.flank_sign,
+                    "obstructions": cert.obstructions, "verdict": verdict,
+                    "scope": OBSTRUCTION_SCOPE},
+                   f"obstruction: {verdict}", code)
 
 
-def cmd_virial(cfg: dict, cfg_hash: str) -> int:
+def cmd_virial(cfg: dict, outdir: str) -> Outcome:
     field = _density(cfg)
     # a curved factor closes I3 through the auxiliary solve; flat leaves f = 0
     f = None if field.phi.is_flat else solve_aux_pde(WeightedEllipticProblem.build(field)).f
     reports = assemble_virial(field, cfg["radii"], f=f)
-    export_virial_csv(reports, os.path.join(_outdir(cfg), "virial.csv"),
-                      meta=f"config_hash={cfg_hash}")
     last = reports[-1]
-    _emit(cfg, cfg_hash, "virial", {"R": last.R_used, "I1": last.I1, "I2": last.I2,
-                                    "I3": last.I3, "closure": last.closure})
-    print(f"virial: closure at R={last.R_used:g} is {last.closure:.4f}")
-    return EXIT_OK
+    return Outcome({"R": last.R_used, "I1": last.I1, "I2": last.I2, "I3": last.I3,
+                    "closure": last.closure},
+                   f"virial: closure at R={last.R_used:g} is {last.closure:.4f}",
+                   tables={"virial.csv": partial(export_virial_csv, reports)})
 
 
-def cmd_flow(cfg: dict, cfg_hash: str) -> int:
-    _require_positive(cfg, "sigma")
+def cmd_flow(cfg: dict, outdir: str) -> Outcome:
     if cfg["initial"] == "gaussian":
         grid, phi = _grid(cfg), _phi(cfg)
         cx, cy = grid.center
@@ -409,31 +400,25 @@ def cmd_flow(cfg: dict, cfg_hash: str) -> int:
     else:
         raise ConfigError(f"unknown initial condition {cfg['initial']!r}")
     dt = None if cfg["dt"] == 0 else cfg["dt"]    # a negative dt is rejected by run_flow
-    outdir = _outdir(cfg)
     with snapshot_writer(os.path.join(outdir, "flow_snapshots.npy"), field.grid.n) as append:
         final, diag = run_flow(field, cfg["t_end"], dt=dt, snapshot_every=cfg["snapshot_every"],
                                on_snapshot=lambda s: append(s.field.samples))
-    diagnostics_to_csv(diag, os.path.join(outdir, "flow_diagnostics.csv"),
-                       meta=f"config_hash={cfg_hash}")
     payload = {"steps": final.step_count, "t_final": final.t,
                "mass_drift": diag.mass_drift}
     if diag.phi_is_flat and len(diag.t) >= 10:
         slope, expected = virial_rate(diag)
         payload["dW_dt"] = slope
         payload["dW_dt_expected"] = expected
-    _emit(cfg, cfg_hash, "flow", payload)
-    print(f"flow: {final.step_count} steps to t={final.t:.4f}, "
-          f"mass drift {diag.mass_drift:.2e}")
-    return EXIT_OK
+    return Outcome(payload, f"flow: {final.step_count} steps to t={final.t:.4f}, "
+                            f"mass drift {diag.mass_drift:.2e}",
+                   tables={"flow_diagnostics.csv": partial(diagnostics_to_csv, diag)})
 
 
-def cmd_envelope(cfg: dict, cfg_hash: str) -> int:
+def cmd_envelope(cfg: dict, outdir: str) -> Outcome:
     ann = AnnulusSpec(R=cfg["annulus_R"], ratio=cfg["annulus_ratio"])
     rep = decay_envelope(_density(cfg), ann)
-    _emit(cfg, cfg_hash, "envelope", {"K_best": rep.K_best, "tail_slope": rep.tail_slope,
-                                      "n_cells": rep.n_cells})
-    print(f"envelope: K={rep.K_best:.4f} slope={rep.tail_slope:.4f}")
-    return EXIT_OK
+    return Outcome({"K_best": rep.K_best, "tail_slope": rep.tail_slope, "n_cells": rep.n_cells},
+                   f"envelope: K={rep.K_best:.4f} slope={rep.tail_slope:.4f}")
 
 
 COMMANDS = {
@@ -459,8 +444,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, cfg_hash = load_config(args.config, args.command)
-        _outdir(cfg)    # an unusable output directory fails before any computation
-        return COMMANDS[args.command](cfg, cfg_hash)
+        outdir = _outdir(cfg)    # an unusable output directory fails before any computation
+        out = COMMANDS[args.command](cfg, outdir)
     except (CFLViolation, BlowUpDetected, StepLimitReached, AuxSolveError,
             MaskedDensityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -468,6 +453,18 @@ def main(argv=None) -> int:
     except ValueError as exc:   # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    for name, write in out.tables.items():
+        write(os.path.join(outdir, name), meta=f"config_hash={cfg_hash}")
+    payload = {**out.payload, "config_hash": cfg_hash}
+    if "grid" in cfg:
+        payload["grid"] = cfg["grid"]
+    # serialised whole before the file opens: a non-finite float _plain missed raises here
+    text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
+    with open(os.path.join(outdir, f"{args.command.replace('-', '_')}.json"), "w",
+              encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+    print(out.line)
+    return out.code
 
 
 if __name__ == "__main__":

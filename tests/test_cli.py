@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from curvedks import cli, flow
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
-from curvedks.flow import BlowUpDetected, StepLimitReached, run_flow
+from curvedks.flow import BlowUpDetected, CFLViolation, StepLimitReached, run_flow
 from curvedks.virial import AuxSolveError
 
 
@@ -390,16 +391,16 @@ def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
 ])
 def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, command, config, key):
     # a negative sigma would run, sigma 0 divided by zero, probe_frac <= 0 masked
-    # every probe cell (exit 3), a tolerance <= 0 failed every check (exit 1)
+    # every probe cell (exit 3), a tolerance <= 0 failed every check (exit 1);
+    # the schema refuses each while loading, before any command runs
     small = {"grid": {"half_width": 12.0, "n": 32}}
     rc, outdir = _run(tmp_path, command, {**small, **config}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert key in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
     direct = {**small, **config, "output_dir": str(tmp_path / "direct")}
-    cfg, cfg_hash = load_config(_write_config(tmp_path, "direct.json", direct), command)
     with pytest.raises(cli.ConfigError, match=key):
-        cli.COMMANDS[command](cfg, cfg_hash)
+        load_config(_write_config(tmp_path, "direct.json", direct), command)
 
 
 @pytest.mark.parametrize("amplitude", [400.0, -400.0])
@@ -463,7 +464,7 @@ def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsy
     blocker = tmp_path / "file"
     blocker.write_text("")
     called = []
-    monkeypatch.setitem(cli.COMMANDS, "residual", lambda cfg, h: called.append(cfg) or EXIT_OK)
+    monkeypatch.setitem(cli.COMMANDS, "residual", lambda cfg, outdir: called.append(cfg))
     cfg = _write_config(tmp_path, "residual.json", {"output_dir": str(blocker / "out")})
     monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
     assert main(["residual", "--config", cfg]) == EXIT_BAD_CONFIG
@@ -573,8 +574,10 @@ def _config_trees(schema):
         else:
             typ, default = spec
             number = st.integers() | st.floats() | st.sampled_from(_EDGE_NUMBERS)
+            if typ == cli._POSITIVE:
+                number |= st.sampled_from([0, -0.0, -1, -1e-300])
             typed = st.text(max_size=4) if typ is str else (
-                number if typ in (int, float) else st.lists(number, max_size=4))
+                number if typ in (int, float, cli._POSITIVE) else st.lists(number, max_size=4))
             values[key] = st.just(default) | typed | _JSON
     stray = st.sampled_from([0, 0, 0, 1]).flatmap(
         lambda k: st.dictionaries(st.text(max_size=4), _JSON, min_size=k, max_size=k))
@@ -597,6 +600,9 @@ def test_validate_survives_fuzzing(data, command):
     except cli.ConfigError:
         return
     assert _same_keys(cfg, schema)
+    assert all(isinstance(cfg[k], float) and cfg[k] > 0
+               for k, spec in schema.items()
+               if not isinstance(spec, dict) and spec[0] == cli._POSITIVE)
 
 
 _COLD_START = """
@@ -684,3 +690,100 @@ def test_determinism_scan_csv(tmp_path, monkeypatch):
         assert main(["energy-scan", "--config", cfg]) == EXIT_OK
         outputs.append((outdir / "energy_scan.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+_BUMP = {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0}
+# a small config for each command, and the files besides <command>.json it writes
+_CONTRACT = {
+    "identities": ({"grid": {"half_width": 20.0, "n": 64}, "double_grid": {"n": 64},
+                    "lambdas": [1.0]}, set()),
+    "residual": ({"grid": {"half_width": 10.0, "n": 32}}, set()),
+    "energy-scan": ({"grid": {"half_width": 30.0, "n": 64}, "lambdas": [0.05, 0.5, 5.0]},
+                    {"energy_scan.csv"}),
+    "deficit": ({"grid": {"half_width": 20.0, "n": 64}}, set()),
+    "obstruction": ({"phi": _BUMP, "n_lat": 32, "n_lon": 64}, set()),
+    "virial": ({"grid": {"half_width": 16.0, "n": 64}, "phi": _BUMP, "radii": [4.0]},
+               {"virial.csv"}),
+    "flow": ({"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01, "snapshot_every": 5},
+             {"flow_diagnostics.csv", "flow_snapshots.npy"}),
+    "envelope": ({"grid": {"half_width": 20.0, "n": 64}, "annulus_R": 5.0}, set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_keeps_the_output_contract(tmp_path, monkeypatch, capsys, command):
+    # one line on stdout and none on stderr; <command>.json stamped with load_config's
+    # hash, and with the grid exactly when the schema has one; exactly its tables
+    config, tables = _CONTRACT[command]
+    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    out = capsys.readouterr()
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    assert len(out.out.splitlines()) == 1 and out.err == ""
+    name = command.replace("-", "_")
+    payload = json.loads((outdir / f"{name}.json").read_text())
+    _, cfg_hash = load_config(str(tmp_path / f"{name}.json"), command)
+    assert payload["config_hash"] == cfg_hash
+    assert ("grid" in payload) == ("grid" in cli.SCHEMAS[command])
+    assert {p.name for p in outdir.iterdir()} == {f"{name}.json"} | tables
+    for table in tables - {"flow_snapshots.npy"}:
+        assert (outdir / table).read_text().startswith(f"# config_hash={cfg_hash}\n")
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+@pytest.mark.parametrize("command, target, exc, code", [
+    ("virial", "solve_aux_pde", AuxSolveError("relative residual above tolerance"), 3),
+    ("flow", "run_flow", CFLViolation("dt exceeds CFL bound"), 3),
+    ("energy-scan", "lambda_scan", ValueError("no two resolved lambdas"), EXIT_BAD_CONFIG),
+])
+def test_a_command_that_raises_writes_nothing(tmp_path, monkeypatch, capsys, command, target,
+                                              exc, code):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    rc, outdir = _run(tmp_path, command, _CONTRACT[command][0], monkeypatch)
+    out = capsys.readouterr()
+    assert rc == code
+    assert out.out == "" and str(exc) in out.err
+    assert list(outdir.iterdir()) == []
+
+
+def test_no_command_writes_or_prints_for_itself():
+    # the commands return an Outcome; only main prints, makes the directory and writes JSON
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert len(commands) == len(cli.COMMANDS)
+    for fn in commands:
+        assert [a.arg for a in fn.args.args] == ["cfg", "outdir"], fn.name
+        named = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        assert named.isdisjoint({"print", "_outdir", "json", "cfg_hash"}), fn.name
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("command, config, code, keys", [
+    ("energy-scan", {"m": 1e300, "grid": {"n": 64}}, EXIT_OK,
+     [("slope_fit",), ("plateau",), ("predicted_slope",)]),
+    ("residual", {"grid": {"n": 64, "half_width": 12.0}, "profile": {"lam": 100.0}}, EXIT_OK,
+     [("tail_bound",)]),
+    ("identities", {"grid": {"n": 64, "half_width": 1.0}, "double_grid": {"n": 64},
+                    "lambdas": [50.0]}, EXIT_CHECK_FAILED,
+     [("identities", 0, "entropy", "tail_bound")]),
+])
+def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, config, code,
+                                               keys):
+    # NaN and Infinity are not JSON (RFC 8259): each such value is written as null
+    with np.errstate(all="ignore"):
+        rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    assert rc == code
+    text = (outdir / f"{command.replace('-', '_')}.json").read_text()
+    payload = json.loads(text, parse_constant=_no_constant)
+    for path in keys:
+        value = payload
+        for k in path:
+            value = value[k]
+        assert value is None, path
