@@ -104,7 +104,6 @@ SCHEMAS = {
         "phi": _PHI_SCHEMA,
         "lam": (float, 1.0),
         "n_lat": (int, 128),
-        "n_lon": (int, 256),
         "threshold": (_POSITIVE, 1e-3),
         "output_dir": (str, "."),
     },
@@ -224,11 +223,11 @@ def _grid(cfg: dict) -> CartesianGrid:
 
 def _phi(cfg: dict) -> ConformalFactor:
     p = cfg["phi"]
-    if p["kind"] == "zero":
-        return ConformalFactor.zero()
-    if p["kind"] == "radial_bump":
-        return ConformalFactor.radial_bump(p["amplitude"], p["support_radius"], tuple(p["center"]))
-    raise ConfigError(f"unsupported phi kind in configs: {p['kind']!r}")
+    if p["kind"] not in ("zero", "radial_bump"):
+        raise ConfigError(f"unsupported phi kind in configs: {p['kind']!r}")
+    if p["kind"] == "zero" and p["amplitude"] != 0.0:    # kind zero is the amplitude-0 bump
+        raise ConfigError(f"phi.amplitude must be 0 for phi kind 'zero', got {p['amplitude']!r}")
+    return ConformalFactor.radial_bump(p["amplitude"], p["support_radius"], tuple(p["center"]))
 
 
 def _density(cfg: dict) -> DensityField:
@@ -359,8 +358,7 @@ OBSTRUCTION_SCOPE = ("rules out only stationary solutions whose transported sphe
 
 def cmd_obstruction(cfg: dict, outdir: str) -> Outcome:
     phi = _phi(cfg)
-    cert = nonexistence_certificate(phi, lam=cfg["lam"], n_lat=cfg["n_lat"],
-                                    n_lon=cfg["n_lon"])
+    cert = nonexistence_certificate(phi, lam=cfg["lam"], n_lat=cfg["n_lat"])
     verdict, code = "REFUSED", EXIT_BAD_CONFIG
     if cert.eligible and cert.min_magnitude >= cfg["threshold"]:
         verdict, code = "NONZERO OBSTRUCTION", EXIT_OK
@@ -445,9 +443,10 @@ def main(argv=None) -> int:
     try:
         cfg, cfg_hash = load_config(args.config, args.command)
         outdir = _outdir(cfg)    # an unusable output directory fails before any computation
-        out = COMMANDS[args.command](cfg, outdir)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = COMMANDS[args.command](cfg, outdir)
     except (CFLViolation, BlowUpDetected, StepLimitReached, AuxSolveError,
-            MaskedDensityError) as exc:
+            MaskedDensityError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:   # ConfigError included

@@ -42,6 +42,7 @@ from .stationary import DensityField
 
 CFL = 0.2                       # stability factor of the explicit step (cfl_bound)
 DT_SAFETY = 0.8                 # automatic dt / CFL bound: room for c to steepen
+MAX_STEPS = 10**6               # step budget of one run_flow call
 
 
 class CFLViolation(RuntimeError):
@@ -240,12 +241,12 @@ def flow_step(state: FlowState) -> FlowState:
 
 
 def run_flow(field: DensityField, t_end: float, dt: float | None = None,
-             snapshot_every: int = 1, max_steps: int = 10**6,
+             snapshot_every: int = 1,
              on_snapshot=lambda state: None) -> tuple[FlowState, FlowDiagnostics]:
     """March to t_end; the first and every snapshot_every-th state go to diag and on_snapshot.
 
     The last step is shortened so the run ends exactly at t_end. Raises
-    StepLimitReached if t_end needs more than max_steps steps (before the first
+    StepLimitReached if t_end needs more than MAX_STEPS steps (before the first
     step, as dt is fixed), and ValueError unless t_end > 0 and snapshot_every >= 1.
     """
     if not t_end > 0:
@@ -253,13 +254,13 @@ def run_flow(field: DensityField, t_end: float, dt: float | None = None,
     if snapshot_every < 1:
         raise ValueError(f"snapshot_every must be at least 1, got {snapshot_every!r}")
     state = flow_init(field, dt=dt)
-    if t_end > max_steps * state.dt * (1.0 + 1e-12):    # the last step may take 1e-12 dt more
-        raise StepLimitReached(f"t_end {t_end:g} needs over {max_steps} steps of dt {state.dt:.3g}")
+    if t_end > MAX_STEPS * state.dt * (1.0 + 1e-12):    # the last step may take 1e-12 dt more
+        raise StepLimitReached(f"t_end {t_end:g} needs over {MAX_STEPS} steps of dt {state.dt:.3g}")
     diag = FlowDiagnostics(phi_is_flat=field.phi.is_flat)
     _record(diag, state, on_snapshot)
     while state.t < t_end:
-        if state.step_count >= max_steps:
-            raise StepLimitReached(f"{max_steps} steps reached t = {state.t:.6g}, "
+        if state.step_count >= MAX_STEPS:
+            raise StepLimitReached(f"{MAX_STEPS} steps reached t = {state.t:.6g}, "
                                    f"short of t_end = {t_end:.6g}")
         remaining = t_end - state.t
         if remaining > state.dt * (1.0 + 1e-12):

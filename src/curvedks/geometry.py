@@ -35,9 +35,9 @@ class ConformalFactor:
     """Compactly supported smooth phi defining the metric e^{2 phi} g0.
 
     phi is the mollifier bump amplitude * exp(1 - 1/(1 - s^2)), radial about
-    center with s = |x - center| / support_radius; its radial derivative has
-    the sign of the amplitude. Amplitude 0 is the flat plane, zero(). Callers
-    ask the factor (is_flat, on_grid, grad) instead of reading its fields.
+    center with s = |x - center| / support_radius; d phi / dr has the sign of
+    -amplitude: a positive bump falls off its centre. Amplitude 0 is the flat
+    plane, zero(). Callers ask the factor (is_flat, on_grid, grad), not its fields.
     """
 
     amplitude: float = 0.0

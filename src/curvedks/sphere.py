@@ -259,7 +259,7 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     2pi sum_k glw_k d_theta(u1)_k d_theta(h)_k e^{2u_k}, with h read on the one
     meridian psi = 0. The stencil of a constant is 0, so h - 1 = expm1(2 phi)
     is differenced in place of h: it keeps full relative precision when phi
-    is small.
+    is small. n_lon selects nothing: it only has to make a valid SphereGrid.
     """
     r = np.linspace(0.0, phi.support_radius, 512)
     prof = phi(phi.center[0] + r, np.full_like(r, phi.center[1]))
@@ -267,7 +267,7 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     scale = float(np.max(np.abs(prof)))
     if scale == 0.0:
         return CertificateReport(False, "factor is constant (zero)", 0, {})
-    tol = 1e-10 * max(scale, 1.0)
+    tol = 1e-10 * scale
     has_pos = bool(np.any(dprof > tol))
     has_neg = bool(np.any(dprof < -tol))
     if has_pos and has_neg:

@@ -120,7 +120,7 @@ def test_obstruction_verdict(tmp_path, monkeypatch):
     rc, outdir = _run(tmp_path, "obstruction",
                       {"phi": {"kind": "radial_bump", "amplitude": 0.05,
                                "support_radius": 2.0},
-                       "n_lat": 64, "n_lon": 128}, monkeypatch)
+                       "n_lat": 64}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "NONZERO OBSTRUCTION"
@@ -134,7 +134,7 @@ def test_obstruction_rejects_nonpositive_threshold(tmp_path, monkeypatch, thresh
     rc, outdir = _run(tmp_path, "obstruction",
                       {"phi": {"kind": "radial_bump", "amplitude": 1e-9,
                                "support_radius": 2.0},
-                       "n_lat": 32, "n_lon": 64, "threshold": threshold}, monkeypatch)
+                       "n_lat": 32, "threshold": threshold}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert not (outdir / "obstruction.json").exists()
 
@@ -701,7 +701,7 @@ _CONTRACT = {
     "energy-scan": ({"grid": {"half_width": 30.0, "n": 64}, "lambdas": [0.05, 0.5, 5.0]},
                     {"energy_scan.csv"}),
     "deficit": ({"grid": {"half_width": 20.0, "n": 64}}, set()),
-    "obstruction": ({"phi": _BUMP, "n_lat": 32, "n_lon": 64}, set()),
+    "obstruction": ({"phi": _BUMP, "n_lat": 32}, set()),
     "virial": ({"grid": {"half_width": 16.0, "n": 64}, "phi": _BUMP, "radii": [4.0]},
                {"virial.csv"}),
     "flow": ({"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01, "snapshot_every": 5},
@@ -766,8 +766,6 @@ def _no_constant(name):
 
 
 @pytest.mark.parametrize("command, config, code, keys", [
-    ("energy-scan", {"m": 1e300, "grid": {"n": 64}}, EXIT_OK,
-     [("slope_fit",), ("plateau",), ("predicted_slope",)]),
     ("residual", {"grid": {"n": 64, "half_width": 12.0}, "profile": {"lam": 100.0}}, EXIT_OK,
      [("tail_bound",)]),
     ("identities", {"grid": {"n": 64, "half_width": 1.0}, "double_grid": {"n": 64},
@@ -777,8 +775,7 @@ def _no_constant(name):
 def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, config, code,
                                                keys):
     # NaN and Infinity are not JSON (RFC 8259): each such value is written as null
-    with np.errstate(all="ignore"):
-        rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = _run(tmp_path, command, config, monkeypatch)
     assert rc == code
     text = (outdir / f"{command.replace('-', '_')}.json").read_text()
     payload = json.loads(text, parse_constant=_no_constant)
@@ -787,3 +784,105 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, c
         for k in path:
             value = value[k]
         assert value is None, path
+
+
+def test_floating_point_errors_are_numerical_failures(tmp_path, monkeypatch, capsys):
+    # m = 1e300 overflows the scan's energies: exit 3 with one line on stderr and no
+    # output, where the scan used to exit 0 with nan slopes and numpy warnings on stderr
+    rc, outdir = _run(tmp_path, "energy-scan", {"m": 1e300, "grid": {"n": 64}}, monkeypatch)
+    out = capsys.readouterr()
+    assert rc == 3
+    assert out.out == "" and out.err.startswith("numerical failure:")
+    assert len(out.err.splitlines()) == 1
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+def test_zero_phi_refuses_an_amplitude(tmp_path, monkeypatch, capsys):
+    # kind "zero" is the flat plane: an amplitude it would ignore is invalid config,
+    # where the scan used to run as the flat plane and exit 0
+    rc, outdir = _run(tmp_path, "energy-scan", {"phi": {"kind": "zero", "amplitude": 0.3}},
+                      monkeypatch)
+    assert rc == EXIT_BAD_CONFIG
+    assert "phi.amplitude" in capsys.readouterr().err
+    assert not outdir.exists() or not any(outdir.iterdir())
+
+
+# a small curved config for each command: its contract config, with the bump as phi
+_CURVED = {command: dict(config, phi=_BUMP) if "phi" in cli.SCHEMAS[command] else dict(config)
+           for command, (config, _) in _CONTRACT.items()}
+_CURVED["identities"]["tolerance"] = 0.1               # passes: its worst error is 0.074
+_CURVED["energy-scan"]["lambdas"] = [0.02, 2.0, 3.5]   # resolved: 1.875 <= lambda <= 3.75
+_CURVED["flow"]["snapshot_every"] = 1                  # records its one step
+# alternatives for the keys whose default nudge (_nudged) is refused or changes nothing
+_ALTERNATIVES = {
+    ("identities", "tolerance"): 1e-9,                # every identity fails: exit 1
+    ("obstruction", "threshold"): 1e3,                # INCONCLUSIVE: exit 1
+    ("flow", "dt"): 1e-3,                             # 1.5 x 0 is 0; 0.5 breaks the CFL bound
+    ("energy-scan", "grid.half_width"): 32.0,         # resolves 2 <= lambda <= 4
+    ("energy-scan", "lambdas"): [0.02, 2.5, 3.5],
+}
+# keys that reach no output of their command's curved config, each for its reason
+UNREACHED_KEYS = {
+    ("flow", "profile.lam"): "initial: gaussian reads no profile",
+    ("flow", "profile.m"): "initial: gaussian reads no profile",
+    ("flow", "profile.x_star"): "initial: gaussian reads no profile",
+}
+
+
+def _leaves(schema, prefix=""):
+    """(dotted key, type) of every non-string leaf of a schema; output_dir is a string."""
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, f"{prefix}{key}.")
+        elif spec[0] is not str:
+            yield f"{prefix}{key}", spec[0]
+
+
+def _nudged(value, typ):
+    """Another value of type typ: an int + 2, a point + 0.5, a list or float x 1.5 (0 -> 0.5)."""
+    if typ is int:
+        return value + 2
+    if typ == cli._POINT:
+        return [v + 0.5 for v in value]
+    if typ is list:
+        return [1.5 * v for v in value]
+    return 1.5 * value if value else 0.5
+
+
+def _observed(tmp_path, monkeypatch, capsys, command, config):
+    """The exit code, stdout and output files of one run, less the config hash and the
+    top-level keys of <command>.json that echo a config key."""
+    tmp_path.mkdir()
+    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        if path.name == f"{command.replace('-', '_')}.json":
+            files[path.name] = {k: v for k, v in json.loads(path.read_text()).items()
+                                if k != "config_hash" and k not in cli.SCHEMAS[command]}
+        else:
+            files[path.name] = [line for line in path.read_bytes().splitlines(True)
+                                if not line.startswith(b"# config_hash=")]
+    return rc, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, command):
+    # each setting, moved to one valid alternative, changes the exit code, the stdout
+    # line or the bytes of an output file, or is listed in UNREACHED_KEYS with its reason
+    base = _CURVED[command]
+    full = cli._validate(base, cli.SCHEMAS[command])
+    reference = _observed(tmp_path / "base", monkeypatch, capsys, command, base)
+    assert reference[0] in (EXIT_OK, EXIT_CHECK_FAILED)
+    unreached = set()
+    for i, (key, typ) in enumerate(_leaves(cli.SCHEMAS[command])):
+        *parents, leaf = key.split(".")
+        config = json.loads(json.dumps(base))
+        node, current = config, full
+        for p in parents:
+            node, current = node.setdefault(p, {}), current[p]
+        node[leaf] = _ALTERNATIVES.get((command, key), _nudged(current[leaf], typ))
+        got = _observed(tmp_path / str(i), monkeypatch, capsys, command, config)
+        assert got[0] in (EXIT_OK, EXIT_CHECK_FAILED), (key, node[leaf], got[1])
+        if got == reference:
+            unreached.add(key)
+    assert unreached == {key for c, key in UNREACHED_KEYS if c == command}

@@ -340,28 +340,30 @@ def test_run_flow_lands_on_t_end():
     assert (final.t, final.step_count) == (0.1, 10)
 
 
-def test_run_flow_raises_when_steps_run_out():
+def test_run_flow_raises_when_steps_run_out(monkeypatch):
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
     fld = _gaussian_field(g, 4 * np.pi)
+    monkeypatch.setattr(flow, "MAX_STEPS", 3)
     with pytest.raises(StepLimitReached):
-        run_flow(fld, 0.1, dt=0.03, max_steps=3)
+        run_flow(fld, 0.1, dt=0.03)
     assert issubclass(StepLimitReached, RuntimeError)
-    final, _ = run_flow(fld, 0.09, dt=0.03, max_steps=3)
+    final, _ = run_flow(fld, 0.09, dt=0.03)
     assert final.step_count == 3
     # 1000 steps of 0.1 sum to 100 less 1.4e-12, so reaching t = 100 takes a 1001st step
+    monkeypatch.setattr(flow, "MAX_STEPS", 1000)
     wide = CartesianGrid(center=(0, 0), half_width=40.0, n=16)
     with pytest.raises(StepLimitReached, match="reached"):
-        run_flow(_gaussian_field(wide, 1.0, sigma=10.0), 100.0, dt=0.1, max_steps=1000)
+        run_flow(_gaussian_field(wide, 1.0, sigma=10.0), 100.0, dt=0.1)
 
 
-def test_run_flow_fails_before_its_first_step_when_dt_cannot_reach_t_end():
+def test_run_flow_fails_before_its_first_step_when_dt_cannot_reach_t_end(monkeypatch):
     # dt is fixed for the run, so a budget short of t_end / dt is known at t = 0:
     # no step is taken and no snapshot is handed on
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=32)
     taken = []
+    monkeypatch.setattr(flow, "MAX_STEPS", 10)
     with pytest.raises(StepLimitReached, match="needs over 10 steps"):
-        run_flow(_gaussian_field(g, 4 * np.pi), 1.0, dt=1e-300, max_steps=10,
-                 on_snapshot=taken.append)
+        run_flow(_gaussian_field(g, 4 * np.pi), 1.0, dt=1e-300, on_snapshot=taken.append)
     assert taken == []
 
 

@@ -9,6 +9,10 @@ or, in a package __init__, listed in its __all__; a method, property or field
 is read only as an attribute, since a bare name of the same spelling is
 another variable. Reads are matched by name, not by type, so a dead method
 that shares its name with a live one passes.
+
+Every defaulted parameter is also set by some call in the package, by
+keyword or by position, so that no option has only the one value its default
+gives it. Calls are matched to definitions by name in the same way.
 """
 
 import ast
@@ -33,6 +37,25 @@ ALLOWED_UNREAD = {
     "sphere.SphereField.role": "bench/workloads.py constructs SphereField with role=",
     "virial.AuxSolution.iterations": "bench/tracer.py counts the solves of each auxiliary solve",
     "virial.AuxSolution.residual_trace": "bench/tracer.py records the auxiliary solve's residual",
+}
+
+# Defaulted parameters that no call in the package sets, each kept for its one reason.
+ALLOWED_DEFAULTED = {
+    "stationary.DensityField.potential(method)":
+        "the direct oracle: bench/test_bench.py passes method='direct'",
+    "energy.free_energy(q)": "the covariant q = 2 energy that tests/test_energy.py checks",
+    "energy.lambda_scan(x_star)": "criterion 6 and bench/workloads.py pass it",
+    "energy.conformal_covariance_check(x_star)": "criterion 6 passes it",
+    "sphere.plane_side_obstruction(u1_index)": "criterion 7 passes it",
+    "virial.solve_aux_pde(tol)": "tests/test_virial.py and bench/workloads.py pass it",
+    "sphere.nonexistence_certificate(n_lon)":
+        "selects nothing (the certificate is a zonal sum); bench/workloads.py passes it",
+    "cli.main(argv)": "tests pass argv; the console script passes none, so argparse reads sys.argv",
+    "stationary.DensityField.to_csv(meta)": "a writer bench/tracer.py times; tests pass meta",
+    # the CSV writers of the commands: main passes meta through Outcome.tables' write(path, meta=)
+    "energy.ScanTable.to_csv(meta)": "set through Outcome.tables",
+    "flow.diagnostics_to_csv(meta)": "set through Outcome.tables",
+    "virial.export_virial_csv(meta)": "set through Outcome.tables",
 }
 
 
@@ -117,6 +140,38 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
     return sorted(unread)
 
 
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """module.Class.function(parameter) of each defaulted parameter in sources, a map from
+    module name to source, that no call of a function of that name sets, by keyword or by
+    position; a method's first parameter is self or cls. A *args in a call sets every
+    position, a **kwargs every keyword."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    calls = {}    # called name -> (positional arguments, keyword names) of each call
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), {k.arg for k in node.keywords}))
+    unset = []
+    for mod, tree in trees.items():
+        for qual, name, node, member in _definitions(tree, mod):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first, skip = len(positional) - len(args.defaults), int(member)
+            defaulted = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for param, index in defaulted:
+                if not any(param in kws or None in kws or (index is not None and n > index)
+                           for n, kws in calls.get(name, [])):
+                    unset.append(f"{qual}({param})")
+    return sorted(unset)
+
+
 def test_the_check_finds_an_unused_import():
     source = ("import os\nimport numpy as np\nfrom typing import Any, List\n"
               "x: List = np.zeros(1)\n")
@@ -163,3 +218,30 @@ def main(report):
 def test_everything_defined_in_the_package_is_read():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unread_definitions(sources) == sorted(ALLOWED_UNREAD)
+
+
+def test_the_check_finds_an_unset_default():
+    source = """
+class Grid:
+    def refine(self, factor=2, *, keep=False):
+        return self
+
+def solve(grid, tol=1e-8, method="lu", verbose=False, limit=10):
+    return grid.refine(3)
+
+def main(grid, options):
+    solve(grid, 1e-6, verbose=True)
+    solve(*options)
+    solve(**options)
+"""
+    # factor is set by position past self, tol by position and verbose by keyword;
+    # method and limit only by the *options and **options of main
+    assert unset_defaults({"m": source}) == ["m.Grid.refine(keep)"]
+    assert unset_defaults({"m": source.replace("    solve(*options)\n", "").replace(
+        "    solve(**options)\n", "")}) == [
+        "m.Grid.refine(keep)", "m.solve(limit)", "m.solve(method)"]
+
+
+def test_every_defaulted_parameter_is_set():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unset_defaults(sources) == sorted(ALLOWED_DEFAULTED)

@@ -270,13 +270,14 @@ def test_plane_side_agrees_with_sphere_side():
 
 
 def test_certificate_issued_for_monotone_bump():
-    # a positive bump falls off its centre, a negative one rises
-    for amplitude, flank_sign in ((0.05, -1), (-0.05, 1)):
+    # a positive bump falls off its centre, a negative one rises, however small it is;
+    # the obstruction scales with a small amplitude
+    for amplitude, flank_sign in ((0.05, -1), (-0.05, 1), (1e-12, -1), (-1e-12, 1)):
         cert = nonexistence_certificate(ConformalFactor.radial_bump(amplitude, 2.0), n_lat=96,
                                         n_lon=192)
         assert cert.eligible
         assert cert.flank_sign == flank_sign
-        assert cert.min_magnitude > 1e-3
+        assert cert.min_magnitude > 1e-3 * abs(amplitude) / 0.05
         assert set(cert.obstructions) == {"u=0", "scale x0.5", "scale x2"}
 
 
