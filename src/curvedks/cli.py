@@ -33,7 +33,7 @@ from .domain import AnnulusSpec, CartesianGrid
 from .energy import lambda_scan, log_hls_deficit
 from .flow import (BlowUpDetected, CFLViolation, StepLimitReached, diagnostics_to_csv,
                    run_flow, snapshot_writer, virial_rate)
-from .geometry import ConformalFactor
+from .geometry import ConformalFactor, grid_geometry
 from .potential import coulomb_energy, estimate_tail, newtonian_potential
 from .profiles import (ScaledCauchyProfile, mu_coulomb_identity,
                        mu_entropy_identity, mu_potential_identity)
@@ -278,10 +278,9 @@ def cmd_identities(cfg: dict, outdir: str) -> Outcome:
         samples = mu.on_grid(grid)
         cfield = newtonian_potential(samples, ConformalFactor.zero(), grid)
         probes = []
+        j = int(np.argmin(np.abs(grid.y - 0.0)))
         for rfrac in (1.5, 2.0, 3.0, 5.0, 8.0):
-            px = lam * rfrac
-            i = int(np.argmin(np.abs(grid.x - px)))
-            j = int(np.argmin(np.abs(grid.y - 0.0)))
+            i = int(np.argmin(np.abs(grid.x - lam * rfrac)))
             closed_p = float(mu_potential_identity(lam, (grid.x[i], grid.y[j])))
             probes.append((closed_p, float(cfield.samples[i, j])))
 
@@ -391,7 +390,8 @@ def cmd_flow(cfg: dict, outdir: str) -> Outcome:
         sigma = cfg["sigma"]
         rho = cfg["mass"] / (2.0 * np.pi * sigma**2) * np.exp(
             -((grid.x[:, None] - cx) ** 2 + (grid.y[None, :] - cy) ** 2) / (2.0 * sigma**2))
-        rho *= cfg["mass"] / (np.sum(rho * np.exp(2.0 * phi.on_grid(grid))) * grid.cell_area)
+        geometry = grid_geometry(phi, grid)    # held, so the field below shares it
+        rho *= cfg["mass"] / (np.sum(rho * geometry.e2phi) * grid.cell_area)
         field = DensityField(grid=grid, samples=rho, phi=phi)
     elif cfg["initial"] == "profile":
         field = _density(cfg)

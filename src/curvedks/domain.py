@@ -150,10 +150,14 @@ def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray]:
     of one n_lat share one set of node arrays.
     """
     t, glw = np.polynomial.legendre.leggauss(n_lat)
-    nodes = (glw, np.arcsin(t))
-    for a in nodes:
+    return read_only((glw, np.arcsin(t)))
+
+
+def read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only in place: callers share them."""
+    for a in arrays:
         a.flags.writeable = False
-    return nodes
+    return arrays
 
 
 @dataclass(frozen=True)

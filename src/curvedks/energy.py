@@ -51,12 +51,12 @@ def free_energy(field: DensityField, q: float = 0.0,
     """Entropy, Coulomb, and curvature-coupling terms by quadrature.
 
     c, if given, is the potential samples of the field's charges
-    field.samples * field.area_weights (a flow step already holds them); the
+    field.samples * field.geometry.weights (a flow step already holds them); the
     Coulomb and coupling terms are then dot products with it. Without c, it is
     summed here only for a coupling term (q != 0); else coulomb_energy is used.
     """
     grid = field.grid
-    w = field.area_weights
+    w = field.geometry.weights
     entropy = float(np.sum(rho_log_rho(field.samples) * w))
     charges = field.samples * w
     if c is None and q == 0.0:
@@ -95,11 +95,11 @@ def log_hls_deficit(field: DensityField, lam: float,
     grid = field.grid
     m = field.mass
     mu = ScaledCauchyProfile(lam=lam, x_star=x_star).on_grid(grid)
-    phis = field.phi.on_grid(grid)
-    ref = m * mu * np.exp(-2.0 * phis)
+    geometry = field.geometry
+    ref = m * mu * geometry.e_m2phi
     rho = field.samples
-    lhs = float(np.sum(rho_log_rho(rho, ref) * field.area_weights))
-    rhs = (4.0 * np.pi / m) * coulomb_energy((rho - ref) * field.area_weights, grid)
+    lhs = float(np.sum(rho_log_rho(rho, ref) * geometry.weights))
+    rhs = (4.0 * np.pi / m) * coulomb_energy((rho - ref) * geometry.weights, grid)
     return DeficitReport(lhs=lhs, rhs=rhs, mass=m)
 
 
@@ -121,10 +121,8 @@ def conformal_covariance_check(field: DensityField, lam: float,
     to roundoff; the check guards the weight bookkeeping of both paths.
     """
     curved = log_hls_deficit(field, lam, x_star).deficit
-    flat_phi = ConformalFactor.zero()
-    pushed = DensityField(grid=field.grid,
-                          samples=field.samples * np.exp(2.0 * field.phi.on_grid(field.grid)),
-                          phi=flat_phi)
+    pushed = DensityField(grid=field.grid, samples=field.samples * field.geometry.e2phi,
+                          phi=ConformalFactor.zero())
     flat = log_hls_deficit(pushed, lam, x_star).deficit
     return CovarianceCheck(curved_deficit=curved, flat_deficit=flat)
 

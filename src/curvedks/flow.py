@@ -10,13 +10,13 @@ box boundary. The update is flux-form, so the curved mass
 sum rho e^{2 phi} h^2  telescopes and is conserved to roundoff; the limited
 upwind reconstruction under the CFL bound preserves positivity.
 
-The factor phi is fixed for a run, so flow_init samples it once: every state
-of the run shares e^{-2 phi} on the grid, min e^{2 phi} for the CFL bound,
-and the area weights e^{2 phi} h^2 of its density field. A step forms the
-curved cell masses rho e^{2 phi} h^2 once and hands them to the lattice sum
-as its charges; the new field's stored mass is their sum. The CFL bound and
-the fluxes read the same face differences of c. Every potential of a run is
-an FFT lattice sum, at any grid size.
+The factor phi is fixed for a run, so every field of the run holds the one
+geometry of phi on the grid (geometry.grid_geometry): e^{-2 phi} for the
+update, min e^{2 phi} for the CFL bound and the area weights e^{2 phi} h^2.
+A step forms the curved cell masses rho e^{2 phi} h^2 once and hands them to
+the lattice sum as its charges; the new field's stored mass is their sum. The
+CFL bound and the fluxes read the same face differences of c. Every potential
+of a run is an FFT lattice sum, at any grid size.
 
 A step allocates only the arrays it returns: flux_divergence works in one
 cached set of per-grid buffers (_flux_workspace), reused by every call at
@@ -59,15 +59,12 @@ class StepLimitReached(RuntimeError):
 
 @dataclass
 class FlowState:
-    """One time level; e_m2phi (e^{-2 phi} on the grid) and min_e2phi are
-    sampled once per run by flow_init and shared by every state of the run."""
+    """One time level; its field's geometry gives e^{-2 phi} and min e^{2 phi}."""
 
     t: float
     field: DensityField
     c: PotentialField
     dt: float
-    e_m2phi: np.ndarray = dc_field(repr=False)
-    min_e2phi: float
     step_count: int = 0
 
 
@@ -96,26 +93,23 @@ def second_moment(field: DensityField) -> float:
     return float(np.sum(r2 * field.samples) * grid.cell_area)
 
 
-def cfl_bound(field: DensityField, c: PotentialField, min_e2phi: float) -> float:
-    """dt <= CFL * h^2 * min_e2phi / (1 + max|grad c| h), min_e2phi = min(e^{2 phi})."""
+def cfl_bound(field: DensityField, c: PotentialField) -> float:
+    """dt <= CFL * h^2 * min(e^{2 phi}) / (1 + max|grad c| h)."""
     h = field.grid.h
     gx, gy = c.face_gradients
     # max|v| as max(max v, -min v): no |v| temporaries
     vmax = max(float(gx.max()), -float(gx.min()), float(gy.max()), -float(gy.min()), 0.0)
-    return CFL * h * h * min_e2phi / (1.0 + vmax * h)
+    return CFL * h * h * field.geometry.min_e2phi / (1.0 + vmax * h)
 
 
 def flow_init(field: DensityField, dt: float | None = None) -> FlowState:
     """Initial state; the default dt is DT_SAFETY times the CFL bound, a given one must be > 0."""
     if dt is not None and not dt > 0:
         raise ValueError(f"time step must be positive, got dt = {dt!r}")
-    phis = field.phi.on_grid(field.grid)
-    min_e2phi = float(np.exp(2.0 * phis.min()))
     c = field.potential()
     if dt is None:
-        dt = DT_SAFETY * cfl_bound(field, c, min_e2phi)
-    return FlowState(t=0.0, field=field, c=c, dt=float(dt), e_m2phi=np.exp(-2.0 * phis),
-                     min_e2phi=min_e2phi)
+        dt = DT_SAFETY * cfl_bound(field, c)
+    return FlowState(t=0.0, field=field, c=c, dt=float(dt))
 
 
 @lru_cache(maxsize=1)
@@ -213,26 +207,23 @@ def flow_step(state: FlowState) -> FlowState:
     Raises CFLViolation if the stored dt exceeds the current stability
     bound, and BlowUpDetected once a single cell holds the bulk of the mass.
     """
-    field = state.field
-    c = state.c
-    bound = cfl_bound(field, c, state.min_e2phi)
+    field, c = state.field, state.c
+    bound = cfl_bound(field, c)
     if state.dt > bound * (1.0 + 1e-12):
         raise CFLViolation(f"dt = {state.dt:.3e} exceeds CFL bound {bound:.3e}")
 
     div = flux_divergence(field, c)
-    rho_new = state.dt * state.e_m2phi       # rho + (dt e^{-2 phi}) div, built in place
+    rho_new = state.dt * field.geometry.e_m2phi    # rho + (dt e^{-2 phi}) div, built in place
     rho_new *= div
     rho_new += field.samples
 
     worst = float(rho_new.min())
     if worst < 0:
-        raise CFLViolation(f"negativity after update (min rho = {worst:.3e}); "
-                           "reduce dt")
-    new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi,
-                             area_weights=field.area_weights)
+        raise CFLViolation(f"negativity after update (min rho = {worst:.3e}); reduce dt")
+    new_field = DensityField(grid=field.grid, samples=rho_new, phi=field.phi)
     mass = new_field.mass    # the sum of q below, formed once by the field
     # curved cell masses, the potential's charges, in the spent divergence
-    q = np.multiply(rho_new, new_field.area_weights, out=div)
+    q = np.multiply(rho_new, new_field.geometry.weights, out=div)
     if float(q.max()) > 0.5 * mass:
         raise BlowUpDetected("more than half the mass sits in one cell")
     c_new = PotentialField(field.grid, lattice_potential(q, field.grid))

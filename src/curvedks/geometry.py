@@ -6,16 +6,18 @@ the potential module. All conformal operations reduce to flat ones through
 dA_phi = e^{2 phi} dA0 and Delta_phi = e^{-2 phi} Delta0. Only ConformalFactor
 knows the factor's shape: callers ask it is_flat, on_grid and grad, which
 evaluate a bump only on the index box of its support (every other cell is
-exactly 0). The flat stencils (copy boundary) slice into their output.
+exactly 0); plane-side sums read phi, e^{+-2 phi} and the area weights from
+grid_geometry. The flat stencils (copy boundary) slice into their output.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CartesianGrid
+from .domain import CartesianGrid, read_only
 
 MAX_AMPLITUDE = 0.5 * float(np.log(np.finfo(float).max))   # sup |phi| with e^{2|phi|} finite
 
@@ -79,8 +81,6 @@ class ConformalFactor:
         """phi at the cell centres, from the broadcast axes, evaluated only on the support
         box. Off it r >= R, so phi is amplitude * 0 there (-0.0 for a negative amplitude)."""
         out = np.full((grid.n, grid.n), 0.0 * self.amplitude)
-        if self.is_flat:
-            return out
         box = self._box(grid)
         out[box] = self(grid.x[box[0]], grid.y[box[1]])
         return out
@@ -103,18 +103,40 @@ class ConformalFactor:
         return -2.0 * phi / q / q / R2
 
 
-def conformal_area_element(phi: ConformalFactor, grid: CartesianGrid,
-                           rho: np.ndarray | None = None) -> np.ndarray:
-    """Weights e^{2 phi} h^2, or charges rho e^{2 phi} h^2; flat weights are a broadcast of h^2."""
-    h2 = grid.cell_area
+@dataclass(frozen=True, eq=False)
+class GridGeometry:
+    """A factor on a grid: phi at the cell centres, e2phi = e^{2 phi}, e_m2phi = e^{-2 phi},
+    the area weights e^{2 phi} h^2 (read-only arrays, which fields share) and min e^{2 phi}."""
+
+    phi: np.ndarray
+    e2phi: np.ndarray
+    e_m2phi: np.ndarray
+    weights: np.ndarray
+    min_e2phi: float
+
+
+_last_curved: list = [None, None, None]    # factor, grid and a weak reference to their geometry
+
+
+def grid_geometry(phi: ConformalFactor, grid: CartesianGrid) -> GridGeometry:
+    """The geometry of phi on grid. A flat factor's arrays are broadcasts, with no (n, n) array
+    behind them: phi is amplitude * 0, e^{+-2 phi} are 1 and the weights h^2. A curved factor is
+    sampled by phi.on_grid; its geometry serves each next request with the same factor and grid
+    objects while a field holds it (one slot, a weak reference: it keeps nothing alive)."""
+    shape = (grid.n, grid.n)
     if phi.is_flat:
-        return np.broadcast_to(h2, (grid.n, grid.n)) if rho is None else rho * h2
-    w = phi.on_grid(grid)
-    np.exp(np.multiply(w, 2.0, out=w), out=w)
-    if rho is not None:
-        w *= rho
-    w *= h2
-    return w
+        one = np.broadcast_to(1.0, shape)
+        return GridGeometry(np.broadcast_to(0.0 * phi.amplitude, shape), one, one,
+                            np.broadcast_to(grid.cell_area, shape), 1.0)
+    last_phi, last_grid, last = _last_curved
+    geometry = last() if last_phi is phi and last_grid is grid else None
+    if geometry is None:
+        phis = phi.on_grid(grid)
+        e2phi = np.exp(2.0 * phis)
+        arrays = read_only((phis, e2phi, np.exp(-2.0 * phis), e2phi * grid.cell_area))
+        geometry = GridGeometry(*arrays, float(np.exp(2.0 * phis.min())))
+        _last_curved[:] = phi, grid, weakref.ref(geometry)
+    return geometry
 
 
 def laplacian_flat(field: np.ndarray, grid: CartesianGrid) -> np.ndarray:
@@ -137,8 +159,8 @@ def laplacian_flat(field: np.ndarray, grid: CartesianGrid) -> np.ndarray:
 
 def gauss_curvature(phi: ConformalFactor, grid: CartesianGrid) -> np.ndarray:
     """kappa_phi = e^{-2 phi} Delta0 phi on cell centers."""
-    phis = phi.on_grid(grid)
-    return np.exp(-2.0 * phis) * laplacian_flat(phis, grid)
+    geometry = grid_geometry(phi, grid)
+    return geometry.e_m2phi * laplacian_flat(geometry.phi, grid)
 
 
 def diff_flat(field: np.ndarray, grid: CartesianGrid, axis: int) -> np.ndarray:

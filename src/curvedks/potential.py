@@ -30,8 +30,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import CartesianGrid
-from .geometry import ConformalFactor, conformal_area_element
+from .domain import CartesianGrid, read_only
+from .geometry import ConformalFactor, grid_geometry
 
 
 def green_kernel(x, y) -> np.ndarray | float:
@@ -144,12 +144,6 @@ def _quadrant(kind: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 @lru_cache(maxsize=8)
 def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
     """Read-only rows k1 = 0..n of each kernel's rfft2 in FFT order, as real (n+1, n+1) tables:
@@ -167,7 +161,7 @@ def _kernel_spectra(kind: str, n: int) -> tuple[np.ndarray, ...]:
         S *= sign
     S = np.fft.fft(S, axis=0, out=S)[:n + 1]
     X = S.real.copy() if kind == "log" else S.imag.copy()
-    return _read_only((X,) if kind == "log" else (X, X.T.copy()))   # a transposed read is slower
+    return read_only((X,) if kind == "log" else (X, X.T.copy()))   # a transposed read is slower
 
 
 def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -264,7 +258,8 @@ def newtonian_potential(rho: np.ndarray, phi: ConformalFactor, grid: CartesianGr
     rho = np.asarray(rho, dtype=float)
     if rho.shape != (grid.n, grid.n):
         raise ValueError("density shape does not match grid")
-    q = conformal_area_element(phi, grid, rho)
+    q = grid_geometry(phi, grid).e2phi * rho
+    q *= grid.cell_area
     return PotentialField(grid, lattice_potential(q, grid, method=method))
 
 

@@ -15,12 +15,12 @@ quadrature grid keeps Gauss-Legendre nodes in sin(theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domain import AnnulusSpec, CartesianGrid, SphereGrid
-from .geometry import ConformalFactor, grad_flat
+from .geometry import ConformalFactor, grad_flat, grid_geometry
 from .profiles import ScaledCauchyProfile
 from .stationary import RHO_FLOOR, DensityField, decay_envelope
 
@@ -210,8 +210,7 @@ def plane_side_obstruction(field_u: np.ndarray, phi: ConformalFactor,
     of the degree-one harmonic.
     """
     X, Y = grid.meshes()
-    dx = X - smap.x_star[0]
-    dy = Y - smap.x_star[1]
+    dx, dy = X - smap.x_star[0], Y - smap.x_star[1]
     r2 = dx * dx + dy * dy
     lam2 = smap.lam**2
     if u1_index == 1:
@@ -222,9 +221,8 @@ def plane_side_obstruction(field_u: np.ndarray, phi: ConformalFactor,
         u1 = 2.0 * smap.lam * dy / (lam2 + r2)
     else:
         raise ValueError("u1 index must be 1, 2 or 3")
-    e2phi = np.exp(2.0 * phi.on_grid(grid))
     g1 = grad_flat(u1, grid)
-    gh = grad_flat(e2phi, grid)
+    gh = grad_flat(grid_geometry(phi, grid).e2phi, grid)
     integrand = (g1[0] * gh[0] + g1[1] * gh[1]) * np.exp(2.0 * field_u)
     return grid.integrate(integrand)
 
@@ -248,11 +246,11 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
                              n_lat: int = 128, n_lon: int = 256) -> CertificateReport:
     """Check the monotone-flank preconditions and report obstruction magnitudes.
 
-    phi is radial about its center, as every ConformalFactor is. The
-    certificate refuses a constant phi and one whose radial derivative changes
-    sign; otherwise the report lists the sin(theta) obstruction for u = 0 and
-    for transported scale perturbations (CERTIFICATE_SCALES) of the critical
-    profile. A numerical illustration of the obstruction, not a proof.
+    The certificate is translation-invariant, so it works on phi (radial, as every
+    ConformalFactor is) moved to the origin. It refuses a constant phi and one whose
+    radial derivative changes sign; otherwise the report lists the sin(theta)
+    obstruction for u = 0 and for transported scale perturbations (CERTIFICATE_SCALES)
+    of the critical profile. A numerical illustration of the obstruction, not a proof.
 
     Every candidate u is zonal, and so are u1 = sin(theta) and h = e^{2 phi}.
     As d_psi u1 = 0 on the grid, obstruction_integral then reduces exactly to
@@ -261,8 +259,9 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     is differenced in place of h: it keeps full relative precision when phi
     is small. n_lon selects nothing: it only has to make a valid SphereGrid.
     """
+    phi = replace(phi, center=(0.0, 0.0))
     r = np.linspace(0.0, phi.support_radius, 512)
-    prof = phi(phi.center[0] + r, np.full_like(r, phi.center[1]))
+    prof = phi(r, np.zeros_like(r))
     dprof = np.gradient(prof, r)
     scale = float(np.max(np.abs(prof)))
     if scale == 0.0:
@@ -275,15 +274,13 @@ def nonexistence_certificate(phi: ConformalFactor, lam: float = 1.0,
     flank_sign = 1 if has_pos else -1
 
     sgrid = SphereGrid(n_lat=n_lat, n_lon=n_lon)
-    smap = StereographicMap(lam=lam, x_star=phi.center)
-    theta = sgrid.theta[:, None]
-    h1 = np.expm1(2.0 * phi(*smap.to_plane(theta, sgrid.psi[None, :1])))
-    dd = dtheta(np.sin(theta), sgrid) * dtheta(h1, sgrid)
+    x, y = StereographicMap(lam=lam).plane_radius(sgrid.theta), np.zeros(n_lat)   # psi = 0
+    h1 = np.expm1(2.0 * phi(x, y))[:, None]
+    dd = dtheta(np.sin(sgrid.theta)[:, None], sgrid) * dtheta(h1, sgrid)
     weight = 2.0 * np.pi * sgrid.glw * dd[:, 0]
     obstructions = {"u=0": float(np.sum(weight))}
-    x, y = smap.x_star[0] + smap.plane_radius(sgrid.theta), np.full(n_lat, smap.x_star[1])
-    den = 8.0 * np.pi * ScaledCauchyProfile(lam=lam, x_star=smap.x_star)(x, y)
+    den = 8.0 * np.pi * ScaledCauchyProfile(lam=lam)(x, y)
     for s in CERTIFICATE_SCALES:    # e^{2u} of the transported rho_{s*lam} against rho_lam
-        num = 8.0 * np.pi * ScaledCauchyProfile(lam=s * lam, x_star=smap.x_star)(x, y)
+        num = 8.0 * np.pi * ScaledCauchyProfile(lam=s * lam)(x, y)
         obstructions[f"scale x{s:g}"] = float(np.sum(weight * num / den))
     return CertificateReport(True, "monotone radial flank", flank_sign, obstructions)

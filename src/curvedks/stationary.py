@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
-from .geometry import (ConformalFactor, _bump_profile, boundary_mask, conformal_area_element,
-                       diff_flat, grad_flat)
+from .geometry import (ConformalFactor, GridGeometry, _bump_profile, boundary_mask, diff_flat,
+                       grad_flat, grid_geometry)
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
 from .profiles import ScaledCauchyProfile
 
@@ -49,8 +49,7 @@ class MaskedDensityError(ValueError):
 class DensityField:
     """Nonnegative density samples on a grid, together with its metric factor.
 
-    area_weights are the per-cell weights e^{2 phi} h^2 (read-only for a flat phi); they are
-    computed from phi unless given, as the flow does to carry them from step to step.
+    geometry is grid_geometry(phi, grid), shared with the fields on the same factor and grid.
     mass, the total mass with respect to the curved area element, is computed
     once at construction; the samples are not changed in place afterwards.
     """
@@ -58,7 +57,7 @@ class DensityField:
     grid: CartesianGrid
     samples: np.ndarray
     phi: ConformalFactor
-    area_weights: np.ndarray | None = dc_field(default=None, repr=False)
+    geometry: GridGeometry = dc_field(init=False, repr=False)
     mass: float = dc_field(init=False)
 
     def __post_init__(self):
@@ -67,16 +66,10 @@ class DensityField:
             raise ValueError("density shape does not match grid")
         if np.any(self.samples < 0):
             raise ValueError("density must be nonnegative")
-        if self.area_weights is None:
-            self.area_weights = conformal_area_element(self.phi, self.grid)
-        self.mass = float(np.sum(self.samples * self.area_weights))
+        self.geometry = grid_geometry(self.phi, self.grid)
+        self.mass = float(np.sum(self.samples * self.geometry.weights))
         if not self.mass > 0:
             raise ValueError("density must have positive mass")
-
-    @property
-    def entropy_abs(self) -> float:
-        """int rho |ln rho| dA_phi with the limit value 0 at rho = 0."""
-        return float(np.sum(np.abs(rho_log_rho(self.samples)) * self.area_weights))
 
     def potential(self, method: str = "fft") -> PotentialField:
         return newtonian_potential(self.samples, self.phi, self.grid, method=method)
@@ -93,7 +86,7 @@ def density_from_profile(m: float, lam: float, x_star: tuple[float, float],
     product grid), so the curved-mass quadrature reduces to the flat one.
     """
     mu = ScaledCauchyProfile(lam=lam, x_star=x_star).on_grid(grid)
-    rho = m * mu * np.exp(-2.0 * phi.on_grid(grid))
+    rho = m * mu * grid_geometry(phi, grid).e_m2phi
     return DensityField(grid=grid, samples=rho, phi=phi)
 
 
@@ -234,10 +227,11 @@ class MembershipReport:
 
 
 def membership_check(field: DensityField, tail: TruncationReport) -> MembershipReport:
-    """Positivity a.e., finite mass and entropy, and a finite tail (estimate_tail's fit)."""
+    """Positivity a.e., finite mass and entropy int rho |ln rho| dA_phi (0 where rho = 0),
+    and a finite tail (estimate_tail's fit)."""
     zero_fraction = float(np.mean(field.samples <= RHO_FLOOR))
     mass = field.mass
-    entropy = field.entropy_abs
+    entropy = float(np.sum(np.abs(rho_log_rho(field.samples)) * field.geometry.weights))
     return MembershipReport(mass=mass, entropy=entropy,
                             positive_ae=zero_fraction <= ZERO_FRACTION_TOLERANCE,
                             finite_mass=bool(np.isfinite(mass) and mass > 0),

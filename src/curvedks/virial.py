@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .domain import CartesianGrid, write_csv
-from .geometry import ConformalFactor, boundary_mask, grad_flat, laplacian_flat
+from .geometry import ConformalFactor, boundary_mask, grad_flat, grid_geometry, laplacian_flat
 from .potential import PotentialField, _circulant_sums, _kernel_spectra
 from .stationary import DensityField
 
@@ -126,7 +126,7 @@ def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSol
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     grid = problem.rho.grid
-    b = problem.rhs * np.exp(2.0 * problem.phi.on_grid(grid))
+    b = problem.rhs * grid_geometry(problem.phi, grid).e2phi
     b[boundary_mask(grid)] = 0.0
     b = b.ravel()
     bnorm = float(np.linalg.norm(b))
@@ -170,8 +170,8 @@ def potential_gradient(rho: DensityField) -> tuple[np.ndarray, np.ndarray]:
     kernel at spacing h, so they are divided by h.
     """
     grid = rho.grid
-    return tuple(_circulant_sums(rho.samples * rho.area_weights, "grad", _grad_kernel_ffts(grid),
-                                 scale=1.0 / grid.h))
+    return tuple(_circulant_sums(rho.samples * rho.geometry.weights, "grad",
+                                 _grad_kernel_ffts(grid), scale=1.0 / grid.h))
 
 
 def assemble_virial(rho: DensityField, R_list,
@@ -182,7 +182,7 @@ def assemble_virial(rho: DensityField, R_list,
     identically. Otherwise f should come from solve_aux_pde.
     """
     grid = rho.grid
-    w_phi = rho.area_weights
+    w_phi, inv_w = rho.geometry.weights, rho.geometry.e_m2phi
     gcx, gcy = potential_gradient(rho)
     # (x - x_g) . grad c about the grid centre x_g, as the cutoff and dilation_source are
     xdot = (grid.x - grid.center[0])[:, None] * gcx + (grid.y - grid.center[1])[None, :] * gcy
@@ -192,15 +192,13 @@ def assemble_virial(rho: DensityField, R_list,
     gfx, gfy = grad_flat(f, grid)
 
     # the I3 integrand (4 r phi_r - Delta_phi f - g_phi(df, dc)) rho, formed in place
-    inv_w = rho.phi.on_grid(grid)
-    np.exp(np.multiply(inv_w, -2.0, out=inv_w), out=inv_w)
     i3_field = dilation_source(rho.phi, grid)
     i3_field -= inv_w * laplacian_flat(f, grid)
     gfx *= gcx
     gfx += np.multiply(gfy, gcy, out=gfy)
     i3_field -= np.multiply(inv_w, gfx, out=gfx)
     i3_field *= rho.samples
-    del gcx, gcy, gfx, gfy, inv_w
+    del gcx, gcy, gfx, gfy
 
     reports = []
     for R in sorted(float(v) for v in R_list):

@@ -71,6 +71,6 @@ def radial_derivative(phi, r):
 def direct_gradient(rho):
     """Oracle for virial.potential_gradient: O(N^2) block-Toeplitz sums over the full-mesh
     gradient tables, divided by the spacing h."""
-    q = rho.samples * rho.area_weights
+    q = rho.samples * rho.geometry.weights
     return tuple(_toeplitz_sum(q, K) / rho.grid.h
                  for K in meshgrid_offset_table("grad", rho.grid.n))

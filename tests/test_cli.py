@@ -821,11 +821,18 @@ _ALTERNATIVES = {
     ("energy-scan", "grid.half_width"): 32.0,         # resolves 2 <= lambda <= 4
     ("energy-scan", "lambdas"): [0.02, 2.5, 3.5],
 }
-# keys that reach no output of their command's curved config, each for its reason
+# the pin's cases: each command's curved config, and flow once more per other initial value
+_PIN_CASES = {command: (command, config) for command, config in _CURVED.items()}
+_PIN_CASES["flow-profile"] = ("flow", dict(_CURVED["flow"], initial="profile"))
+# keys that reach no output of their case's config, each for its reason
 UNREACHED_KEYS = {
     ("flow", "profile.lam"): "initial: gaussian reads no profile",
     ("flow", "profile.m"): "initial: gaussian reads no profile",
     ("flow", "profile.x_star"): "initial: gaussian reads no profile",
+    ("flow-profile", "mass"): "initial: profile reads neither mass nor sigma",
+    ("flow-profile", "sigma"): "initial: profile reads neither mass nor sigma",
+    ("obstruction", "phi.center"): "the certificate is translation-invariant: it works on "
+                                   "the factor moved to the origin",
 }
 
 
@@ -865,11 +872,11 @@ def _observed(tmp_path, monkeypatch, capsys, command, config):
     return rc, capsys.readouterr().out, files
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, case):
     # each setting, moved to one valid alternative, changes the exit code, the stdout
     # line or the bytes of an output file, or is listed in UNREACHED_KEYS with its reason
-    base = _CURVED[command]
+    command, base = _PIN_CASES[case]
     full = cli._validate(base, cli.SCHEMAS[command])
     reference = _observed(tmp_path / "base", monkeypatch, capsys, command, base)
     assert reference[0] in (EXIT_OK, EXIT_CHECK_FAILED)
@@ -885,4 +892,4 @@ def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, comma
         assert got[0] in (EXIT_OK, EXIT_CHECK_FAILED), (key, node[leaf], got[1])
         if got == reference:
             unreached.add(key)
-    assert unreached == {key for c, key in UNREACHED_KEYS if c == command}
+    assert unreached == {key for c, key in UNREACHED_KEYS if c == case}

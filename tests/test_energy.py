@@ -46,7 +46,7 @@ def test_coulomb_term_equals_charges_against_potential(bump_phi, grid64):
     # without c the term is the Parseval energy of the charges; with c it is
     # their dot product with c; both are (q, c) for the explicit potential
     fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), bump_phi, grid64)
-    q = fld.samples * fld.area_weights
+    q = fld.samples * fld.geometry.weights
     c = lattice_potential(q, grid64)
     want = float(np.sum(q * c))
     assert free_energy(fld).coulomb_term == pytest.approx(want, rel=1e-13)
@@ -69,7 +69,7 @@ def test_coupled_minimizer_at_q2():
     base = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), phi, g)
     X, Y = g.meshes()
     tilt = base.samples * np.exp(0.8 * np.exp(-((X - 1) ** 2 + Y**2)))
-    tilt *= base.mass / np.sum(tilt * base.area_weights)
+    tilt *= base.mass / np.sum(tilt * base.geometry.weights)
     cand = DensityField(grid=g, samples=tilt, phi=phi)
     assert free_energy(cand, q=2.0).total > vals[1.0] + 0.03
 

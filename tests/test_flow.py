@@ -28,7 +28,7 @@ def test_cfl_rejection():
     g = CartesianGrid(center=(0, 0), half_width=10.0, n=64)
     fld = _gaussian_field(g, 4 * np.pi)
     state = flow_init(fld)
-    state.dt = 10.0 * cfl_bound(fld, state.c, state.min_e2phi)
+    state.dt = 10.0 * cfl_bound(fld, state.c)
     with pytest.raises(CFLViolation):
         flow_step(state)
 
@@ -46,11 +46,11 @@ def test_flow_step_at_cfl_dt_property(k, half_width, curved, amplitude, support,
            if curved else ConformalFactor.zero())
     fld = DensityField(grid=g, samples=floor + rng.random((2 * k, 2 * k)), phi=phi)
     state = flow_init(fld)
-    state = flow_step(replace(state, dt=cfl_bound(fld, state.c, state.min_e2phi)))
+    state = flow_step(replace(state, dt=cfl_bound(fld, state.c)))
     new = state.field
     assert abs(new.mass - fld.mass) <= 1e-12 * fld.mass
     # the stored mass is the curved sum of the new samples
-    assert new.mass == float(np.sum(new.samples * new.area_weights))
+    assert new.mass == float(np.sum(new.samples * new.geometry.weights))
     assert new.samples.min() >= 0.0
     ref = new.potential(method="fft").samples
     assert np.max(np.abs(state.c.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -86,11 +86,13 @@ def test_curved_mass_and_positivity_over_many_cfl_steps(k, half_width, bump, mas
         rho = np.exp(-((X - cx) ** 2 + (Y - cy) ** 2) / (2.0 * s * s))
     rho *= mass / (np.sum(rho * np.exp(2.0 * phi(X, Y))) * g.cell_area)
     state = flow_init(DensityField(grid=g, samples=rho, phi=phi))
-    m0 = state.field.mass
+    m0, geometry = state.field.mass, state.field.geometry
     for _ in range(50):
-        state = flow_step(replace(state, dt=cfl_bound(state.field, state.c, state.min_e2phi)))
+        state = flow_step(replace(state, dt=cfl_bound(state.field, state.c)))
     assert abs(state.field.mass - m0) <= 1e-12 * m0
     assert state.field.samples.min() >= 0.0
+    # every field of the run shares the one curved geometry (a flat one costs no array)
+    assert phi.is_flat or state.field.geometry is geometry
 
 
 def test_positivity_preserved():
@@ -403,7 +405,7 @@ def test_flow_sums_by_fft_at_every_grid_size():
     # the engine's default path is FFT at every grid size, small ones included
     for n in (8, 96):
         small = _gaussian_field(CartesianGrid(center=(0, 0), half_width=10.0, n=n), 4 * np.pi)
-        q = small.samples * small.area_weights
+        q = small.samples * small.geometry.weights
         assert np.array_equal(potential.newtonian_potential(small.samples, small.phi,
                                                             small.grid).samples,
                               potential.lattice_potential(q, small.grid, "fft"))
@@ -412,7 +414,7 @@ def test_flow_sums_by_fft_at_every_grid_size():
     run_flow(_gaussian_field(g, 4 * np.pi), 0.05, snapshot_every=1, on_snapshot=snaps.append)
     assert len(snaps) > 2
     for s in snaps:
-        q = s.field.samples * s.field.area_weights
+        q = s.field.samples * s.field.geometry.weights
         assert np.array_equal(s.c.samples, potential.lattice_potential(q, g, "fft"))
 
 

@@ -1,4 +1,5 @@
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,42 +10,41 @@ from hypothesis import strategies as st
 from conftest import radial_derivative
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import (MAX_AMPLITUDE, ConformalFactor, boundary_mask,
-                               conformal_area_element, gauss_curvature, grad_flat,
-                               laplacian_flat)
+                               gauss_curvature, grad_flat, grid_geometry, laplacian_flat)
 from curvedks.profiles import ScaledCauchyProfile
+from curvedks.stationary import DensityField
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "curvedks"
 
 
 def test_zero_factor_weights_are_flat(grid64, flat_phi):
-    w = conformal_area_element(flat_phi, grid64)
+    w = grid_geometry(flat_phi, grid64).weights
     assert np.all(w == grid64.cell_area)
 
 
 def test_flat_weights_are_a_read_only_constant(grid64, flat_phi):
-    # a flat factor's weights are a broadcast of h^2 with no n x n array behind them; weights
-    # and charges are the bits of the e^{2 phi} route at phi = 0 (a zero-amplitude bump)
-    w = conformal_area_element(flat_phi, grid64)
-    assert w.shape == (grid64.n, grid64.n) and not w.flags.writeable
-    assert w.strides == (0, 0) and w.base.nbytes == w.itemsize
-    zero_bump = ConformalFactor.radial_bump(0.0, 3.0)
-    assert np.array_equal(w, conformal_area_element(zero_bump, grid64))
+    # a flat factor's arrays are read-only broadcasts with no n x n array behind them;
+    # charges are the bits of the e^{2 phi} route at phi = 0, signs of zero included
+    geometry = grid_geometry(flat_phi, grid64)
+    for a in (geometry.phi, geometry.e2phi, geometry.e_m2phi, geometry.weights):
+        assert a.shape == (grid64.n, grid64.n) and not a.flags.writeable
+        assert a.strides == (0, 0) and a.base.nbytes == a.itemsize
+    assert np.all(geometry.weights == grid64.cell_area) and geometry.min_e2phi == 1.0
     rho = np.random.default_rng(3).random((grid64.n, grid64.n))
     rho[0, :3] = [0.0, -0.0, 1e-300]
-    q = conformal_area_element(flat_phi, grid64, rho)
-    for want in (np.exp(0.0) * rho * grid64.cell_area,
-                 conformal_area_element(zero_bump, grid64, rho)):
-        assert np.array_equal(q, want) and np.array_equal(np.signbit(q), np.signbit(want))
+    q = geometry.e2phi * rho * grid64.cell_area
+    want = np.exp(2.0 * np.zeros((grid64.n, grid64.n))) * rho * grid64.cell_area
+    assert np.array_equal(q, want) and np.array_equal(np.signbit(q), np.signbit(want))
 
 
 def test_total_flat_area(flat_phi):
     g = CartesianGrid(center=(0, 0), half_width=5.0, n=32)
-    assert conformal_area_element(flat_phi, g).sum() == pytest.approx(100.0, rel=1e-13)
+    assert grid_geometry(flat_phi, g).weights.sum() == pytest.approx(100.0, rel=1e-13)
 
 
 def test_positive_amplitude_inflates_area(grid64):
     phi = ConformalFactor.radial_bump(0.1, 3.0)
-    w = conformal_area_element(phi, grid64)
+    w = grid_geometry(phi, grid64).weights
     assert w.sum() > grid64.cell_area * grid64.n**2
     assert np.all(w > 0)
 
@@ -99,7 +99,7 @@ def test_curvature_integrates_to_zero():
     g = CartesianGrid(center=(0, 0), half_width=6.0, n=128)
     phi = ConformalFactor.radial_bump(0.2, 3.0)
     kappa = gauss_curvature(phi, g)
-    w = conformal_area_element(phi, g)
+    w = grid_geometry(phi, g).weights
     assert abs(np.sum(kappa * w)) < 1e-10
 
 
@@ -268,6 +268,68 @@ def test_zero_amplitude_bump_is_the_flat_factor(grid64):
     assert negative_zero.is_flat
     assert _same_bits(negative_zero.on_grid(grid64), -zeros)
     assert _same_bits(negative_zero(X, Y), -zeros)
+
+
+def _site_expressions(phi, grid):
+    """phi, e^{2 phi}, e^{-2 phi}, the weights and min e^{2 phi} as each site formed them
+    before the geometry: np.exp(+-2.0 * phi.on_grid(grid)), the weights of the old
+    conformal_area_element (a broadcast of h^2 when flat) and flow_init's minimum."""
+    phis = phi.on_grid(grid)
+    weights = np.broadcast_to(grid.cell_area, phis.shape)
+    if not phi.is_flat:
+        weights = phi.on_grid(grid)
+        np.exp(np.multiply(weights, 2.0, out=weights), out=weights)
+        weights *= grid.cell_area
+    return (phis, np.exp(2.0 * phis), np.exp(-2.0 * phis), weights,
+            float(np.exp(2.0 * phis.min())))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(4, 40), cx=st.floats(-50.0, 50.0), cy=st.floats(-50.0, 50.0),
+       half_width=st.floats(0.5, 50.0),
+       amp=st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-20.0, 20.0)),
+       log_r=st.floats(-0.5, 2.0), bx=st.floats(-1.5, 1.5), by=st.floats(-1.5, 1.5))
+@example(k=8, cx=0.0, cy=0.0, half_width=10.0, amp=-0.0, log_r=1.0, bx=0.0, by=0.0)
+@example(k=8, cx=0.0, cy=0.0, half_width=10.0, amp=0.3, log_r=1.0, bx=0.0, by=0.0)
+def test_geometry_is_the_bits_of_each_site(k, cx, cy, half_width, amp, log_r, bx, by):
+    # every array, and min e^{2 phi}, equals the expression its site used, signs of zero
+    # included: amplitude -0.0 gives phi = -0.0 everywhere, as on_grid does
+    g = CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k)
+    phi = ConformalFactor.radial_bump(amp, g.h * 10.0**log_r,
+                                      (cx + bx * half_width, cy + by * half_width))
+    geometry = grid_geometry(phi, g)
+    *arrays, min_e2phi = _site_expressions(phi, g)
+    got = (geometry.phi, geometry.e2phi, geometry.e_m2phi, geometry.weights)
+    assert all(_same_bits(a, b) for a, b in zip(got, arrays))
+    assert geometry.min_e2phi == min_e2phi
+
+
+def test_curved_geometry_is_read_only(grid64, bump_phi):
+    # fields and flow states share the arrays, so no caller may write into them
+    geometry = grid_geometry(bump_phi, grid64)
+    for a in (geometry.phi, geometry.e2phi, geometry.e_m2phi, geometry.weights):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
+def test_geometry_is_kept_for_the_same_factor_and_grid_objects(grid64, bump_phi):
+    # one slot, compared by identity: a repeat shares the geometry, an equal but
+    # distinct factor or grid is sampled anew, and a flat request leaves the slot alone;
+    # the slot's reference is weak, so it keeps no geometry alive that nothing holds
+    held = weakref.ref(grid_geometry(bump_phi, grid64))
+    assert held() is None
+    first = grid_geometry(bump_phi, grid64)
+    assert grid_geometry(bump_phi, grid64) is first
+    assert DensityField(grid=grid64, samples=np.ones((64, 64)), phi=bump_phi).geometry is first
+    grid_geometry(ConformalFactor.zero(), grid64)
+    assert grid_geometry(bump_phi, grid64) is first
+    twin_phi = ConformalFactor.radial_bump(0.1, 2.0, (0.0, 0.0))
+    twin_grid = CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=64)
+    for phi, grid in ((twin_phi, grid64), (bump_phi, twin_grid)):
+        other = grid_geometry(phi, grid)
+        assert other is not first and _same_bits(other.e2phi, first.e2phi)
+    assert grid_geometry(bump_phi, grid64) is not first
 
 
 def test_only_geometry_reads_the_factor_fields():

@@ -13,6 +13,10 @@ that shares its name with a live one passes.
 Every defaulted parameter is also set by some call in the package, by
 keyword or by position, so that no option has only the one value its default
 gives it. Calls are matched to definitions by name in the same way.
+
+Outside geometry.py no function forms e^{+-2 phi} of the factor on the grid:
+geometry.grid_geometry builds phi, e^{+-2 phi} and the area weights once, and
+every plane-side site reads them from it.
 """
 
 import ast
@@ -56,6 +60,16 @@ ALLOWED_DEFAULTED = {
     "energy.ScanTable.to_csv(meta)": "set through Outcome.tables",
     "flow.diagnostics_to_csv(meta)": "set through Outcome.tables",
     "virial.export_virial_csv(meta)": "set through Outcome.tables",
+}
+
+
+# np.exp(+-2.0 * ...) calls outside geometry.py, by function and argument: none is of phi
+# on the grid, which only geometry.grid_geometry exponentiates
+ALLOWED_DOUBLED_EXP = {
+    ("sphere.kw_residual", "2.0 * u.values"): "e^{2u} of a sphere field u, not of phi",
+    ("sphere.obstruction_integral", "2.0 * u.values"): "e^{2u} of a sphere field u, not of phi",
+    ("sphere.plane_side_obstruction", "2.0 * field_u"): "e^{2u} of the transported u on the plane",
+    ("sphere.transport_to_sphere", "2.0 * phi(X, Y)"): "e^{2 phi} at sphere nodes, off the grid",
 }
 
 
@@ -172,6 +186,42 @@ def unset_defaults(sources: dict[str, str]) -> list[str]:
     return sorted(unset)
 
 
+def _numpy_call(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and getattr(node.func.value, "id", None) == "np")
+
+
+def _is_two(node: ast.AST) -> bool:
+    """The literal 2.0 or -2.0 (+2.0 too)."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+        and abs(node.value) == 2.0
+
+
+def doubled_exponentials(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module.function, argument) of each np.exp call in a function of sources, a map from
+    module name to source, whose argument is +-2.0 * ... (either side), or np.multiply(...)
+    with a +-2.0 argument; a nested function counts as its outermost one."""
+    sites = []
+    for mod, src in sources.items():
+        stack = [(node, f"{mod}") for node in ast.parse(src).body]
+        while stack:
+            node, prefix = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                stack += [(child, f"{prefix}.{node.name}") for child in node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if not (_numpy_call(call, "exp") and call.args):
+                        continue
+                    arg = call.args[0]
+                    if ((isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
+                         and (_is_two(arg.left) or _is_two(arg.right)))
+                            or (_numpy_call(arg, "multiply") and any(map(_is_two, arg.args)))):
+                        sites.append((f"{prefix}.{node.name}", ast.unparse(arg)))
+    return sorted(sites)
+
+
 def test_the_check_finds_an_unused_import():
     source = ("import os\nimport numpy as np\nfrom typing import Any, List\n"
               "x: List = np.zeros(1)\n")
@@ -245,3 +295,29 @@ def main(grid, options):
 def test_every_defaulted_parameter_is_set():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
     assert unset_defaults(sources) == sorted(ALLOWED_DEFAULTED)
+
+
+def test_the_check_finds_a_doubled_exponential():
+    source = """
+import numpy as np
+
+class Field:
+    def weights(self, phi):
+        return np.exp(phi * -2.0)
+
+def sample(phi, grid, u):
+    def inner():
+        return np.exp(np.multiply(phi, 2.0, out=phi), out=phi)
+    a = np.exp(2.0 * u) + np.exp(-2.0 * phi.on_grid(grid)) + np.exp(3.0 * u)
+    return a + np.expm1(2.0 * u) + np.exp(2 * u - 1.0) + inner()
+"""
+    # the factor 3.0, expm1 and a sum whose term is doubled are not doubled exponentials
+    assert doubled_exponentials({"m": source}) == [
+        ("m.Field.weights", "phi * -2.0"), ("m.sample", "-2.0 * phi.on_grid(grid)"),
+        ("m.sample", "2.0 * u"), ("m.sample", "np.multiply(phi, 2.0, out=phi)")]
+
+
+def test_only_geometry_exponentiates_the_factor_on_the_grid():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")
+               if p.name != "geometry.py"}
+    assert doubled_exponentials(sources) == sorted(ALLOWED_DOUBLED_EXP)

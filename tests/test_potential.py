@@ -8,7 +8,7 @@ from scipy import integrate
 
 from conftest import direct_gradient, lstsq_order, meshgrid_offset_table
 from curvedks.domain import AnnulusSpec, CartesianGrid
-from curvedks.geometry import ConformalFactor, conformal_area_element
+from curvedks.geometry import ConformalFactor, grid_geometry
 from curvedks import potential, virial
 from curvedks.potential import (coulomb_energy, estimate_tail, green_kernel, lattice_potential,
                                 newtonian_potential, self_cell_weight)
@@ -307,7 +307,7 @@ def test_far_field_bounded_under_conformal_factor():
     mu = ScaledCauchyProfile(lam=1.0).on_grid(g)
     rho = 8 * np.pi * mu * np.exp(-2.0 * phi.on_grid(g))
     c = newtonian_potential(rho, phi, g)
-    mass = float(np.sum(conformal_area_element(phi, g, rho)))
+    mass = float(np.sum(grid_geometry(phi, g).e2phi * rho * g.cell_area))
     assert np.ptp(_far_field(c, mass, AnnulusSpec(R=20.0))) <= 0.05
 
 

@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -337,11 +339,14 @@ def test_certificate_refuses_zero_factor():
     assert "constant" in cert.reason
 
 
+@dataclass
 class _StandInFactor:
-    """A radial factor ConformalFactor cannot build: what the certificate reads of phi."""
+    """A radial factor ConformalFactor cannot build: what the certificate reads of phi
+    (a dataclass, since the certificate moves the factor's center to the origin)."""
 
-    def __init__(self, f, support_radius, center=(0.0, 0.0)):
-        self.f, self.support_radius, self.center = f, support_radius, center
+    f: Callable
+    support_radius: float
+    center: tuple[float, float] = (0.0, 0.0)
 
     def __call__(self, X, Y):
         return self.f(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))

@@ -132,7 +132,8 @@ def _norm_sq(problem, psi):
     grid = problem.rho.grid
     gx, gy = grad_flat(psi, grid)
     dirichlet = np.sum(gx**2 + gy**2) * grid.cell_area
-    return float(dirichlet + 0.5 * np.sum(problem.rho.samples * psi**2 * problem.rho.area_weights))
+    w = problem.rho.geometry.weights
+    return float(dirichlet + 0.5 * np.sum(problem.rho.samples * psi**2 * w))
 
 
 def _bilinear(problem, f, psi):
@@ -148,7 +149,7 @@ def _bilinear(problem, f, psi):
 
 def _functional(problem, psi):
     """Phi(psi) = int psi (4 r phi_r) dA_phi."""
-    return float(np.sum(psi * problem.rhs * problem.rho.area_weights))
+    return float(np.sum(psi * problem.rhs * problem.rho.geometry.weights))
 
 
 def test_aux_solve_satisfies_weak_form(curved_problem):
@@ -190,7 +191,7 @@ def test_coercivity_ratios_near_one(curved_problem):
 def test_continuity_bounded_by_envelope_constant(curved_problem):
     # |Phi(psi)| <= sqrt(2 int (4 r phi_r)^2 / rho dA_phi) ||psi||
     rho = curved_problem.rho
-    K = np.sqrt(2.0 * np.sum(curved_problem.rhs**2 / rho.samples * rho.area_weights))
+    K = np.sqrt(2.0 * np.sum(curved_problem.rhs**2 / rho.samples * rho.geometry.weights))
     for psi in _bumps(rho.grid):
         assert abs(_functional(curved_problem, psi)) <= K * np.sqrt(_norm_sq(curved_problem, psi))
 
@@ -247,7 +248,7 @@ def test_direct_gradient_matches_pairwise_loop(n, center, half_width, bump_phi):
     # the gradient oracle itself, against the kernel summed pair by pair
     g = CartesianGrid(center=center, half_width=half_width, n=n)
     fld = DensityField(grid=g, samples=np.random.default_rng(n).random((n, n)), phi=bump_phi)
-    qf = (fld.samples * fld.area_weights).ravel()
+    qf = (fld.samples * fld.geometry.weights).ravel()
     pts = [(x, y) for x in g.x for y in g.y]   # row-major, like qf
     expect = np.zeros((2, n * n))
     for i, (xi, yi) in enumerate(pts):
@@ -269,7 +270,7 @@ def i2_double_sum(rho, antisymmetrized=False):
     diagonal; agreement between the two confirms the cancellation used in
     the closed-form limit.
     """
-    q = (rho.samples * rho.area_weights).ravel()
+    q = (rho.samples * rho.geometry.weights).ravel()
     if antisymmetrized:
         total = float(q.sum())
         return -(total * total - float(q @ q)) / (4.0 * np.pi)
@@ -282,7 +283,7 @@ def test_i2_double_sum_matches_pair_loop(bump_phi):
     g = CartesianGrid(center=(0.4, -0.3), half_width=6.0, n=16)
     fld = density_from_profile(8 * np.pi, 1.0, (0.5, 0.2), bump_phi, g)
     # the kernel -x.(x-y) / (2pi |x-y|^2) summed over all pairs, as one dense matrix
-    q = (fld.samples * fld.area_weights).ravel()
+    q = (fld.samples * fld.geometry.weights).ravel()
     X, Y = g.meshes()
     px, py = X.ravel(), Y.ravel()
     dx = px[:, None] - px[None, :]
