@@ -70,8 +70,8 @@ _PROFILE_SCHEMA = {"lam": (float, 1.0), "x_star": (_POINT, [0.0, 0.0]),
 
 SCHEMAS = {
     "identities": {
-        # grid: potential probes; double_grid (Coulomb) shares its centre and
-        # scales with lambda: its half_width is per unit lambda
+        # grid: potential probes, on half_width * max(1, lambda); double_grid
+        # (Coulomb) shares its centre and its half_width is per unit lambda
         "grid": {"half_width": (float, 60.0), "n": (int, 1024),
                  "center": (_POINT, [0.0, 0.0])},
         "double_grid": {"half_width": (float, 60.0), "n": (int, 512)},
@@ -269,19 +269,20 @@ def cmd_identities(cfg: dict, outdir: str) -> Outcome:
         mu = ScaledCauchyProfile(lam=lam)
         m = 8.0 * np.pi
 
-        # entropy on the acceptance suite's criterion-1 layout: the integrand
-        # mu ln mu decays only like r^-4 ln r, so the grid spans 250 lambda
+        # mu ln mu decays only like r^-4 ln r, so the entropy grid spans 250 lambda
         egrid = CartesianGrid(center=grid.center, half_width=250.0 * lam, n=1024)
         closed_e = mu_entropy_identity(m, lam)
         numeric_e = float(np.sum(rho_log_rho(m * mu.on_grid(egrid))) * egrid.cell_area)
 
-        samples = mu.on_grid(grid)
-        cfield = newtonian_potential(samples, ConformalFactor.zero(), grid)
+        # the probes reach 8 lambda, so the probe grid widens with lambda above 1
+        pgrid = CartesianGrid(grid.center, grid.half_width * max(1.0, lam), grid.n)
+        samples = mu.on_grid(pgrid)
+        cfield = newtonian_potential(samples, ConformalFactor.zero(), pgrid)
         probes = []
-        j = int(np.argmin(np.abs(grid.y - 0.0)))
+        j = int(np.argmin(np.abs(pgrid.y - 0.0)))
         for rfrac in (1.5, 2.0, 3.0, 5.0, 8.0):
-            i = int(np.argmin(np.abs(grid.x - lam * rfrac)))
-            closed_p = float(mu_potential_identity(lam, (grid.x[i], grid.y[j])))
+            i = int(np.argmin(np.abs(pgrid.x - lam * rfrac)))
+            closed_p = float(mu_potential_identity(lam, (pgrid.x[i], pgrid.y[j])))
             probes.append((closed_p, float(cfield.samples[i, j])))
 
         dgrid = CartesianGrid(center=grid.center, half_width=dg["half_width"] * lam, n=dg["n"])
@@ -293,7 +294,7 @@ def cmd_identities(cfg: dict, outdir: str) -> Outcome:
             "lambda": lam,
             "entropy": {"closed_form": closed_e, "numeric": numeric_e,
                         "error": abs(numeric_e - closed_e) / max(abs(closed_e), 1e-30),
-                        "tail_bound": estimate_tail(samples, grid).bound},
+                        "tail_bound": estimate_tail(samples, pgrid).bound},
             "potential_probes": [
                 {"closed_form": cp, "numeric": nu,
                  "error": abs(nu - cp) / max(abs(cp), 1e-30)}

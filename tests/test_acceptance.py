@@ -2,6 +2,9 @@
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 lines. Every tolerance is pinned here; nothing is deferred to calibration.
+Where a `curvedks` command prints a criterion's number, the criterion runs
+that command through cli.main and reads the number from its JSON; where no
+command computes it, the docstring says why the criterion calls the library.
 """
 
 import json
@@ -9,23 +12,20 @@ import time
 
 import numpy as np
 
-from conftest import lstsq_order
-from curvedks.cli import main as cli_main
-from curvedks.domain import AnnulusSpec, CartesianGrid, SphereGrid
+from conftest import lstsq_order, run_cli
+from curvedks.cli import load_config
+from curvedks.domain import CartesianGrid, SphereGrid
 from curvedks.energy import conformal_covariance_check, lambda_scan, log_hls_deficit
 from curvedks.flow import flow_init, flow_step, run_flow, virial_rate
 from curvedks.geometry import ConformalFactor
-from curvedks.potential import newtonian_potential
-from curvedks.profiles import (ScaledCauchyProfile, mu_coulomb_identity,
-                               mu_entropy_identity, mu_potential_identity)
+from curvedks.profiles import ScaledCauchyProfile
 from curvedks.sphere import (SphereField, StereographicMap, obstruction_integral,
                              plane_side_obstruction)
-from curvedks.stationary import (DensityField, decay_envelope, density_from_profile,
-                                 reduced_residual)
-from curvedks.virial import assemble_virial
+from curvedks.stationary import DensityField, density_from_profile
 
 FLAT = ConformalFactor.zero()
 CRITICAL_F = 8 * np.pi * np.log(8 / np.e)
+GRID_512 = {"half_width": 60.0, "n": 512}
 
 
 def _report(num, ok, detail):
@@ -33,113 +33,103 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def test_criterion_1_mu_identity_suite():
-    """Quadrature matches the three profile identities at 1e-2 relative."""
+def _command(rundir, command, config, monkeypatch):
+    """The exit code and <command>.json of `curvedks <command>` run on config."""
+    rc, outdir = run_cli(rundir, command, config, monkeypatch)
+    return rc, json.loads((outdir / f"{command.replace('-', '_')}.json").read_text())
+
+
+def test_criterion_1_mu_identity_suite(tmp_path, monkeypatch):
+    """`curvedks identities` at its defaults (lambda 0.5, 1, 2, tolerance 1e-2) matches
+    the entropy, five potential probes and the Coulomb energy at 1e-2 relative."""
     t0 = time.time()
-    worst = 0.0
-    for lam in (0.5, 1.0, 2.0):
-        # entropy, n = 1024 single integral on a lambda-proportional domain
-        g = CartesianGrid(center=(0, 0), half_width=250.0 * lam, n=1024)
-        m = 8 * np.pi
-        vals = m * ScaledCauchyProfile(lam=lam).on_grid(g)
-        numeric = g.integrate(vals * np.log(vals))
-        closed = mu_entropy_identity(m, lam)
-        worst = max(worst, abs(numeric - closed) / abs(closed))
-
-        # potential at 5 probe points, n = 1024
-        gp = CartesianGrid(center=(0, 0), half_width=60.0 * max(1.0, lam), n=1024)
-        mu = ScaledCauchyProfile(lam=lam).on_grid(gp)
-        c = newtonian_potential(mu, FLAT, gp)
-        for rfrac in (1.5, 2.0, 3.0, 5.0, 8.0):
-            i = int(np.argmin(np.abs(gp.x - lam * rfrac)))
-            j = int(np.argmin(np.abs(gp.y)))
-            closed_p = mu_potential_identity(lam, (gp.x[i], gp.y[j]))
-            worst = max(worst, abs(c.samples[i, j] - closed_p) / abs(closed_p))
-
-        # Coulomb double integral, n = 512, lambda-proportional domain
-        gd = CartesianGrid(center=(0, 0), half_width=60.0 * lam, n=512)
-        mud = ScaledCauchyProfile(lam=lam).on_grid(gd)
-        cd = newtonian_potential(mud, FLAT, gd)
-        numeric_c = float(np.sum(mud * cd.samples) * gd.cell_area)
-        closed_c = mu_coulomb_identity(lam)
-        worst = max(worst, abs(numeric_c - closed_c) / abs(closed_c))
+    rc, out = _command(tmp_path, "identities", {}, monkeypatch)
     elapsed = time.time() - t0
-    _report(1, worst <= 1e-2 and elapsed <= 300.0,
+    assert out["config_hash"] == load_config(None, "identities")[1]    # no key but output_dir
+    assert [r["lambda"] for r in out["identities"]] == [0.5, 1.0, 2.0]
+    assert out["tolerance"] == 1e-2
+    worst = max(max(r["entropy"]["error"], r["coulomb"]["error"],
+                    *(p["error"] for p in r["potential_probes"])) for r in out["identities"])
+    _report(1, rc == 0 and worst <= 1e-2 and elapsed <= 300.0,
             f"worst relative error {worst:.2e} (tol 1e-2), runtime {elapsed:.0f}s (cap 300s)")
 
 
-def test_criterion_2_stationary_verification():
-    """f-variation decays at order >= 1.5; f_constant = ln 8 +- 0.02 at n = 512."""
+def test_criterion_2_stationary_verification(tmp_path, monkeypatch):
+    """`curvedks residual` on half-width 40: f_variation decays at order >= 1.5 over
+    n = 128, 256, 512; f_constant = ln 8 +- 0.02 at n = 512."""
     ns = [128, 256, 512]
-    variations, f_consts = [], []
-    for n in ns:
-        g = CartesianGrid(center=(0, 0), half_width=40.0, n=n)
-        fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), FLAT, g)
-        rep = reduced_residual(fld)
-        variations.append(rep.f_variation)
-        f_consts.append(rep.f_constant)
-    order = lstsq_order(ns, variations)
-    ok = order >= 1.5 and abs(f_consts[-1] - np.log(8.0)) <= 0.02
+    reps = [_command(tmp_path / str(n), "residual", {"grid": {"half_width": 40.0, "n": n}},
+                     monkeypatch)[1] for n in ns]
+    order = lstsq_order(ns, [r["f_variation"] for r in reps])
+    f_const = reps[-1]["f_constant"]
+    ok = order >= 1.5 and abs(f_const - np.log(8.0)) <= 0.02
     _report(2, ok, f"f_variation order {order:.2f} (need >= 1.5), "
-                   f"f_constant {f_consts[-1]:.4f} vs ln 8 = {np.log(8):.4f} (tol 0.02)")
+                   f"f_constant {f_const:.4f} vs ln 8 = {np.log(8):.4f} (tol 0.02)")
 
 
-def test_criterion_3_decay_law():
-    """tail_slope = -4 +- 0.1 and K_best = 8 +- 0.5 on the R = 20 annulus."""
-    g = CartesianGrid(center=(0, 0), half_width=60.0, n=512)
-    fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), FLAT, g)
-    rep = decay_envelope(fld, AnnulusSpec(R=20.0))
-    ok = abs(rep.tail_slope + 4.0) <= 0.1 and abs(rep.K_best - 8.0) <= 0.5
-    _report(3, ok, f"tail_slope {rep.tail_slope:.3f} (tol -4 +- 0.1), "
-                   f"K_best {rep.K_best:.3f} (tol 8 +- 0.5)")
+def test_criterion_3_decay_law(tmp_path, monkeypatch):
+    """`curvedks envelope` on the R = 20 annulus: tail_slope = -4 +- 0.1, K_best = 8 +- 0.5."""
+    _, rep = _command(tmp_path, "envelope", {"grid": GRID_512, "annulus_R": 20.0}, monkeypatch)
+    ok = abs(rep["tail_slope"] + 4.0) <= 0.1 and abs(rep["K_best"] - 8.0) <= 0.5
+    _report(3, ok, f"tail_slope {rep['tail_slope']:.3f} (tol -4 +- 0.1), "
+                   f"K_best {rep['K_best']:.3f} (tol 8 +- 0.5)")
 
 
-def test_criterion_4_critical_mass_virial():
-    """|closure| <= 0.02 * 32pi at the largest R; I2 = -16pi +- 2%."""
-    g = CartesianGrid(center=(0, 0), half_width=60.0, n=512)
-    fld = density_from_profile(8 * np.pi, 1.0, (0.0, 0.0), FLAT, g)
-    reports = assemble_virial(fld, [5.0, 10.0, 15.0, 20.0, 25.0])
-    last = reports[-1]
-    ok = (abs(last.closure) <= 0.02 * 32 * np.pi
-          and abs(last.I2 + 16 * np.pi) <= 0.02 * 16 * np.pi)
-    _report(4, ok, f"closure {last.closure:.3f} (cap {0.02*32*np.pi:.3f}), "
-                   f"I2 {last.I2:.3f} vs -16pi = {-16*np.pi:.3f} (2%)")
+def test_criterion_4_critical_mass_virial(tmp_path, monkeypatch):
+    """`curvedks virial` out to R = 25: |closure| <= 0.02 * 32pi; I2 = -16pi +- 2%."""
+    _, last = _command(tmp_path, "virial",
+                       {"grid": GRID_512, "radii": [5.0, 10.0, 15.0, 20.0, 25.0]}, monkeypatch)
+    ok = (abs(last["closure"]) <= 0.02 * 32 * np.pi
+          and abs(last["I2"] + 16 * np.pi) <= 0.02 * 16 * np.pi)
+    _report(4, ok, f"closure {last['closure']:.3f} (cap {0.02*32*np.pi:.3f}), "
+                   f"I2 {last['I2']:.3f} vs -16pi = {-16*np.pi:.3f} (2%)")
 
 
-def test_criterion_5_energy_boundedness():
-    """Scan slopes match (m/4pi)(m-8pi) within 5%; critical plateau and curved shift."""
-    lams = list(np.geomspace(0.05, 5.0, 9))
+def test_criterion_5_energy_boundedness(tmp_path, monkeypatch):
+    """`curvedks energy-scan` slopes match (m/4pi)(m-8pi) within 5%; its critical plateau
+    and its curved fixed-grid plateau, shifted from the flat one by -16pi * amplitude.
+
+    The flat plateau on that fixed grid stays a lambda_scan call: energy-scan scans a
+    flat factor only on lambda-scaled grids, so no command computes it."""
+    scan = {"grid": GRID_512, "lambdas": np.geomspace(0.05, 5.0, 9).tolist()}
+    tabs = {m: _command(tmp_path / str(k), "energy-scan", {**scan, "m": m}, monkeypatch)[1]
+            for k, m in enumerate((4 * np.pi, 10 * np.pi, 8 * np.pi))}
     details = []
     ok = True
     for m in (4 * np.pi, 10 * np.pi):
-        tab = lambda_scan(m, FLAT, lams)
-        rel = abs(tab.slope_fit - tab.predicted_slope) / abs(tab.predicted_slope)
+        tab = tabs[m]
+        rel = abs(tab["slope_fit"] - tab["predicted_slope"]) / abs(tab["predicted_slope"])
         ok &= rel <= 0.05
-        details.append(f"slope(m={m/np.pi:.0f}pi) {tab.slope_fit:.3f} "
-                       f"vs {tab.predicted_slope:.3f} ({rel:.1%})")
+        details.append(f"slope(m={m/np.pi:.0f}pi) {tab['slope_fit']:.3f} "
+                       f"vs {tab['predicted_slope']:.3f} ({rel:.1%})")
 
-    tab8 = lambda_scan(8 * np.pi, FLAT, lams)
-    ok &= abs(tab8.plateau - CRITICAL_F) <= 0.3
-    details.append(f"plateau {tab8.plateau:.3f} vs {CRITICAL_F:.3f} (tol 0.3)")
+    plateau = tabs[8 * np.pi]["plateau"]
+    ok &= abs(plateau - CRITICAL_F) <= 0.3
+    details.append(f"plateau {plateau:.3f} vs {CRITICAL_F:.3f} (tol 0.3)")
 
     # curved shift: curved and flat scans on the same fixed grid cancel the
     # shared quadrature systematics; the shift approaches -16 pi * amplitude
     amp = 0.05
-    phi = ConformalFactor.radial_bump(amp, 4.0, (0.0, 0.0))
+    lams_fix = np.geomspace(0.15, 15.0, 9).tolist()
+    _, curved = _command(tmp_path / "curved", "energy-scan",
+                         {"grid": {"half_width": 8.0, "n": 512}, "lambdas": lams_fix,
+                          "phi": {"kind": "radial_bump", "amplitude": amp,
+                                  "support_radius": 4.0}}, monkeypatch)
     gfix = CartesianGrid(center=(0, 0), half_width=8.0, n=512)
-    lams_fix = list(np.geomspace(0.15, 15.0, 9))
-    curved = lambda_scan(8 * np.pi, phi, lams_fix, grid=gfix)
     flat = lambda_scan(8 * np.pi, FLAT, lams_fix, grid=gfix, x_star=(0.0, 0.0))
-    shift = curved.plateau - flat.plateau
+    shift = curved["plateau"] - flat.plateau
     target = -16 * np.pi * amp
     ok &= abs(shift - target) <= 0.05 * abs(target)
     details.append(f"curved shift {shift:.4f} vs {target:.4f} (5%)")
     _report(5, ok, "; ".join(details))
 
 
-def test_criterion_6_log_hls_deficit():
-    """Deficit >= -1e-3 on a 50-member random family; <= 2e-2 at the minimizer;
-    conformal covariance difference <= 1e-8."""
+def test_criterion_6_log_hls_deficit(tmp_path, monkeypatch):
+    """Deficit >= -1e-3 on a 50-member random family; `curvedks deficit` <= 2e-2 at the
+    minimizer; conformal covariance difference <= 1e-8.
+
+    The family and the covariance check stay library calls: no command builds a
+    mixture density or compares the deficit across a conformal change."""
     rng = np.random.default_rng(2024)
     g = CartesianGrid(center=(0, 0), half_width=50.0, n=256)
     X, Y = g.meshes()
@@ -163,20 +153,24 @@ def test_criterion_6_log_hls_deficit():
         rep = log_hls_deficit(fld, 1.0, (0.0, 0.0))
         min_deficit = min(min_deficit, rep.deficit)
 
-    gm = CartesianGrid(center=(0, 0), half_width=60.0, n=512)
-    phi_b = phis[1]
-    exact = density_from_profile(m, 1.0, (0.0, 0.0), phi_b, gm)
-    at_min = log_hls_deficit(exact, 1.0, (0.0, 0.0)).deficit
+    bump = {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 3.0}
+    rc, at_min = _command(tmp_path, "deficit", {"grid": GRID_512, "phi": bump}, monkeypatch)
+    exact = density_from_profile(m, 1.0, (0.0, 0.0), phis[1],
+                                 CartesianGrid(center=(0, 0), **GRID_512))
     cov = conformal_covariance_check(exact, 1.0, (0.0, 0.0)).difference
-    ok = min_deficit >= -1e-3 and at_min <= 2e-2 and abs(cov) <= 1e-8
+    ok = min_deficit >= -1e-3 and rc == 0 and at_min["deficit"] <= 2e-2 and abs(cov) <= 1e-8
     _report(6, ok, f"family min deficit {min_deficit:.2e} (>= -1e-3), "
-                   f"minimizer deficit {at_min:.2e} (<= 2e-2), "
+                   f"minimizer deficit {at_min['deficit']:.2e} (<= 2e-2), "
                    f"covariance diff {cov:.1e} (<= 1e-8)")
 
 
 def test_criterion_7_kazdan_warner_obstruction():
     """Manufactured obstruction <= 1e-5 refined; bump obstruction >= 1e-3 with
-    amplitude-linked sign; sphere and plane quadratures agree within 1%."""
+    amplitude-linked sign; sphere and plane quadratures agree within 1%.
+
+    Library calls: no command takes a manufactured sphere field u, and
+    `curvedks obstruction` prints the certificate's zonal 1-D reduction, not the
+    2-D integral or the plane-side quadrature this criterion compares."""
     # manufactured solution, refined grid
     sg_fine = SphereGrid(n_lat=1024, n_lon=2048)
     T, P = sg_fine.meshes()
@@ -216,7 +210,11 @@ def test_criterion_7_kazdan_warner_obstruction():
 
 def test_criterion_8_flow_diagnostics():
     """Mass drift <= 1e-10 over 1e4 steps; stationary L1 drift <= 2%;
-    virial slopes within tolerance; free energy non-increasing."""
+    virial slopes within tolerance; free energy non-increasing.
+
+    Library calls: `curvedks flow` would write its n = 512 run's 101-snapshot stack
+    (about 212 MB), no config sets a count of 1e4 steps (a run steps to t_end), and
+    flow.json does not record the final state that the L1 drift needs."""
     details = []
 
     # mass conservation over 1e4 steps (small grid)
@@ -271,7 +269,7 @@ def test_criterion_8_flow_diagnostics():
     _report(8, ok, "; ".join(details))
 
 
-def test_criterion_9_cli_determinism(tmp_path):
+def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
     """Identical configs produce byte-identical outputs across runs."""
     same = True
     compared = []
@@ -286,10 +284,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     ]:
         blobs = []
         for run in ("a", "b"):
-            outdir = tmp_path / f"{command}-{run}"
-            cfg_path = tmp_path / f"{command}-{run}.json"
-            cfg_path.write_text(json.dumps({**payload, "output_dir": str(outdir)}))
-            rc = cli_main([command, "--config", str(cfg_path)])
+            rc, outdir = run_cli(tmp_path / f"{command}-{run}", command, payload, monkeypatch)
             assert rc == 0
             blobs.append((outdir / outfile).read_bytes())
         same &= blobs[0] == blobs[1]

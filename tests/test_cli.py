@@ -11,26 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from curvedks import cli, flow
 from curvedks.cli import EXIT_BAD_CONFIG, EXIT_CHECK_FAILED, EXIT_OK, load_config, main
 from curvedks.flow import BlowUpDetected, CFLViolation, StepLimitReached, run_flow
 from curvedks.virial import AuxSolveError
-
-
-def _write_config(tmp_path, name, payload):
-    p = tmp_path / name
-    p.write_text(json.dumps(payload))
-    return str(p)
-
-
-def _run(tmp_path, command, payload, monkeypatch):
-    outdir = tmp_path / "out"
-    payload = dict(payload)
-    payload["output_dir"] = str(outdir)
-    cfg = _write_config(tmp_path, f"{command.replace('-', '_')}.json", payload)
-    monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
-    rc = main([command, "--config", cfg])
-    return rc, outdir
 
 
 FAST_IDENTITIES = {
@@ -42,7 +27,7 @@ FAST_IDENTITIES = {
 
 
 def test_identities_pass(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "identities", FAST_IDENTITIES, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "identities", FAST_IDENTITIES, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "identities.json").read_text())
     assert payload["identities"][0]["pass"]
@@ -54,7 +39,7 @@ def test_identities_fail_on_coarse_grid(tmp_path, monkeypatch):
     bad["grid"] = {"half_width": 400.0, "n": 64}
     bad["double_grid"] = {"half_width": 400.0, "n": 64}
     bad["tolerance"] = 1e-3
-    rc, outdir = _run(tmp_path, "identities", bad, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "identities", bad, monkeypatch)
     assert rc == EXIT_CHECK_FAILED
     payload = json.loads((outdir / "identities.json").read_text())
     assert not payload["identities"][0]["pass"]
@@ -63,7 +48,7 @@ def test_identities_fail_on_coarse_grid(tmp_path, monkeypatch):
 def test_identities_coulomb_value_at_lambda_e(tmp_path, monkeypatch):
     cfg = dict(FAST_IDENTITIES)
     cfg["lambdas"] = [float(np.e)]
-    rc, outdir = _run(tmp_path, "identities", cfg, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "identities", cfg, monkeypatch)
     payload = json.loads((outdir / "identities.json").read_text())
     got = payload["identities"][0]["coulomb"]["closed_form"]
     assert got == pytest.approx(-0.238732, abs=1e-6)
@@ -72,7 +57,7 @@ def test_identities_coulomb_value_at_lambda_e(tmp_path, monkeypatch):
 def test_unknown_key_rejected(tmp_path, monkeypatch):
     cfg = dict(FAST_IDENTITIES)
     cfg["lambduhs"] = [1.0]
-    rc, _ = _run(tmp_path, "identities", cfg, monkeypatch)
+    rc, _ = run_cli(tmp_path, "identities", cfg, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
 
 
@@ -83,8 +68,8 @@ def test_invalid_json_rejected(tmp_path, monkeypatch):
 
 
 def test_residual_subcommand(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "residual",
-                      {"grid": {"half_width": 30.0, "n": 128}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual",
+                         {"grid": {"half_width": 30.0, "n": 128}}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "residual.json").read_text())
     assert payload["f_constant"] == pytest.approx(np.log(8.0), abs=0.05)
@@ -100,8 +85,8 @@ def test_residual_fits_the_tail_once(tmp_path, monkeypatch):
         return potential.TruncationReport(1.0, 1.0)
     monkeypatch.setattr(potential, "estimate_tail", counted)
     monkeypatch.setattr(stationary, "estimate_tail", counted)
-    rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}},
-                      monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}},
+                         monkeypatch)
     assert rc == EXIT_OK
     assert calls == [32]
     assert json.loads((outdir / "residual.json").read_text())["tail_bound"] == 1.0
@@ -109,18 +94,18 @@ def test_residual_fits_the_tail_once(tmp_path, monkeypatch):
 
 def test_residual_subcommand_on_a_coarse_grid(tmp_path, monkeypatch):
     # at n = 16 three bank fields reach the outer cell rings; the bank drops them
-    rc, outdir = _run(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}},
-                      monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}},
+                         monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "residual.json").read_text())
     assert np.isfinite(payload["static_residual_L2"])
 
 
 def test_obstruction_verdict(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "obstruction",
-                      {"phi": {"kind": "radial_bump", "amplitude": 0.05,
-                               "support_radius": 2.0},
-                       "n_lat": 64}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "obstruction",
+                         {"phi": {"kind": "radial_bump", "amplitude": 0.05,
+                                  "support_radius": 2.0},
+                          "n_lat": 64}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "NONZERO OBSTRUCTION"
@@ -131,34 +116,34 @@ def test_obstruction_verdict(tmp_path, monkeypatch):
 @pytest.mark.parametrize("threshold", [-1, 0])
 def test_obstruction_rejects_nonpositive_threshold(tmp_path, monkeypatch, threshold):
     # obstructions of about 1e-8 must not pass a threshold that admits anything
-    rc, outdir = _run(tmp_path, "obstruction",
-                      {"phi": {"kind": "radial_bump", "amplitude": 1e-9,
-                               "support_radius": 2.0},
-                       "n_lat": 32, "threshold": threshold}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "obstruction",
+                         {"phi": {"kind": "radial_bump", "amplitude": 1e-9,
+                                  "support_radius": 2.0},
+                          "n_lat": 32, "threshold": threshold}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert not (outdir / "obstruction.json").exists()
 
 
 def test_obstruction_refuses_flat(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "obstruction", {"phi": {"kind": "zero"}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "obstruction", {"phi": {"kind": "zero"}}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "REFUSED"
 
 
 def test_envelope_subcommand(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "envelope",
-                      {"grid": {"half_width": 60.0, "n": 256},
-                       "annulus_R": 20.0}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "envelope",
+                         {"grid": {"half_width": 60.0, "n": 256},
+                          "annulus_R": 20.0}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "envelope.json").read_text())
     assert payload["tail_slope"] == pytest.approx(-4.0, abs=0.15)
 
 
 def test_virial_subcommand(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "virial",
-                      {"grid": {"half_width": 40.0, "n": 256},
-                       "radii": [5.0, 10.0, 15.0]}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "virial",
+                         {"grid": {"half_width": 40.0, "n": 256},
+                          "radii": [5.0, 10.0, 15.0]}, monkeypatch)
     assert rc == EXIT_OK
     lines = (outdir / "virial.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -168,11 +153,11 @@ def test_virial_subcommand(tmp_path, monkeypatch):
 
 def test_virial_curved_factor_closes_i3(tmp_path, monkeypatch):
     # I3 needs f from the auxiliary solve; with f = 0 it sits near -3.8 here
-    rc, outdir = _run(tmp_path, "virial",
-                      {"grid": {"half_width": 16.0, "n": 64},
-                       "phi": {"kind": "radial_bump", "amplitude": 0.1,
-                               "support_radius": 2.0},
-                       "radii": [4.0]}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "virial",
+                         {"grid": {"half_width": 16.0, "n": 64},
+                          "phi": {"kind": "radial_bump", "amplitude": 0.1,
+                                  "support_radius": 2.0},
+                          "radii": [4.0]}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "virial.json").read_text())
     assert abs(payload["I3"]) < 0.1
@@ -200,9 +185,9 @@ def _diagnostic_rows(path):
 
 def test_flow_subcommand(tmp_path, monkeypatch):
     calls = _spy_run_flow(monkeypatch)
-    rc, outdir = _run(tmp_path, "flow",
-                      {"grid": {"half_width": 12.0, "n": 96},
-                       "t_end": 0.02, "snapshot_every": 2}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "flow",
+                         {"grid": {"half_width": 12.0, "n": 96},
+                          "t_end": 0.02, "snapshot_every": 2}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "flow.json").read_text())
     assert payload["mass_drift"] <= 1e-10
@@ -220,9 +205,8 @@ def test_flow_gaussian_is_centred_on_the_grid(tmp_path, monkeypatch):
     # origin it peaks at the centre cells and matches the centred run's density
     stacks = []
     for centre in ([0.0, 0.0], [40.0, 0.0]):
-        (tmp_path / str(centre[0])).mkdir()
-        rc, outdir = _run(tmp_path / str(centre[0]), "flow",
-                          {"grid": {"center": centre, "n": 32}, "t_end": 0.001}, monkeypatch)
+        rc, outdir = run_cli(tmp_path / str(centre[0]), "flow",
+                             {"grid": {"center": centre, "n": 32}, "t_end": 0.001}, monkeypatch)
         assert rc == EXIT_OK
         stacks.append(np.load(outdir / "flow_snapshots.npy")[0])
     peak = np.unravel_index(np.argmax(stacks[1]), stacks[1].shape)
@@ -239,8 +223,7 @@ def test_flow_snapshots_are_the_run_states_and_rerun_identically(tmp_path, monke
            "t_end": 0.03, "snapshot_every": 3}
     blobs = []
     for run in ("a", "b"):
-        (tmp_path / run).mkdir()
-        rc, outdir = _run(tmp_path / run, "flow", cfg, monkeypatch)
+        rc, outdir = run_cli(tmp_path / run, "flow", cfg, monkeypatch)
         assert rc == EXIT_OK
         blobs.append((outdir / "flow_snapshots.npy").read_bytes())
         rows = _diagnostic_rows(outdir / "flow_diagnostics.csv")
@@ -274,7 +257,7 @@ def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
             return real_step(state)
 
         monkeypatch.setattr(flow, "flow_step", step)
-        rc, outdir = _run(tmp_path, "flow", cfg, monkeypatch)
+        rc, outdir = run_cli(tmp_path, "flow", cfg, monkeypatch)
         assert streamed and streamed[0] > 3 * n * n * 8
         return rc, outdir
 
@@ -282,7 +265,7 @@ def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
     assert rc == 3
     assert list(outdir.iterdir()) == []
     monkeypatch.setattr(flow, "flow_step", real_step)
-    rc, _ = _run(tmp_path, "flow", cfg, monkeypatch)
+    rc, _ = run_cli(tmp_path, "flow", cfg, monkeypatch)
     assert rc == EXIT_OK
     earlier = (outdir / "flow_snapshots.npy").read_bytes()
     assert len(np.load(outdir / "flow_snapshots.npy")) > 3
@@ -297,10 +280,10 @@ def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path, monkeypatch
     # its initial state: each snapshot goes to disk when it is taken
     n, counts, peaks = 64, {}, {}
     cfg = {"grid": {"half_width": 10.0, "n": n}, "t_end": 0.035, "dt": 1e-3}
-    _run(tmp_path, "flow", {**cfg, "snapshot_every": 1}, monkeypatch)    # warm the caches
+    run_cli(tmp_path, "flow", {**cfg, "snapshot_every": 1}, monkeypatch)    # warm the caches
     for every in (1, 10**6):
         tracemalloc.start()
-        rc, outdir = _run(tmp_path, "flow", {**cfg, "snapshot_every": every}, monkeypatch)
+        rc, outdir = run_cli(tmp_path, "flow", {**cfg, "snapshot_every": every}, monkeypatch)
         peaks[every] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rc == EXIT_OK
@@ -310,10 +293,10 @@ def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path, monkeypatch
 
 
 def test_flow_virial_rate_reported(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "flow",
-                      {"grid": {"half_width": 15.0, "n": 256},
-                       "mass": 4 * np.pi, "t_end": 0.05,
-                       "snapshot_every": 2}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "flow",
+                         {"grid": {"half_width": 15.0, "n": 256},
+                          "mass": 4 * np.pi, "t_end": 0.05,
+                          "snapshot_every": 2}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "flow.json").read_text())
     assert payload["dW_dt_expected"] == pytest.approx(8 * np.pi, rel=1e-12)
@@ -321,9 +304,9 @@ def test_flow_virial_rate_reported(tmp_path, monkeypatch):
 
 
 def test_energy_scan_subcommand(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "energy-scan",
-                      {"m": 4 * np.pi,
-                       "lambdas": [0.05, 0.2, 0.8, 3.2, 12.8]}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan",
+                         {"m": 4 * np.pi,
+                          "lambdas": [0.05, 0.2, 0.8, 3.2, 12.8]}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "energy_scan.json").read_text())
     assert payload["slope_fit"] == pytest.approx(-4 * np.pi, rel=0.05)
@@ -334,10 +317,9 @@ def test_zero_amplitude_bump_scans_as_the_flat_factor(tmp_path, monkeypatch):
     rows = []
     for i, phi in enumerate(({"kind": "zero"},
                              {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0})):
-        (tmp_path / str(i)).mkdir()
-        rc, outdir = _run(tmp_path / str(i), "energy-scan",
-                          {"grid": {"half_width": 30.0, "n": 64}, "phi": phi,
-                           "lambdas": [0.05, 0.5, 5.0]}, monkeypatch)
+        rc, outdir = run_cli(tmp_path / str(i), "energy-scan",
+                             {"grid": {"half_width": 30.0, "n": 64}, "phi": phi,
+                              "lambdas": [0.05, 0.5, 5.0]}, monkeypatch)
         assert rc == EXIT_OK
         lines = (outdir / "energy_scan.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
@@ -350,17 +332,17 @@ def test_zero_amplitude_bump_virial_skips_the_aux_solve(tmp_path, monkeypatch):
         raise AssertionError("a flat factor needs no auxiliary solve")
 
     monkeypatch.setattr(cli, "solve_aux_pde", refuse)
-    rc, outdir = _run(tmp_path, "virial",
-                      {"grid": {"half_width": 16.0, "n": 64},
-                       "phi": {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0},
-                       "radii": [4.0]}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "virial",
+                         {"grid": {"half_width": 16.0, "n": 64},
+                          "phi": {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0},
+                          "radii": [4.0]}, monkeypatch)
     assert rc == EXIT_OK
     assert json.loads((outdir / "virial.json").read_text())["I3"] == 0.0
 
 
 def test_deficit_subcommand(tmp_path, monkeypatch):
-    rc, outdir = _run(tmp_path, "deficit",
-                      {"grid": {"half_width": 50.0, "n": 256}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "deficit",
+                         {"grid": {"half_width": 50.0, "n": 256}}, monkeypatch)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "deficit.json").read_text())
     assert abs(payload["deficit"]) < 2e-2
@@ -368,9 +350,9 @@ def test_deficit_subcommand(tmp_path, monkeypatch):
 
 def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
     # a dt far above the stability bound is a numerical failure (exit 3)
-    rc, _ = _run(tmp_path, "flow",
-                 {"grid": {"half_width": 12.0, "n": 96},
-                  "t_end": 0.02, "dt": 1.0}, monkeypatch)
+    rc, _ = run_cli(tmp_path, "flow",
+                    {"grid": {"half_width": 12.0, "n": 96},
+                     "t_end": 0.02, "dt": 1.0}, monkeypatch)
     assert rc == 3
 
 
@@ -378,8 +360,8 @@ def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
                                  {"t_end": 0.0}, {"t_end": -0.01}, {"dt": -1e-4}])
 def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
     # no division by zero, no empty run, no negative dt silently made automatic
-    rc, outdir = _run(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 32},
-                                         "t_end": 0.001, **bad}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 32},
+                                            "t_end": 0.001, **bad}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert not (outdir / "flow.json").exists()
 
@@ -394,13 +376,14 @@ def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, c
     # every probe cell (exit 3), a tolerance <= 0 failed every check (exit 1);
     # the schema refuses each while loading, before any command runs
     small = {"grid": {"half_width": 12.0, "n": 32}}
-    rc, outdir = _run(tmp_path, command, {**small, **config}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, {**small, **config}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert key in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
-    direct = {**small, **config, "output_dir": str(tmp_path / "direct")}
+    direct = tmp_path / "direct.json"
+    direct.write_text(json.dumps({**small, **config, "output_dir": str(tmp_path / "direct")}))
     with pytest.raises(cli.ConfigError, match=key):
-        load_config(_write_config(tmp_path, "direct.json", direct), command)
+        load_config(str(direct), command)
 
 
 @pytest.mark.parametrize("amplitude", [400.0, -400.0])
@@ -412,7 +395,7 @@ def test_overflowing_amplitude_is_a_config_error(tmp_path, monkeypatch, capsys, 
     config = {"phi": {"kind": "radial_bump", "amplitude": amplitude}}
     if "grid" in cli.SCHEMAS[command]:
         config["grid"] = {"half_width": 4.0, "n": 32}
-    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert "overflows" in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -422,8 +405,8 @@ def test_overflowing_amplitude_is_a_config_error(tmp_path, monkeypatch, capsys, 
 def test_masked_density_is_numerical_failure(tmp_path, monkeypatch, command, extra):
     # a profile centred 1e76 away is floored on every cell near the grid:
     # the data, not the config, is what fails (exit 3, not 2)
-    rc, _ = _run(tmp_path, command, {"grid": {"half_width": 20.0, "n": 64},
-                                     "profile": {"x_star": [1e76, 0.0]}, **extra}, monkeypatch)
+    rc, _ = run_cli(tmp_path, command, {"grid": {"half_width": 20.0, "n": 64},
+                                        "profile": {"x_star": [1e76, 0.0]}, **extra}, monkeypatch)
     assert rc == 3
 
 
@@ -432,8 +415,8 @@ def test_flow_step_limit_exit_code(tmp_path, monkeypatch):
         raise StepLimitReached("10 steps reached t = 0.01, short of t_end = 0.02")
 
     monkeypatch.setattr(cli, "run_flow", out_of_steps)
-    rc, _ = _run(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02},
-                 monkeypatch)
+    rc, _ = run_cli(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02},
+                    monkeypatch)
     assert rc == 3
 
 
@@ -442,10 +425,10 @@ def test_virial_aux_solve_failure_exit_code(tmp_path, monkeypatch):
         raise AuxSolveError("relative residual 1.000e-06 above tolerance 1.0e-08")
 
     monkeypatch.setattr(cli, "solve_aux_pde", above_tolerance)
-    rc, _ = _run(tmp_path, "virial",
-                 {"grid": {"half_width": 16.0, "n": 64},
-                  "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
-                  "radii": [4.0]}, monkeypatch)
+    rc, _ = run_cli(tmp_path, "virial",
+                    {"grid": {"half_width": 16.0, "n": 64},
+                     "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
+                     "radii": [4.0]}, monkeypatch)
     assert rc == 3
 
 
@@ -465,9 +448,10 @@ def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsy
     blocker.write_text("")
     called = []
     monkeypatch.setitem(cli.COMMANDS, "residual", lambda cfg, outdir: called.append(cfg))
-    cfg = _write_config(tmp_path, "residual.json", {"output_dir": str(blocker / "out")})
+    cfg = tmp_path / "residual.json"
+    cfg.write_text(json.dumps({"output_dir": str(blocker / "out")}))
     monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
-    assert main(["residual", "--config", cfg]) == EXIT_BAD_CONFIG
+    assert main(["residual", "--config", str(cfg)]) == EXIT_BAD_CONFIG
     assert called == []
     err = capsys.readouterr().err
     assert "output directory" in err and str(blocker / "out") in err
@@ -481,7 +465,7 @@ def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsy
 def test_explicit_null_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, config, key):
     # only an absent key takes its default; a present null is invalid config:
     # exit 2 naming the key, no output
-    rc, outdir = _run(tmp_path, "residual", config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", config, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert f"{key}:" in err or f"at {key}," in err
@@ -492,9 +476,9 @@ def test_explicit_null_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, 
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv("CURVEDKS_OUTPUT_DIR", str(override))
-    cfg = _write_config(tmp_path, "identities.json",
-                        {**FAST_IDENTITIES, "output_dir": str(tmp_path / "ignored")})
-    rc = main(["identities", "--config", cfg])
+    cfg = tmp_path / "identities.json"
+    cfg.write_text(json.dumps({**FAST_IDENTITIES, "output_dir": str(tmp_path / "ignored")}))
+    rc = main(["identities", "--config", str(cfg)])
     assert rc == EXIT_OK
     assert (override / "identities.json").exists()
     assert not (tmp_path / "ignored").exists()
@@ -506,7 +490,7 @@ def test_output_dir_env_override(tmp_path, monkeypatch):
 ])
 def test_degenerate_lists_rejected(tmp_path, monkeypatch, command, config):
     # an empty list checks nothing and a cutoff radius <= 0 means nothing: exit 2, no output
-    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert not outdir.exists() or not any(outdir.iterdir())
 
@@ -517,7 +501,7 @@ def test_energy_scan_needs_two_resolved_lambdas(tmp_path, monkeypatch, capsys):
     config = {"grid": {"n": 128, "half_width": 30.0},
               "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
               "lambdas": [0.1, 1.0, 10.0]}
-    rc, outdir = _run(tmp_path, "energy-scan", config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", config, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert not outdir.exists() or not any(outdir.iterdir())
     assert "0.9375 <= lambda <= 3.75" in capsys.readouterr().err
@@ -550,7 +534,7 @@ def test_point_keys_hold_two_numbers(tmp_path, monkeypatch, capsys, command, key
     # a point with one coordinate or with a third one is invalid config: exit 2
     # naming the key, no output
     section, name = key.split(".")
-    rc, outdir = _run(tmp_path, command, {section: {name: point}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, {section: {name: point}}, monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert key in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -629,12 +613,12 @@ def test_scipy_sparse_loads_only_for_the_aux_solve(tmp_path):
     # a fresh process runs `flow` without importing scipy.sparse; the auxiliary
     # solve imports it on first use and still meets its residual tolerance
     src = str(Path(__file__).resolve().parents[1] / "src")
-    cfg = _write_config(tmp_path, "flow.json",
-                        {"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01,
-                         "snapshot_every": 5, "output_dir": str(tmp_path / "out")})
+    cfg = tmp_path / "flow.json"
+    cfg.write_text(json.dumps({"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01,
+                               "snapshot_every": 5, "output_dir": str(tmp_path / "out")}))
     env = {k: v for k, v in os.environ.items() if k != cli.OUTPUT_DIR_ENV}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _COLD_START, cfg], env=env,
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
@@ -651,45 +635,10 @@ def test_validate_takes_int_for_float():
     assert isinstance(cfg["grid"]["half_width"], float)
 
 
-def test_identities_default_config_passes(tmp_path, monkeypatch):
-    # no config: the default grids resolve every default lambda within 1e-2
-    monkeypatch.setenv("CURVEDKS_OUTPUT_DIR", str(tmp_path))
-    assert main(["identities"]) == EXIT_OK
-    payload = json.loads((tmp_path / "identities.json").read_text())
-    assert payload["tolerance"] == 1e-2
-    assert [r["lambda"] for r in payload["identities"]] == [0.5, 1.0, 2.0]
-    assert all(r["pass"] for r in payload["identities"])
-
-
 def test_default_config_loads():
     cfg, h = load_config(None, "identities")
     assert cfg["tolerance"] == 1e-2
     assert len(h) == 16
-
-
-def test_determinism_byte_identical(tmp_path, monkeypatch):
-    outputs = []
-    for run in ("a", "b"):
-        outdir = tmp_path / run
-        cfg = _write_config(tmp_path, f"cfg_{run}.json",
-                            {**FAST_IDENTITIES, "output_dir": str(outdir)})
-        monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
-        assert main(["identities", "--config", cfg]) == EXIT_OK
-        outputs.append((outdir / "identities.json").read_bytes())
-    assert outputs[0] == outputs[1]
-
-
-def test_determinism_scan_csv(tmp_path, monkeypatch):
-    outputs = []
-    payload = {"m": 8 * np.pi, "lambdas": [0.05, 0.5, 5.0]}
-    for run in ("a", "b"):
-        outdir = tmp_path / run
-        cfg = _write_config(tmp_path, f"scan_{run}.json",
-                            {**payload, "output_dir": str(outdir)})
-        monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
-        assert main(["energy-scan", "--config", cfg]) == EXIT_OK
-        outputs.append((outdir / "energy_scan.csv").read_bytes())
-    assert outputs[0] == outputs[1]
 
 
 _BUMP = {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0}
@@ -715,7 +664,7 @@ def test_every_command_keeps_the_output_contract(tmp_path, monkeypatch, capsys, 
     # one line on stdout and none on stderr; <command>.json stamped with load_config's
     # hash, and with the grid exactly when the schema has one; exactly its tables
     config, tables = _CONTRACT[command]
-    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
     out = capsys.readouterr()
     assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
     assert len(out.out.splitlines()) == 1 and out.err == ""
@@ -743,7 +692,7 @@ def _raise(exc):
 def test_a_command_that_raises_writes_nothing(tmp_path, monkeypatch, capsys, command, target,
                                               exc, code):
     monkeypatch.setattr(cli, target, _raise(exc))
-    rc, outdir = _run(tmp_path, command, _CONTRACT[command][0], monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, _CONTRACT[command][0], monkeypatch)
     out = capsys.readouterr()
     assert rc == code
     assert out.out == "" and str(exc) in out.err
@@ -775,7 +724,7 @@ def _no_constant(name):
 def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, config, code,
                                                keys):
     # NaN and Infinity are not JSON (RFC 8259): each such value is written as null
-    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
     assert rc == code
     text = (outdir / f"{command.replace('-', '_')}.json").read_text()
     payload = json.loads(text, parse_constant=_no_constant)
@@ -789,7 +738,7 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, c
 def test_floating_point_errors_are_numerical_failures(tmp_path, monkeypatch, capsys):
     # m = 1e300 overflows the scan's energies: exit 3 with one line on stderr and no
     # output, where the scan used to exit 0 with nan slopes and numpy warnings on stderr
-    rc, outdir = _run(tmp_path, "energy-scan", {"m": 1e300, "grid": {"n": 64}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", {"m": 1e300, "grid": {"n": 64}}, monkeypatch)
     out = capsys.readouterr()
     assert rc == 3
     assert out.out == "" and out.err.startswith("numerical failure:")
@@ -800,8 +749,8 @@ def test_floating_point_errors_are_numerical_failures(tmp_path, monkeypatch, cap
 def test_zero_phi_refuses_an_amplitude(tmp_path, monkeypatch, capsys):
     # kind "zero" is the flat plane: an amplitude it would ignore is invalid config,
     # where the scan used to run as the flat plane and exit 0
-    rc, outdir = _run(tmp_path, "energy-scan", {"phi": {"kind": "zero", "amplitude": 0.3}},
-                      monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", {"phi": {"kind": "zero", "amplitude": 0.3}},
+                         monkeypatch)
     assert rc == EXIT_BAD_CONFIG
     assert "phi.amplitude" in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -859,8 +808,7 @@ def _nudged(value, typ):
 def _observed(tmp_path, monkeypatch, capsys, command, config):
     """The exit code, stdout and output files of one run, less the config hash and the
     top-level keys of <command>.json that echo a config key."""
-    tmp_path.mkdir()
-    rc, outdir = _run(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
     files = {}
     for path in sorted(outdir.iterdir()):
         if path.name == f"{command.replace('-', '_')}.json":

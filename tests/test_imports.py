@@ -48,7 +48,8 @@ ALLOWED_DEFAULTED = {
     "stationary.DensityField.potential(method)":
         "the direct oracle: bench/test_bench.py passes method='direct'",
     "energy.free_energy(q)": "the covariant q = 2 energy that tests/test_energy.py checks",
-    "energy.lambda_scan(x_star)": "criterion 6 and bench/workloads.py pass it",
+    "energy.lambda_scan(x_star)":
+        "criterion 5's fixed-grid flat reference scan and bench/workloads.py pass it",
     "energy.conformal_covariance_check(x_star)": "criterion 6 passes it",
     "sphere.plane_side_obstruction(u1_index)": "criterion 7 passes it",
     "virial.solve_aux_pde(tol)": "tests/test_virial.py and bench/workloads.py pass it",
