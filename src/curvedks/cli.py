@@ -8,13 +8,13 @@ header row, '.' decimal, LF endings), then <command>.json (UTF-8, sorted keys,
 stamped with the config hash and, where the schema has one, the grid; a
 non-finite float is written as null). flow also streams its snapshot stack, a
 float64 (k, n, n) .npy array whose slice k pairs with diagnostics row k. All
-are byte-identical across reruns of the same config (fixed seeds, row-major
-reductions).
+are byte-identical across reruns of the same config at any BLAS thread count
+(fixed seeds, row-major reductions, no BLAS sum over a printed value's index).
 
-Exit codes: 0 pass, 1 check failed, 2 invalid config, 3 numerical failure. A
-command that ran prints its one summary line on stdout, whatever its code;
-only a config error (2) or a numerical failure (3) prints, on stderr, and then
-no output is written.
+Exit codes: 0 pass, 1 check failed, 2 invalid config (an unwritable output
+included), 3 numerical failure. A command that ran prints its one summary line
+on stdout, whatever its code; only a config error or a numerical failure prints,
+on stderr, and then no output is written, or none after an unwritable one.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -43,8 +44,6 @@ from .stationary import (DensityField, MaskedDensityError, decay_envelope,
                          rho_log_rho)
 from .virial import (AuxSolveError, WeightedEllipticProblem, assemble_virial,
                      export_virial_csv, solve_aux_pde)
-
-OUTPUT_DIR_ENV = "CURVEDKS_OUTPUT_DIR"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -208,7 +207,7 @@ def load_config(path: str | None, subcommand: str) -> tuple[dict, str]:
 
 def _outdir(cfg: dict) -> str:
     """The output directory, made if missing; ConfigError if it cannot be made."""
-    d = os.environ.get(OUTPUT_DIR_ENV, cfg.get("output_dir", "."))
+    d = cfg["output_dir"]
     try:
         os.makedirs(d, exist_ok=True)
     except OSError as exc:
@@ -293,12 +292,12 @@ def cmd_identities(cfg: dict, outdir: str) -> Outcome:
         entry = {
             "lambda": lam,
             "entropy": {"closed_form": closed_e, "numeric": numeric_e,
-                        "error": abs(numeric_e - closed_e) / max(abs(closed_e), 1e-30),
-                        "tail_bound": estimate_tail(samples, pgrid).bound},
+                        "error": abs(numeric_e - closed_e) / max(abs(closed_e), 1e-30)},
             "potential_probes": [
                 {"closed_form": cp, "numeric": nu,
                  "error": abs(nu - cp) / max(abs(cp), 1e-30)}
                 for cp, nu in probes],
+            "probe_tail_bound": estimate_tail(samples, pgrid).bound,
             "coulomb": {"closed_form": closed_c, "numeric": numeric_c,
                         "error": abs(numeric_c - closed_c) / max(abs(closed_c), 1e-30)},
         }
@@ -446,23 +445,25 @@ def main(argv=None) -> int:
         outdir = _outdir(cfg)    # an unusable output directory fails before any computation
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             out = COMMANDS[args.command](cfg, outdir)
+        payload = {**out.payload, "config_hash": cfg_hash}
+        if "grid" in cfg:
+            payload["grid"] = cfg["grid"]
+        # serialised whole before main opens a file: a non-finite float _plain missed raises here
+        text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        for name, write in out.tables.items():
+            write(os.path.join(outdir, name), meta=f"config_hash={cfg_hash}")
+        Path(outdir, f"{args.command.replace('-', '_')}.json").write_text(
+            text, encoding="utf-8", newline="\n")
     except (CFLViolation, BlowUpDetected, StepLimitReached, AuxSolveError,
             MaskedDensityError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:    # an output that cannot be written, as a directory in its place
+        print(f"config error: cannot write into {outdir!r}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except ValueError as exc:   # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    for name, write in out.tables.items():
-        write(os.path.join(outdir, name), meta=f"config_hash={cfg_hash}")
-    payload = {**out.payload, "config_hash": cfg_hash}
-    if "grid" in cfg:
-        payload["grid"] = cfg["grid"]
-    # serialised whole before the file opens: a non-finite float _plain missed raises here
-    text = json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
-    with open(os.path.join(outdir, f"{args.command.replace('-', '_')}.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
     print(out.line)
     return out.code
 

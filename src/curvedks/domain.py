@@ -153,6 +153,17 @@ def _latitude_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only((glw, np.arcsin(t)))
 
 
+def line_fit(x, y) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through (x, y), as np.polyfit(x, y, 1)
+    gives: the package's one line fit. Its centred sums are numpy's pairwise reductions,
+    whose order, unlike a BLAS dot product's, does not depend on the thread count."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(np.sum(dx * (y - y_mean)) / np.sum(dx * dx))
+    return slope, float(y_mean - slope * x_mean)
+
+
 def read_only(arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
     """The arrays, each marked read-only in place: callers share them."""
     for a in arrays:

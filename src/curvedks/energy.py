@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import CartesianGrid, write_csv
+from .domain import CartesianGrid, line_fit, write_csv
 from .geometry import ConformalFactor, gauss_curvature
 from .potential import coulomb_energy, estimate_tail, lattice_potential
 from .profiles import ScaledCauchyProfile
@@ -145,7 +145,7 @@ class ScanTable:
 
     def to_csv(self, path, meta: str | None = None) -> None:
         write_csv(path, "lambda,F,resolved,slope_fit,tail_bound",
-                  ("%.12g,%.17g,%d,%.17g,%.6g\n"
+                  ("%.12g,%.17g,%d,%.17g,%.17g\n"
                    % (r.lam, r.value, r.resolved, self.slope_fit, r.tail_bound)
                    for r in self.rows), meta)
 
@@ -191,7 +191,7 @@ def lambda_scan(m: float, phi: ConformalFactor, lam_list,
         rows.append(ScanRow(lam=lam, value=free_energy(fld).total, resolved=True,
                             tail_bound=estimate_tail(fld.samples, g).bound))
     good = [r for r in rows if r.resolved]
-    slope = float(np.polyfit([np.log(r.lam) for r in good], [r.value for r in good], 1)[0])
+    slope = line_fit([np.log(r.lam) for r in good], [r.value for r in good])[0]
     predicted_slope = (m / (4.0 * np.pi)) * (m - 8.0 * np.pi)
     # plateau is meaningful near the critical mass; report the small-lambda end
     plateau = float(np.mean([r.value for r in good[: max(2, len(good) // 3)]]))

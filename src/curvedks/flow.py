@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .domain import write_csv
+from .domain import line_fit, write_csv
 from .energy import free_energy
 from .potential import PotentialField, lattice_potential
 from .stationary import DensityField
@@ -286,7 +286,7 @@ def virial_rate(diag: FlowDiagnostics) -> tuple[float, float]:
     if len(diag.t) < 10:
         raise ValueError("virial window needs at least 10 snapshots")
     m = diag.mass[0]
-    slope = float(np.polyfit(diag.t, diag.second_moment, 1)[0])
+    slope = line_fit(diag.t, diag.second_moment)[0]
     return slope, float(4.0 * m - m * m / (2.0 * np.pi))
 
 

@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .domain import CartesianGrid, read_only
+from .domain import CartesianGrid, line_fit, read_only
 from .geometry import ConformalFactor, grid_geometry
 
 
@@ -43,7 +43,7 @@ def green_kernel(x, y) -> np.ndarray | float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = np.linalg.norm(x - y, axis=-1)
+    d = np.hypot(*np.moveaxis(x - y, -1, 0))
     if np.any(d == 0.0):
         raise ValueError("green_kernel is singular at coincident points")
     out = -np.log(d) / (2.0 * np.pi)
@@ -84,13 +84,7 @@ def estimate_tail(rho: np.ndarray, grid: CartesianGrid) -> TruncationReport:
     ring = (r >= 0.7 * grid.half_width) & (r <= grid.half_width) & (rho > 0)
     if ring.sum() < 8:
         return TruncationReport(np.inf, np.inf)
-    lr = np.log(r[ring])
-    lrho = np.log(rho[ring])
-    # least-squares line through the centred data, as polyfit(lr, lrho, 1) gives
-    lr_mean, lrho_mean = lr.mean(), lrho.mean()
-    dx = lr - lr_mean
-    slope = float(np.dot(dx, lrho - lrho_mean) / np.dot(dx, dx))
-    intercept = float(lrho_mean - slope * lr_mean)
+    slope, intercept = line_fit(np.log(r[ring]), np.log(rho[ring]))
     W = grid.half_width
     with np.errstate(over="ignore", invalid="ignore"):
         if slope < -2.2:  # integrable tail with usable margin from the r^-2 edge

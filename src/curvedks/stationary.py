@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid, write_lattice_csv
+from .domain import AnnulusSpec, CartesianGrid, line_fit, write_lattice_csv
 from .geometry import (ConformalFactor, GridGeometry, _bump_profile, boundary_mask, diff_flat,
                        grad_flat, grid_geometry)
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
@@ -205,7 +205,7 @@ def decay_envelope(field: DensityField, annulus: AnnulusSpec) -> EnvelopeReport:
     expo = field.mass / (4.0 * np.pi)
     q = rho * (1.0 + r * r) ** expo
     K_best = max(float(q.max()), float(1.0 / q.min()), 1.0)
-    slope = float(np.polyfit(np.log(r), np.log(rho), 1)[0])
+    slope = line_fit(np.log(r), np.log(rho))[0]
     return EnvelopeReport(K_best=K_best, tail_slope=slope, n_cells=int(mask.sum()))
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from curvedks.cli import OUTPUT_DIR_ENV, main
+from curvedks.cli import main
 from curvedks.domain import CartesianGrid
 from curvedks.geometry import ConformalFactor
 from curvedks.potential import _toeplitz_sum, self_cell_weight
@@ -29,18 +29,15 @@ def grid128():
     return CartesianGrid(center=(0.0, 0.0), half_width=40.0, n=128)
 
 
-def run_cli(rundir, command, payload, monkeypatch):
+def run_cli(rundir, command, payload):
     """Run `curvedks <command>` through cli.main on `payload`, written as a config in
     `rundir` with outputs in rundir/out, so runs in separate directories share nothing.
-
-    CURVEDKS_OUTPUT_DIR is cleared first, so the config's output_dir holds. Returns
-    the exit code and the output directory.
+    Returns the exit code and the output directory.
     """
     rundir.mkdir(parents=True, exist_ok=True)
     outdir = rundir / "out"
     cfg = rundir / f"{command.replace('-', '_')}.json"
     cfg.write_text(json.dumps({**payload, "output_dir": str(outdir)}))
-    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
     return main([command, "--config", str(cfg)]), outdir
 
 

@@ -33,17 +33,17 @@ def _report(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _command(rundir, command, config, monkeypatch):
+def _command(rundir, command, config):
     """The exit code and <command>.json of `curvedks <command>` run on config."""
-    rc, outdir = run_cli(rundir, command, config, monkeypatch)
+    rc, outdir = run_cli(rundir, command, config)
     return rc, json.loads((outdir / f"{command.replace('-', '_')}.json").read_text())
 
 
-def test_criterion_1_mu_identity_suite(tmp_path, monkeypatch):
+def test_criterion_1_mu_identity_suite(tmp_path):
     """`curvedks identities` at its defaults (lambda 0.5, 1, 2, tolerance 1e-2) matches
     the entropy, five potential probes and the Coulomb energy at 1e-2 relative."""
     t0 = time.time()
-    rc, out = _command(tmp_path, "identities", {}, monkeypatch)
+    rc, out = _command(tmp_path, "identities", {})
     elapsed = time.time() - t0
     assert out["config_hash"] == load_config(None, "identities")[1]    # no key but output_dir
     assert [r["lambda"] for r in out["identities"]] == [0.5, 1.0, 2.0]
@@ -54,12 +54,12 @@ def test_criterion_1_mu_identity_suite(tmp_path, monkeypatch):
             f"worst relative error {worst:.2e} (tol 1e-2), runtime {elapsed:.0f}s (cap 300s)")
 
 
-def test_criterion_2_stationary_verification(tmp_path, monkeypatch):
+def test_criterion_2_stationary_verification(tmp_path):
     """`curvedks residual` on half-width 40: f_variation decays at order >= 1.5 over
     n = 128, 256, 512; f_constant = ln 8 +- 0.02 at n = 512."""
     ns = [128, 256, 512]
-    reps = [_command(tmp_path / str(n), "residual", {"grid": {"half_width": 40.0, "n": n}},
-                     monkeypatch)[1] for n in ns]
+    reps = [_command(tmp_path / str(n), "residual", {"grid": {"half_width": 40.0, "n": n}})[1]
+            for n in ns]
     order = lstsq_order(ns, [r["f_variation"] for r in reps])
     f_const = reps[-1]["f_constant"]
     ok = order >= 1.5 and abs(f_const - np.log(8.0)) <= 0.02
@@ -67,32 +67,32 @@ def test_criterion_2_stationary_verification(tmp_path, monkeypatch):
                    f"f_constant {f_const:.4f} vs ln 8 = {np.log(8):.4f} (tol 0.02)")
 
 
-def test_criterion_3_decay_law(tmp_path, monkeypatch):
+def test_criterion_3_decay_law(tmp_path):
     """`curvedks envelope` on the R = 20 annulus: tail_slope = -4 +- 0.1, K_best = 8 +- 0.5."""
-    _, rep = _command(tmp_path, "envelope", {"grid": GRID_512, "annulus_R": 20.0}, monkeypatch)
+    _, rep = _command(tmp_path, "envelope", {"grid": GRID_512, "annulus_R": 20.0})
     ok = abs(rep["tail_slope"] + 4.0) <= 0.1 and abs(rep["K_best"] - 8.0) <= 0.5
     _report(3, ok, f"tail_slope {rep['tail_slope']:.3f} (tol -4 +- 0.1), "
                    f"K_best {rep['K_best']:.3f} (tol 8 +- 0.5)")
 
 
-def test_criterion_4_critical_mass_virial(tmp_path, monkeypatch):
+def test_criterion_4_critical_mass_virial(tmp_path):
     """`curvedks virial` out to R = 25: |closure| <= 0.02 * 32pi; I2 = -16pi +- 2%."""
     _, last = _command(tmp_path, "virial",
-                       {"grid": GRID_512, "radii": [5.0, 10.0, 15.0, 20.0, 25.0]}, monkeypatch)
+                       {"grid": GRID_512, "radii": [5.0, 10.0, 15.0, 20.0, 25.0]})
     ok = (abs(last["closure"]) <= 0.02 * 32 * np.pi
           and abs(last["I2"] + 16 * np.pi) <= 0.02 * 16 * np.pi)
     _report(4, ok, f"closure {last['closure']:.3f} (cap {0.02*32*np.pi:.3f}), "
                    f"I2 {last['I2']:.3f} vs -16pi = {-16*np.pi:.3f} (2%)")
 
 
-def test_criterion_5_energy_boundedness(tmp_path, monkeypatch):
+def test_criterion_5_energy_boundedness(tmp_path):
     """`curvedks energy-scan` slopes match (m/4pi)(m-8pi) within 5%; its critical plateau
     and its curved fixed-grid plateau, shifted from the flat one by -16pi * amplitude.
 
     The flat plateau on that fixed grid stays a lambda_scan call: energy-scan scans a
     flat factor only on lambda-scaled grids, so no command computes it."""
     scan = {"grid": GRID_512, "lambdas": np.geomspace(0.05, 5.0, 9).tolist()}
-    tabs = {m: _command(tmp_path / str(k), "energy-scan", {**scan, "m": m}, monkeypatch)[1]
+    tabs = {m: _command(tmp_path / str(k), "energy-scan", {**scan, "m": m})[1]
             for k, m in enumerate((4 * np.pi, 10 * np.pi, 8 * np.pi))}
     details = []
     ok = True
@@ -114,7 +114,7 @@ def test_criterion_5_energy_boundedness(tmp_path, monkeypatch):
     _, curved = _command(tmp_path / "curved", "energy-scan",
                          {"grid": {"half_width": 8.0, "n": 512}, "lambdas": lams_fix,
                           "phi": {"kind": "radial_bump", "amplitude": amp,
-                                  "support_radius": 4.0}}, monkeypatch)
+                                  "support_radius": 4.0}})
     gfix = CartesianGrid(center=(0, 0), half_width=8.0, n=512)
     flat = lambda_scan(8 * np.pi, FLAT, lams_fix, grid=gfix, x_star=(0.0, 0.0))
     shift = curved["plateau"] - flat.plateau
@@ -124,7 +124,7 @@ def test_criterion_5_energy_boundedness(tmp_path, monkeypatch):
     _report(5, ok, "; ".join(details))
 
 
-def test_criterion_6_log_hls_deficit(tmp_path, monkeypatch):
+def test_criterion_6_log_hls_deficit(tmp_path):
     """Deficit >= -1e-3 on a 50-member random family; `curvedks deficit` <= 2e-2 at the
     minimizer; conformal covariance difference <= 1e-8.
 
@@ -154,7 +154,7 @@ def test_criterion_6_log_hls_deficit(tmp_path, monkeypatch):
         min_deficit = min(min_deficit, rep.deficit)
 
     bump = {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 3.0}
-    rc, at_min = _command(tmp_path, "deficit", {"grid": GRID_512, "phi": bump}, monkeypatch)
+    rc, at_min = _command(tmp_path, "deficit", {"grid": GRID_512, "phi": bump})
     exact = density_from_profile(m, 1.0, (0.0, 0.0), phis[1],
                                  CartesianGrid(center=(0, 0), **GRID_512))
     cov = conformal_covariance_check(exact, 1.0, (0.0, 0.0)).difference
@@ -269,7 +269,7 @@ def test_criterion_8_flow_diagnostics():
     _report(8, ok, "; ".join(details))
 
 
-def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
+def test_criterion_9_cli_determinism(tmp_path):
     """Identical configs produce byte-identical outputs across runs."""
     same = True
     compared = []
@@ -284,7 +284,7 @@ def test_criterion_9_cli_determinism(tmp_path, monkeypatch):
     ]:
         blobs = []
         for run in ("a", "b"):
-            rc, outdir = run_cli(tmp_path / f"{command}-{run}", command, payload, monkeypatch)
+            rc, outdir = run_cli(tmp_path / f"{command}-{run}", command, payload)
             assert rc == 0
             blobs.append((outdir / outfile).read_bytes())
         same &= blobs[0] == blobs[1]

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -26,50 +27,50 @@ FAST_IDENTITIES = {
 }
 
 
-def test_identities_pass(tmp_path, monkeypatch):
-    rc, outdir = run_cli(tmp_path, "identities", FAST_IDENTITIES, monkeypatch)
+def test_identities_pass(tmp_path):
+    rc, outdir = run_cli(tmp_path, "identities", FAST_IDENTITIES)
     assert rc == EXIT_OK
     payload = json.loads((outdir / "identities.json").read_text())
     assert payload["identities"][0]["pass"]
     assert "config_hash" in payload
 
 
-def test_identities_fail_on_coarse_grid(tmp_path, monkeypatch):
+def test_identities_fail_on_coarse_grid(tmp_path):
     bad = dict(FAST_IDENTITIES)
     bad["grid"] = {"half_width": 400.0, "n": 64}
     bad["double_grid"] = {"half_width": 400.0, "n": 64}
     bad["tolerance"] = 1e-3
-    rc, outdir = run_cli(tmp_path, "identities", bad, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "identities", bad)
     assert rc == EXIT_CHECK_FAILED
     payload = json.loads((outdir / "identities.json").read_text())
     assert not payload["identities"][0]["pass"]
 
 
-def test_identities_coulomb_value_at_lambda_e(tmp_path, monkeypatch):
+def test_identities_coulomb_value_at_lambda_e(tmp_path):
     cfg = dict(FAST_IDENTITIES)
     cfg["lambdas"] = [float(np.e)]
-    rc, outdir = run_cli(tmp_path, "identities", cfg, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "identities", cfg)
     payload = json.loads((outdir / "identities.json").read_text())
     got = payload["identities"][0]["coulomb"]["closed_form"]
     assert got == pytest.approx(-0.238732, abs=1e-6)
 
 
-def test_unknown_key_rejected(tmp_path, monkeypatch):
+def test_unknown_key_rejected(tmp_path):
     cfg = dict(FAST_IDENTITIES)
     cfg["lambduhs"] = [1.0]
-    rc, _ = run_cli(tmp_path, "identities", cfg, monkeypatch)
+    rc, _ = run_cli(tmp_path, "identities", cfg)
     assert rc == EXIT_BAD_CONFIG
 
 
-def test_invalid_json_rejected(tmp_path, monkeypatch):
+def test_invalid_json_rejected(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
     assert main(["identities", "--config", str(p)]) == EXIT_BAD_CONFIG
 
 
-def test_residual_subcommand(tmp_path, monkeypatch):
+def test_residual_subcommand(tmp_path):
     rc, outdir = run_cli(tmp_path, "residual",
-                         {"grid": {"half_width": 30.0, "n": 128}}, monkeypatch)
+                         {"grid": {"half_width": 30.0, "n": 128}})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "residual.json").read_text())
     assert payload["f_constant"] == pytest.approx(np.log(8.0), abs=0.05)
@@ -85,27 +86,25 @@ def test_residual_fits_the_tail_once(tmp_path, monkeypatch):
         return potential.TruncationReport(1.0, 1.0)
     monkeypatch.setattr(potential, "estimate_tail", counted)
     monkeypatch.setattr(stationary, "estimate_tail", counted)
-    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}},
-                         monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 32}})
     assert rc == EXIT_OK
     assert calls == [32]
     assert json.loads((outdir / "residual.json").read_text())["tail_bound"] == 1.0
 
 
-def test_residual_subcommand_on_a_coarse_grid(tmp_path, monkeypatch):
+def test_residual_subcommand_on_a_coarse_grid(tmp_path):
     # at n = 16 three bank fields reach the outer cell rings; the bank drops them
-    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}},
-                         monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", {"grid": {"half_width": 10.0, "n": 16}})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "residual.json").read_text())
     assert np.isfinite(payload["static_residual_L2"])
 
 
-def test_obstruction_verdict(tmp_path, monkeypatch):
+def test_obstruction_verdict(tmp_path):
     rc, outdir = run_cli(tmp_path, "obstruction",
                          {"phi": {"kind": "radial_bump", "amplitude": 0.05,
                                   "support_radius": 2.0},
-                          "n_lat": 64}, monkeypatch)
+                          "n_lat": 64})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "NONZERO OBSTRUCTION"
@@ -114,36 +113,36 @@ def test_obstruction_verdict(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("threshold", [-1, 0])
-def test_obstruction_rejects_nonpositive_threshold(tmp_path, monkeypatch, threshold):
+def test_obstruction_rejects_nonpositive_threshold(tmp_path, threshold):
     # obstructions of about 1e-8 must not pass a threshold that admits anything
     rc, outdir = run_cli(tmp_path, "obstruction",
                          {"phi": {"kind": "radial_bump", "amplitude": 1e-9,
                                   "support_radius": 2.0},
-                          "n_lat": 32, "threshold": threshold}, monkeypatch)
+                          "n_lat": 32, "threshold": threshold})
     assert rc == EXIT_BAD_CONFIG
     assert not (outdir / "obstruction.json").exists()
 
 
-def test_obstruction_refuses_flat(tmp_path, monkeypatch):
-    rc, outdir = run_cli(tmp_path, "obstruction", {"phi": {"kind": "zero"}}, monkeypatch)
+def test_obstruction_refuses_flat(tmp_path):
+    rc, outdir = run_cli(tmp_path, "obstruction", {"phi": {"kind": "zero"}})
     assert rc == EXIT_BAD_CONFIG
     payload = json.loads((outdir / "obstruction.json").read_text())
     assert payload["verdict"] == "REFUSED"
 
 
-def test_envelope_subcommand(tmp_path, monkeypatch):
+def test_envelope_subcommand(tmp_path):
     rc, outdir = run_cli(tmp_path, "envelope",
                          {"grid": {"half_width": 60.0, "n": 256},
-                          "annulus_R": 20.0}, monkeypatch)
+                          "annulus_R": 20.0})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "envelope.json").read_text())
     assert payload["tail_slope"] == pytest.approx(-4.0, abs=0.15)
 
 
-def test_virial_subcommand(tmp_path, monkeypatch):
+def test_virial_subcommand(tmp_path):
     rc, outdir = run_cli(tmp_path, "virial",
                          {"grid": {"half_width": 40.0, "n": 256},
-                          "radii": [5.0, 10.0, 15.0]}, monkeypatch)
+                          "radii": [5.0, 10.0, 15.0]})
     assert rc == EXIT_OK
     lines = (outdir / "virial.csv").read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -151,13 +150,13 @@ def test_virial_subcommand(tmp_path, monkeypatch):
     assert len(lines) == 5
 
 
-def test_virial_curved_factor_closes_i3(tmp_path, monkeypatch):
+def test_virial_curved_factor_closes_i3(tmp_path):
     # I3 needs f from the auxiliary solve; with f = 0 it sits near -3.8 here
     rc, outdir = run_cli(tmp_path, "virial",
                          {"grid": {"half_width": 16.0, "n": 64},
                           "phi": {"kind": "radial_bump", "amplitude": 0.1,
                                   "support_radius": 2.0},
-                          "radii": [4.0]}, monkeypatch)
+                          "radii": [4.0]})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "virial.json").read_text())
     assert abs(payload["I3"]) < 0.1
@@ -187,7 +186,7 @@ def test_flow_subcommand(tmp_path, monkeypatch):
     calls = _spy_run_flow(monkeypatch)
     rc, outdir = run_cli(tmp_path, "flow",
                          {"grid": {"half_width": 12.0, "n": 96},
-                          "t_end": 0.02, "snapshot_every": 2}, monkeypatch)
+                          "t_end": 0.02, "snapshot_every": 2})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "flow.json").read_text())
     assert payload["mass_drift"] <= 1e-10
@@ -200,13 +199,13 @@ def test_flow_subcommand(tmp_path, monkeypatch):
     assert np.array_equal(stack[0], initial.samples)
 
 
-def test_flow_gaussian_is_centred_on_the_grid(tmp_path, monkeypatch):
+def test_flow_gaussian_is_centred_on_the_grid(tmp_path):
     # the initial Gaussian sits at the grid centre wherever the grid is: off the
     # origin it peaks at the centre cells and matches the centred run's density
     stacks = []
     for centre in ([0.0, 0.0], [40.0, 0.0]):
         rc, outdir = run_cli(tmp_path / str(centre[0]), "flow",
-                             {"grid": {"center": centre, "n": 32}, "t_end": 0.001}, monkeypatch)
+                             {"grid": {"center": centre, "n": 32}, "t_end": 0.001})
         assert rc == EXIT_OK
         stacks.append(np.load(outdir / "flow_snapshots.npy")[0])
     peak = np.unravel_index(np.argmax(stacks[1]), stacks[1].shape)
@@ -223,7 +222,7 @@ def test_flow_snapshots_are_the_run_states_and_rerun_identically(tmp_path, monke
            "t_end": 0.03, "snapshot_every": 3}
     blobs = []
     for run in ("a", "b"):
-        rc, outdir = run_cli(tmp_path / run, "flow", cfg, monkeypatch)
+        rc, outdir = run_cli(tmp_path / run, "flow", cfg)
         assert rc == EXIT_OK
         blobs.append((outdir / "flow_snapshots.npy").read_bytes())
         rows = _diagnostic_rows(outdir / "flow_diagnostics.csv")
@@ -257,7 +256,7 @@ def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
             return real_step(state)
 
         monkeypatch.setattr(flow, "flow_step", step)
-        rc, outdir = run_cli(tmp_path, "flow", cfg, monkeypatch)
+        rc, outdir = run_cli(tmp_path, "flow", cfg)
         assert streamed and streamed[0] > 3 * n * n * 8
         return rc, outdir
 
@@ -265,7 +264,7 @@ def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
     assert rc == 3
     assert list(outdir.iterdir()) == []
     monkeypatch.setattr(flow, "flow_step", real_step)
-    rc, _ = run_cli(tmp_path, "flow", cfg, monkeypatch)
+    rc, _ = run_cli(tmp_path, "flow", cfg)
     assert rc == EXIT_OK
     earlier = (outdir / "flow_snapshots.npy").read_bytes()
     assert len(np.load(outdir / "flow_snapshots.npy")) > 3
@@ -275,15 +274,15 @@ def test_failed_flow_publishes_no_snapshot_stack(tmp_path, monkeypatch):
     assert not partial.exists()
 
 
-def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path, monkeypatch):
+def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path):
     # a run that records every step holds no more than one that records only
     # its initial state: each snapshot goes to disk when it is taken
     n, counts, peaks = 64, {}, {}
     cfg = {"grid": {"half_width": 10.0, "n": n}, "t_end": 0.035, "dt": 1e-3}
-    run_cli(tmp_path, "flow", {**cfg, "snapshot_every": 1}, monkeypatch)    # warm the caches
+    run_cli(tmp_path, "flow", {**cfg, "snapshot_every": 1})    # warm the caches
     for every in (1, 10**6):
         tracemalloc.start()
-        rc, outdir = run_cli(tmp_path, "flow", {**cfg, "snapshot_every": every}, monkeypatch)
+        rc, outdir = run_cli(tmp_path, "flow", {**cfg, "snapshot_every": every})
         peaks[every] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert rc == EXIT_OK
@@ -292,34 +291,34 @@ def test_flow_memory_does_not_grow_with_the_snapshot_count(tmp_path, monkeypatch
     assert abs(peaks[1] - peaks[10**6]) < 2 * n * n * 8
 
 
-def test_flow_virial_rate_reported(tmp_path, monkeypatch):
+def test_flow_virial_rate_reported(tmp_path):
     rc, outdir = run_cli(tmp_path, "flow",
                          {"grid": {"half_width": 15.0, "n": 256},
                           "mass": 4 * np.pi, "t_end": 0.05,
-                          "snapshot_every": 2}, monkeypatch)
+                          "snapshot_every": 2})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "flow.json").read_text())
     assert payload["dW_dt_expected"] == pytest.approx(8 * np.pi, rel=1e-12)
     assert payload["dW_dt"] == pytest.approx(8 * np.pi, rel=0.05)
 
 
-def test_energy_scan_subcommand(tmp_path, monkeypatch):
+def test_energy_scan_subcommand(tmp_path):
     rc, outdir = run_cli(tmp_path, "energy-scan",
                          {"m": 4 * np.pi,
-                          "lambdas": [0.05, 0.2, 0.8, 3.2, 12.8]}, monkeypatch)
+                          "lambdas": [0.05, 0.2, 0.8, 3.2, 12.8]})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "energy_scan.json").read_text())
     assert payload["slope_fit"] == pytest.approx(-4 * np.pi, rel=0.05)
 
 
-def test_zero_amplitude_bump_scans_as_the_flat_factor(tmp_path, monkeypatch):
+def test_zero_amplitude_bump_scans_as_the_flat_factor(tmp_path):
     # an amplitude-0 bump is flat: lambda-scaled grids, and the rows of kind "zero"
     rows = []
     for i, phi in enumerate(({"kind": "zero"},
                              {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0})):
         rc, outdir = run_cli(tmp_path / str(i), "energy-scan",
                              {"grid": {"half_width": 30.0, "n": 64}, "phi": phi,
-                              "lambdas": [0.05, 0.5, 5.0]}, monkeypatch)
+                              "lambdas": [0.05, 0.5, 5.0]})
         assert rc == EXIT_OK
         lines = (outdir / "energy_scan.csv").read_text().splitlines()
         assert lines[0].startswith("# config_hash=")
@@ -335,33 +334,33 @@ def test_zero_amplitude_bump_virial_skips_the_aux_solve(tmp_path, monkeypatch):
     rc, outdir = run_cli(tmp_path, "virial",
                          {"grid": {"half_width": 16.0, "n": 64},
                           "phi": {"kind": "radial_bump", "amplitude": 0.0, "support_radius": 2.0},
-                          "radii": [4.0]}, monkeypatch)
+                          "radii": [4.0]})
     assert rc == EXIT_OK
     assert json.loads((outdir / "virial.json").read_text())["I3"] == 0.0
 
 
-def test_deficit_subcommand(tmp_path, monkeypatch):
+def test_deficit_subcommand(tmp_path):
     rc, outdir = run_cli(tmp_path, "deficit",
-                         {"grid": {"half_width": 50.0, "n": 256}}, monkeypatch)
+                         {"grid": {"half_width": 50.0, "n": 256}})
     assert rc == EXIT_OK
     payload = json.loads((outdir / "deficit.json").read_text())
     assert abs(payload["deficit"]) < 2e-2
 
 
-def test_flow_cfl_failure_exit_code(tmp_path, monkeypatch):
+def test_flow_cfl_failure_exit_code(tmp_path):
     # a dt far above the stability bound is a numerical failure (exit 3)
     rc, _ = run_cli(tmp_path, "flow",
                     {"grid": {"half_width": 12.0, "n": 96},
-                     "t_end": 0.02, "dt": 1.0}, monkeypatch)
+                     "t_end": 0.02, "dt": 1.0})
     assert rc == 3
 
 
 @pytest.mark.parametrize("bad", [{"snapshot_every": 0}, {"snapshot_every": -2},
                                  {"t_end": 0.0}, {"t_end": -0.01}, {"dt": -1e-4}])
-def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
+def test_flow_rejects_bad_run_settings(tmp_path, bad):
     # no division by zero, no empty run, no negative dt silently made automatic
     rc, outdir = run_cli(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 32},
-                                            "t_end": 0.001, **bad}, monkeypatch)
+                                            "t_end": 0.001, **bad})
     assert rc == EXIT_BAD_CONFIG
     assert not (outdir / "flow.json").exists()
 
@@ -371,12 +370,12 @@ def test_flow_rejects_bad_run_settings(tmp_path, monkeypatch, bad):
     ("residual", {"probe_frac": 0}, "probe_frac"), ("residual", {"probe_frac": -0.4}, "probe_frac"),
     ("identities", {"tolerance": 0}, "tolerance"), ("identities", {"tolerance": -1e-2}, "tolerance"),
 ])
-def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, command, config, key):
+def test_nonpositive_settings_are_config_errors(tmp_path, capsys, command, config, key):
     # a negative sigma would run, sigma 0 divided by zero, probe_frac <= 0 masked
     # every probe cell (exit 3), a tolerance <= 0 failed every check (exit 1);
     # the schema refuses each while loading, before any command runs
     small = {"grid": {"half_width": 12.0, "n": 32}}
-    rc, outdir = run_cli(tmp_path, command, {**small, **config}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, {**small, **config})
     assert rc == EXIT_BAD_CONFIG
     assert key in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -388,25 +387,24 @@ def test_nonpositive_settings_are_config_errors(tmp_path, monkeypatch, capsys, c
 
 @pytest.mark.parametrize("amplitude", [400.0, -400.0])
 @pytest.mark.parametrize("command", sorted(c for c in cli.SCHEMAS if "phi" in cli.SCHEMAS[c]))
-def test_overflowing_amplitude_is_a_config_error(tmp_path, monkeypatch, capsys, command,
-                                                amplitude):
+def test_overflowing_amplitude_is_a_config_error(tmp_path, capsys, command, amplitude):
     # e^{2|phi|} overflows past |amplitude| = 354.89: it used to surface as "density must
     # have positive mass" (exit 2) or as NaN in obstruction.json (exit 1)
     config = {"phi": {"kind": "radial_bump", "amplitude": amplitude}}
     if "grid" in cli.SCHEMAS[command]:
         config["grid"] = {"half_width": 4.0, "n": 32}
-    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config)
     assert rc == EXIT_BAD_CONFIG
     assert "overflows" in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
 @pytest.mark.parametrize("command, extra", [("residual", {}), ("envelope", {"annulus_R": 5.0})])
-def test_masked_density_is_numerical_failure(tmp_path, monkeypatch, command, extra):
+def test_masked_density_is_numerical_failure(tmp_path, command, extra):
     # a profile centred 1e76 away is floored on every cell near the grid:
     # the data, not the config, is what fails (exit 3, not 2)
     rc, _ = run_cli(tmp_path, command, {"grid": {"half_width": 20.0, "n": 64},
-                                        "profile": {"x_star": [1e76, 0.0]}, **extra}, monkeypatch)
+                                        "profile": {"x_star": [1e76, 0.0]}, **extra})
     assert rc == 3
 
 
@@ -415,8 +413,7 @@ def test_flow_step_limit_exit_code(tmp_path, monkeypatch):
         raise StepLimitReached("10 steps reached t = 0.01, short of t_end = 0.02")
 
     monkeypatch.setattr(cli, "run_flow", out_of_steps)
-    rc, _ = run_cli(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02},
-                    monkeypatch)
+    rc, _ = run_cli(tmp_path, "flow", {"grid": {"half_width": 12.0, "n": 96}, "t_end": 0.02})
     assert rc == 3
 
 
@@ -428,7 +425,7 @@ def test_virial_aux_solve_failure_exit_code(tmp_path, monkeypatch):
     rc, _ = run_cli(tmp_path, "virial",
                     {"grid": {"half_width": 16.0, "n": 64},
                      "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
-                     "radii": [4.0]}, monkeypatch)
+                     "radii": [4.0]})
     assert rc == 3
 
 
@@ -450,11 +447,24 @@ def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsy
     monkeypatch.setitem(cli.COMMANDS, "residual", lambda cfg, outdir: called.append(cfg))
     cfg = tmp_path / "residual.json"
     cfg.write_text(json.dumps({"output_dir": str(blocker / "out")}))
-    monkeypatch.delenv("CURVEDKS_OUTPUT_DIR", raising=False)
     assert main(["residual", "--config", str(cfg)]) == EXIT_BAD_CONFIG
     assert called == []
     err = capsys.readouterr().err
     assert "output directory" in err and str(blocker / "out") in err
+
+
+@pytest.mark.parametrize("command, blocked", [("envelope", "envelope.json"),
+                                              ("energy-scan", "energy_scan.csv"),
+                                              ("flow", "flow_snapshots.npy")])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, command, blocked):
+    # a directory where an output file goes is an unusable output_dir: exit 2 with one
+    # line on stderr naming the file, not a traceback and exit 1 (a failed check)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    rc, _ = run_cli(tmp_path, command, _CONTRACT[command][0])
+    out = capsys.readouterr()
+    assert rc == EXIT_BAD_CONFIG
+    assert out.out == "" and out.err.startswith("config error: cannot write")
+    assert len(out.err.splitlines()) == 1 and blocked in out.err
 
 
 @pytest.mark.parametrize("config, key", [
@@ -462,10 +472,10 @@ def test_unusable_output_dir_fails_before_computing(tmp_path, monkeypatch, capsy
     ({"grid": {"n": None}}, "grid.n"),             # nested scalar
     ({"grid": None}, "grid"),                      # nested object
 ])
-def test_explicit_null_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, config, key):
+def test_explicit_null_is_rejected_not_defaulted(tmp_path, capsys, config, key):
     # only an absent key takes its default; a present null is invalid config:
     # exit 2 naming the key, no output
-    rc, outdir = run_cli(tmp_path, "residual", config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "residual", config)
     assert rc == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert f"{key}:" in err or f"at {key}," in err
@@ -473,35 +483,24 @@ def test_explicit_null_is_rejected_not_defaulted(tmp_path, monkeypatch, capsys, 
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    override = tmp_path / "elsewhere"
-    monkeypatch.setenv("CURVEDKS_OUTPUT_DIR", str(override))
-    cfg = tmp_path / "identities.json"
-    cfg.write_text(json.dumps({**FAST_IDENTITIES, "output_dir": str(tmp_path / "ignored")}))
-    rc = main(["identities", "--config", str(cfg)])
-    assert rc == EXIT_OK
-    assert (override / "identities.json").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 @pytest.mark.parametrize("command, config", [
     ("virial", {"radii": []}), ("virial", {"radii": [0]}), ("virial", {"radii": [-4]}),
     ("identities", {"lambdas": []}),
 ])
-def test_degenerate_lists_rejected(tmp_path, monkeypatch, command, config):
+def test_degenerate_lists_rejected(tmp_path, command, config):
     # an empty list checks nothing and a cutoff radius <= 0 means nothing: exit 2, no output
-    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config)
     assert rc == EXIT_BAD_CONFIG
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
-def test_energy_scan_needs_two_resolved_lambdas(tmp_path, monkeypatch, capsys):
+def test_energy_scan_needs_two_resolved_lambdas(tmp_path, capsys):
     # on this grid (h = 0.46875) only lambda = 1 lies in 2h <= lambda <= half_width / 8,
     # so no slope can be fitted: exit 2 naming the window, no output
     config = {"grid": {"n": 128, "half_width": 30.0},
               "phi": {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0},
               "lambdas": [0.1, 1.0, 10.0]}
-    rc, outdir = run_cli(tmp_path, "energy-scan", config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", config)
     assert rc == EXIT_BAD_CONFIG
     assert not outdir.exists() or not any(outdir.iterdir())
     assert "0.9375 <= lambda <= 3.75" in capsys.readouterr().err
@@ -530,11 +529,11 @@ def test_validate_rejects_instead_of_coercing(config):
     ("flow", "grid.center"), ("flow", "phi.center"), ("deficit", "profile.x_star"),
     ("identities", "grid.center"),
 ])
-def test_point_keys_hold_two_numbers(tmp_path, monkeypatch, capsys, command, key, point):
+def test_point_keys_hold_two_numbers(tmp_path, capsys, command, key, point):
     # a point with one coordinate or with a third one is invalid config: exit 2
     # naming the key, no output
     section, name = key.split(".")
-    rc, outdir = run_cli(tmp_path, command, {section: {name: point}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, {section: {name: point}})
     assert rc == EXIT_BAD_CONFIG
     assert key in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -616,7 +615,7 @@ def test_scipy_sparse_loads_only_for_the_aux_solve(tmp_path):
     cfg = tmp_path / "flow.json"
     cfg.write_text(json.dumps({"grid": {"half_width": 8.0, "n": 32}, "t_end": 0.01,
                                "snapshot_every": 5, "output_dir": str(tmp_path / "out")}))
-    env = {k: v for k, v in os.environ.items() if k != cli.OUTPUT_DIR_ENV}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _COLD_START, str(cfg)], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -627,6 +626,52 @@ def test_scipy_sparse_loads_only_for_the_aux_solve(tmp_path):
     assert got["after_solve"]
     bnorm, res = got["residual"]
     assert 0.0 < bnorm and res <= 1e-8 * bnorm
+
+
+_ALL_AT_DEFAULTS = """
+import json, os, sys
+from curvedks.cli import COMMANDS, main
+root = sys.argv[1]
+for command in COMMANDS:
+    cfg = os.path.join(root, command + ".config")
+    with open(cfg, "w") as fh:
+        json.dump({"output_dir": os.path.join(root, command)}, fh)
+    print(command, main([command, "--config", cfg]))
+"""
+
+
+def test_default_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every command at its defaults, in a process with one BLAS thread and in one with two
+    # (never more): each prints the same lines and writes the same bytes, so one config
+    # gives one output on machines whose core counts differ
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        root = tmp_path / threads
+        root.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _ALL_AT_DEFAULTS, str(root)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files = {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*"))
+                 if p.is_file() and p.suffix != ".config"}
+        runs.append((proc.stdout, files))
+    (out1, files1), (out2, files2) = runs
+    assert out1 == out2
+    assert sorted(files1) == sorted(files2)
+    assert len(files1) == 12    # each command's JSON, three CSVs and flow's snapshot stack
+    assert [name for name in files1 if files1[name] != files2[name]] == []
+
+
+def test_readme_examples_are_valid_configs():
+    # each ```json block of README.md, led by "Example (`<command>`):", loads under that
+    # command's schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"Example \(`([a-z-]+)`\):\n\n```json\n(.*?)```", readme, re.S)
+    assert len(examples) == readme.count("```json")
+    for command, block in examples:
+        cli._validate(json.loads(block), cli.SCHEMAS[command])
 
 
 def test_validate_takes_int_for_float():
@@ -660,11 +705,11 @@ _CONTRACT = {
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
-def test_every_command_keeps_the_output_contract(tmp_path, monkeypatch, capsys, command):
+def test_every_command_keeps_the_output_contract(tmp_path, capsys, command):
     # one line on stdout and none on stderr; <command>.json stamped with load_config's
     # hash, and with the grid exactly when the schema has one; exactly its tables
     config, tables = _CONTRACT[command]
-    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config)
     out = capsys.readouterr()
     assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
     assert len(out.out.splitlines()) == 1 and out.err == ""
@@ -692,7 +737,7 @@ def _raise(exc):
 def test_a_command_that_raises_writes_nothing(tmp_path, monkeypatch, capsys, command, target,
                                               exc, code):
     monkeypatch.setattr(cli, target, _raise(exc))
-    rc, outdir = run_cli(tmp_path, command, _CONTRACT[command][0], monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, _CONTRACT[command][0])
     out = capsys.readouterr()
     assert rc == code
     assert out.out == "" and str(exc) in out.err
@@ -719,12 +764,11 @@ def _no_constant(name):
      [("tail_bound",)]),
     ("identities", {"grid": {"n": 64, "half_width": 1.0}, "double_grid": {"n": 64},
                     "lambdas": [50.0]}, EXIT_CHECK_FAILED,
-     [("identities", 0, "entropy", "tail_bound")]),
+     [("identities", 0, "probe_tail_bound")]),
 ])
-def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, config, code,
-                                               keys):
+def test_non_finite_values_are_written_as_null(tmp_path, command, config, code, keys):
     # NaN and Infinity are not JSON (RFC 8259): each such value is written as null
-    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config)
     assert rc == code
     text = (outdir / f"{command.replace('-', '_')}.json").read_text()
     payload = json.loads(text, parse_constant=_no_constant)
@@ -735,10 +779,10 @@ def test_non_finite_values_are_written_as_null(tmp_path, monkeypatch, command, c
         assert value is None, path
 
 
-def test_floating_point_errors_are_numerical_failures(tmp_path, monkeypatch, capsys):
+def test_floating_point_errors_are_numerical_failures(tmp_path, capsys):
     # m = 1e300 overflows the scan's energies: exit 3 with one line on stderr and no
     # output, where the scan used to exit 0 with nan slopes and numpy warnings on stderr
-    rc, outdir = run_cli(tmp_path, "energy-scan", {"m": 1e300, "grid": {"n": 64}}, monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", {"m": 1e300, "grid": {"n": 64}})
     out = capsys.readouterr()
     assert rc == 3
     assert out.out == "" and out.err.startswith("numerical failure:")
@@ -746,11 +790,10 @@ def test_floating_point_errors_are_numerical_failures(tmp_path, monkeypatch, cap
     assert not outdir.exists() or not any(outdir.iterdir())
 
 
-def test_zero_phi_refuses_an_amplitude(tmp_path, monkeypatch, capsys):
+def test_zero_phi_refuses_an_amplitude(tmp_path, capsys):
     # kind "zero" is the flat plane: an amplitude it would ignore is invalid config,
     # where the scan used to run as the flat plane and exit 0
-    rc, outdir = run_cli(tmp_path, "energy-scan", {"phi": {"kind": "zero", "amplitude": 0.3}},
-                         monkeypatch)
+    rc, outdir = run_cli(tmp_path, "energy-scan", {"phi": {"kind": "zero", "amplitude": 0.3}})
     assert rc == EXIT_BAD_CONFIG
     assert "phi.amplitude" in capsys.readouterr().err
     assert not outdir.exists() or not any(outdir.iterdir())
@@ -805,10 +848,10 @@ def _nudged(value, typ):
     return 1.5 * value if value else 0.5
 
 
-def _observed(tmp_path, monkeypatch, capsys, command, config):
+def _observed(tmp_path, capsys, command, config):
     """The exit code, stdout and output files of one run, less the config hash and the
     top-level keys of <command>.json that echo a config key."""
-    rc, outdir = run_cli(tmp_path, command, config, monkeypatch)
+    rc, outdir = run_cli(tmp_path, command, config)
     files = {}
     for path in sorted(outdir.iterdir()):
         if path.name == f"{command.replace('-', '_')}.json":
@@ -821,12 +864,12 @@ def _observed(tmp_path, monkeypatch, capsys, command, config):
 
 
 @pytest.mark.parametrize("case", sorted(_PIN_CASES))
-def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, case):
+def test_every_config_key_reaches_an_output(tmp_path, capsys, case):
     # each setting, moved to one valid alternative, changes the exit code, the stdout
     # line or the bytes of an output file, or is listed in UNREACHED_KEYS with its reason
     command, base = _PIN_CASES[case]
     full = cli._validate(base, cli.SCHEMAS[command])
-    reference = _observed(tmp_path / "base", monkeypatch, capsys, command, base)
+    reference = _observed(tmp_path / "base", capsys, command, base)
     assert reference[0] in (EXIT_OK, EXIT_CHECK_FAILED)
     unreached = set()
     for i, (key, typ) in enumerate(_leaves(cli.SCHEMAS[command])):
@@ -836,7 +879,7 @@ def test_every_config_key_reaches_an_output(tmp_path, monkeypatch, capsys, case)
         for p in parents:
             node, current = node.setdefault(p, {}), current[p]
         node[leaf] = _ALTERNATIVES.get((command, key), _nudged(current[leaf], typ))
-        got = _observed(tmp_path / str(i), monkeypatch, capsys, command, config)
+        got = _observed(tmp_path / str(i), capsys, command, config)
         assert got[0] in (EXIT_OK, EXIT_CHECK_FAILED), (key, node[leaf], got[1])
         if got == reference:
             unreached.add(key)

@@ -158,7 +158,7 @@ def test_row_csv_writers_match_per_row_format(tmp_path):
              zip(diag.t, diag.mass, diag.second_moment, diag.free_energy))),
         (table.to_csv, "lambda,F,resolved,slope_fit,tail_bound\n" + "".join(
             f"{r.lam:.12g},{r.value:.17g},{int(r.resolved)},{table.slope_fit:.17g},"
-            f"{r.tail_bound:.6g}\n" for r in table.rows)),
+            f"{r.tail_bound:.17g}\n" for r in table.rows)),
         (lambda p: export_virial_csv(reports, p, meta="m"), "# m\nR,I1,I2,I3,closure\n" + "".join(
             f"{r.R_used:.12g},{r.I1:.17g},{r.I2:.17g},{r.I3:.17g},{r.closure:.17g}\n"
             for r in reports)),

@@ -17,6 +17,11 @@ gives it. Calls are matched to definitions by name in the same way.
 Outside geometry.py no function forms e^{+-2 phi} of the factor on the grid:
 geometry.grid_geometry builds phi, e^{+-2 phi} and the area weights once, and
 every plane-side site reads them from it.
+
+No function calls BLAS or LAPACK (np.dot, np.vdot, np.inner, np.matmul,
+np.tensordot, np.polyfit, np.linalg or the @ operator) outside a listed reason:
+a threaded BLAS sum adds in an order that follows the thread count, so a printed
+value would change with the machine. domain.line_fit fits every line instead.
 """
 
 import ast
@@ -71,6 +76,17 @@ ALLOWED_DOUBLED_EXP = {
     ("sphere.obstruction_integral", "2.0 * u.values"): "e^{2u} of a sphere field u, not of phi",
     ("sphere.plane_side_obstruction", "2.0 * field_u"): "e^{2u} of the transported u on the plane",
     ("sphere.transport_to_sphere", "2.0 * phi(X, Y)"): "e^{2 phi} at sphere nodes, off the grid",
+}
+
+
+# BLAS and LAPACK sites in src/, by function and expression, each with its one reason
+_GEMM = "dgemm splits the output's rows and columns among threads, never the summed index"
+ALLOWED_BLAS = {
+    ("potential._toeplitz_sum", "q[lo - a:hi - a] @ M[a + n]"):
+        "the direct oracle: only method='direct' runs it, and no command selects it",
+    ("stationary.static_weak_residual", "A @ (field.samples * gfy)"): _GEMM,
+    ("stationary.static_weak_residual", "field.samples * gfx @ B.T"): _GEMM,
+    ("virial.solve_aux_pde", "A @ x"): "a scipy.sparse matrix-vector product, not BLAS",
 }
 
 
@@ -223,6 +239,37 @@ def doubled_exponentials(sources: dict[str, str]) -> list[tuple[str, str]]:
     return sorted(sites)
 
 
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "polyfit"}
+
+
+def _is_blas(node: ast.AST) -> bool:
+    """An @, or a call of np.<one of _BLAS_CALLS> or of np.linalg.<anything>."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return True
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    owner = node.func.value
+    return (getattr(owner, "id", None) == "np" and node.func.attr in _BLAS_CALLS) or (
+        isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+        and getattr(owner.value, "id", None) == "np")
+
+
+def blas_sites(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module.function, expression) of each BLAS or LAPACK site (_is_blas) in a function of
+    sources, a map from module name to source; a nested function counts as its outermost one."""
+    sites = []
+    for mod, src in sources.items():
+        stack = [(node, mod) for node in ast.parse(src).body]
+        while stack:
+            node, prefix = stack.pop()
+            if isinstance(node, ast.ClassDef):
+                stack += [(child, f"{prefix}.{node.name}") for child in node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [(f"{prefix}.{node.name}", ast.unparse(n))
+                          for n in ast.walk(node) if _is_blas(n)]
+    return sorted(sites)
+
+
 def test_the_check_finds_an_unused_import():
     source = ("import os\nimport numpy as np\nfrom typing import Any, List\n"
               "x: List = np.zeros(1)\n")
@@ -322,3 +369,28 @@ def test_only_geometry_exponentiates_the_factor_on_the_grid():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")
                if p.name != "geometry.py"}
     assert doubled_exponentials(sources) == sorted(ALLOWED_DOUBLED_EXP)
+
+
+def test_the_check_finds_blas_calls():
+    source = """
+import numpy as np
+
+class Fit:
+    def slope(self, x, y):
+        return np.dot(x, y) / np.linalg.norm(x) ** 2
+
+def solve(A, b, x):
+    def inner():
+        return np.polyfit(x, b, 1)
+    x @= A
+    return A @ b + np.sum(x * b) + np.einsum("i,i", x, b) + inner()
+"""
+    # np.sum of a product and np.einsum are numpy's own loops, not BLAS
+    assert blas_sites({"m": source}) == [
+        ("m.Fit.slope", "np.dot(x, y)"), ("m.Fit.slope", "np.linalg.norm(x)"),
+        ("m.solve", "A @ b"), ("m.solve", "np.polyfit(x, b, 1)"), ("m.solve", "x @= A")]
+
+
+def test_no_printed_value_sums_through_blas():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert blas_sites(sources) == sorted(ALLOWED_BLAS)

@@ -8,12 +8,14 @@ from scipy import integrate
 
 from conftest import direct_gradient, lstsq_order, meshgrid_offset_table
 from curvedks.domain import AnnulusSpec, CartesianGrid
+from curvedks.energy import lambda_scan
+from curvedks.flow import FlowDiagnostics, virial_rate
 from curvedks.geometry import ConformalFactor, grid_geometry
 from curvedks import potential, virial
 from curvedks.potential import (coulomb_energy, estimate_tail, green_kernel, lattice_potential,
                                 newtonian_potential, self_cell_weight)
 from curvedks.profiles import ScaledCauchyProfile
-from curvedks.stationary import DensityField
+from curvedks.stationary import DensityField, decay_envelope
 from curvedks.virial import potential_gradient
 
 
@@ -404,6 +406,7 @@ def test_truncation_tail_reported(flat_phi):
 
 
 def test_tail_fit_is_the_least_squares_line():
+    # domain.line_fit, as each of its four callers fits with it, against np.polyfit's line
     g = CartesianGrid(center=(0.3, -0.2), half_width=25.0, n=96)
     rho = 8.0 * np.pi * ScaledCauchyProfile(lam=1.0).on_grid(g)
     rho *= np.exp(0.1 * np.random.default_rng(0).standard_normal(rho.shape))
@@ -414,3 +417,21 @@ def test_tail_fit_is_the_least_squares_line():
     p, W = -slope, g.half_width
     m_tail = 2 * np.pi * np.exp(intercept + (2 - p) * np.log(W)) / (p - 2)
     assert rep.m_tail == pytest.approx(m_tail, rel=1e-12)
+    # the envelope's log-log slope over an annulus
+    annulus = AnnulusSpec(R=5.0)
+    inside = annulus.mask(g)
+    envelope = decay_envelope(DensityField(grid=g, samples=rho, phi=ConformalFactor.zero()),
+                              annulus)
+    assert envelope.tail_slope == pytest.approx(
+        np.polyfit(np.log(r[inside]), np.log(rho[inside]), 1)[0], rel=1e-12)
+    # the scan's slope of F in ln lambda, where (m/4pi)(m - 8pi) is far from 0
+    table = lambda_scan(4.0 * np.pi, ConformalFactor.zero(), [0.05, 0.5, 5.0],
+                        scaled_half_width=20.0, scaled_n=64)
+    assert table.slope_fit == pytest.approx(np.polyfit(
+        np.log([row.lam for row in table.rows]), [row.value for row in table.rows], 1)[0],
+        rel=1e-12)
+    # the flow's dW/dt over a noisy second moment trace
+    t = np.linspace(0.0, 0.3, 12)
+    W2 = 2.0 - 4.0 * t + 1e-3 * np.random.default_rng(1).standard_normal(t.size)
+    diag = FlowDiagnostics(t=list(t), mass=[4.0 * np.pi] * t.size, second_moment=list(W2))
+    assert virial_rate(diag)[0] == pytest.approx(np.polyfit(t, W2, 1)[0], rel=1e-12)
