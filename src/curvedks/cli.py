@@ -11,10 +11,11 @@ float64 (k, n, n) .npy array whose slice k pairs with diagnostics row k. All
 are byte-identical across reruns of the same config at any BLAS thread count
 (fixed seeds, row-major reductions, no BLAS sum over a printed value's index).
 
-Exit codes: 0 pass, 1 check failed, 2 invalid config (an unwritable output
-included), 3 numerical failure. A command that ran prints its one summary line
-on stdout, whatever its code; only a config error or a numerical failure prints,
-on stderr, and then no output is written, or none after an unwritable one.
+Exit codes: 0 pass; 1 check failed; 2 invalid config (an unwritable output included) or a
+REFUSED obstruction certificate, a result that prints on stdout and writes obstruction.json;
+3 numerical failure. A command that ran prints its one summary line on stdout, whatever its
+code; only a config error or a numerical failure prints (on stderr), and then no output is
+written, or none after an unwritable one.
 """
 
 from __future__ import annotations

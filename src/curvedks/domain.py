@@ -24,7 +24,9 @@ import numpy as np
 class CartesianGrid:
     """Uniform n x n cell-centered grid on a square of side 2*half_width.
 
-    Treated as immutable after construction; safe for concurrent reads.
+    Not changed after construction; `cache` keeps, read-only, what depends on this grid alone
+    (its radius, default test bank and curved geometry). It fills lazily: two threads reading
+    one entry for the first time may both build it, identically.
     """
 
     center: tuple[float, float]
@@ -32,6 +34,7 @@ class CartesianGrid:
     n: int
     x: np.ndarray = field(init=False, repr=False)
     y: np.ndarray = field(init=False, repr=False)
+    cache: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2 != 0:
@@ -55,9 +58,14 @@ class CartesianGrid:
         """Cell-center coordinate arrays of shape (n, n), 'ij' indexing."""
         return np.meshgrid(self.x, self.y, indexing="ij")
 
+    def cached(self, key, build):
+        """build(), called on this grid's first request for key and kept in its cache."""
+        return self.cache[key] if key in self.cache else self.cache.setdefault(key, build())
+
     def radius(self) -> np.ndarray:
-        """Distance of each cell center from the grid center."""
-        return np.hypot(self.x[:, None] - self.center[0], self.y[None, :] - self.center[1])
+        """Distance of each cell center from the grid center, read-only, built once per grid."""
+        return self.cached("radius", lambda: read_only((np.hypot(
+            self.x[:, None] - self.center[0], self.y[None, :] - self.center[1]),))[0])
 
     def integrate(self, samples: np.ndarray) -> float:
         """Midpoint-rule integral over the square, flat measure."""

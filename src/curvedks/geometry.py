@@ -115,27 +115,24 @@ class GridGeometry:
     min_e2phi: float
 
 
-_last_curved: list = [None, None, None]    # factor, grid and a weak reference to their geometry
-
-
 def grid_geometry(phi: ConformalFactor, grid: CartesianGrid) -> GridGeometry:
     """The geometry of phi on grid. A flat factor's arrays are broadcasts, with no (n, n) array
     behind them: phi is amplitude * 0, e^{+-2 phi} are 1 and the weights h^2. A curved factor is
-    sampled by phi.on_grid; its geometry serves each next request with the same factor and grid
-    objects while a field holds it (one slot, a weak reference: it keeps nothing alive)."""
+    sampled by phi.on_grid; its geometry serves each next request with the same factor object on
+    the same grid while a field holds it (one slot per grid, a weak reference in its cache)."""
     shape = (grid.n, grid.n)
     if phi.is_flat:
         one = np.broadcast_to(1.0, shape)
         return GridGeometry(np.broadcast_to(0.0 * phi.amplitude, shape), one, one,
                             np.broadcast_to(grid.cell_area, shape), 1.0)
-    last_phi, last_grid, last = _last_curved
-    geometry = last() if last_phi is phi and last_grid is grid else None
+    kept_phi, kept = grid.cache.get("curved geometry", (None, None))
+    geometry = kept() if kept_phi is phi else None
     if geometry is None:
         phis = phi.on_grid(grid)
         e2phi = np.exp(2.0 * phis)
         arrays = read_only((phis, e2phi, np.exp(-2.0 * phis), e2phi * grid.cell_area))
         geometry = GridGeometry(*arrays, float(np.exp(2.0 * phis.min())))
-        _last_curved[:] = phi, grid, weakref.ref(geometry)
+        grid.cache["curved geometry"] = phi, weakref.ref(geometry)
     return geometry
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .domain import AnnulusSpec, CartesianGrid, line_fit, write_lattice_csv
+from .domain import AnnulusSpec, CartesianGrid, line_fit, read_only, write_lattice_csv
 from .geometry import (ConformalFactor, GridGeometry, _bump_profile, boundary_mask, diff_flat,
                        grad_flat, grid_geometry)
 from .potential import PotentialField, TruncationReport, estimate_tail, newtonian_potential
@@ -138,15 +138,24 @@ def default_test_bank(grid: CartesianGrid) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product bump test fields: widths 0.10, 0.18, 0.30 x half_width at 3 x 3 lattice
     positions jittered with seed 0, as (k, n) stacks (A, B): field k is np.outer(A[k], B[k])
     on grid.x, grid.y; one bump evaluation per axis. Fields that reach the two outer cell
-    rings are left out (only grids with n < 20 have any). It depends on the grid only."""
-    cx, cy = grid.center
-    hw = grid.half_width
-    width = (_BANK_SCALE * hw)[:, None]
-    jx, jy = 0.05 * hw * np.random.default_rng(0).uniform(-1, 1, size=(27, 2)).T
-    A = _bump_profile((grid.x - (cx + _BANK_OX * hw + jx)[:, None]) / width)
-    B = _bump_profile((grid.y - (cy + _BANK_OY * hw + jy)[:, None]) / width)
-    keep = ~_reaches_boundary(A, B)
-    return A[keep], B[keep]
+    rings are left out (only grids with n < 20 have any). The grid keeps it: _default_bank."""
+    return _default_bank(grid)[0]
+
+
+def _default_bank(grid: CartesianGrid) -> tuple[tuple, tuple]:
+    """The grid's default bank (A, B) and its checked terms (_bank_terms), built on the grid's
+    first request and kept, read-only, in its cache."""
+    def build():
+        cx, cy = grid.center
+        hw = grid.half_width
+        width = (_BANK_SCALE * hw)[:, None]
+        jx, jy = 0.05 * hw * np.random.default_rng(0).uniform(-1, 1, size=(27, 2)).T
+        A = _bump_profile((grid.x - (cx + _BANK_OX * hw + jx)[:, None]) / width)
+        B = _bump_profile((grid.y - (cy + _BANK_OY * hw + jy)[:, None]) / width)
+        keep = ~_reaches_boundary(A, B)
+        bank = read_only((A[keep], B[keep]))
+        return bank, read_only(_bank_terms(bank, grid))
+    return grid.cached("test bank", build)
 
 
 def _reaches_boundary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -155,31 +164,38 @@ def _reaches_boundary(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             | ((B[:, [0, 1, -2, -1]] != 0).any(axis=1) & (A != 0).any(axis=1)))
 
 
-def static_weak_residual(field: DensityField, test_bank: tuple[np.ndarray, np.ndarray],
-                         grad_f: tuple[np.ndarray, np.ndarray]) -> float:
-    """Max over the bank of | sum rho g0(grad T, grad f) h^2 | / ||grad T||.
-
-    grad_f is the flat gradient of f = ln rho - c, as reduced_residual forms it.
-    The bank is (k, n) stacks (A, B), as default_test_bank gives: each test
-    field T = a(x) b(y) is a row pair (a, b) and must vanish near the grid
-    boundary (compact support). grad T = (a' b, a b'), so
-    the bank pairs with rho grad f in two matrix products, and ||grad T||^2 =
-    (|a'|^2 |b|^2 + |a|^2 |b'|^2) h^2 comes from 1-D norms.
-    """
-    grid = field.grid
-    gfx, gfy = grad_f
+def _bank_terms(test_bank: tuple[np.ndarray, np.ndarray], grid: CartesianGrid) -> tuple:
+    """(A, B, dA, dB, ||grad T||) of a bank of (k, n) stacks (A, B), checked: ||grad T||^2 =
+    (|a'|^2 |b|^2 + |a|^2 |b'|^2) h^2 comes from 1-D norms."""
     A, B = test_bank
     if len(A) == 0:
         raise ValueError("empty test bank: a residual over no test field checks nothing")
     if np.any(_reaches_boundary(A, B)):
         raise ValueError("test field does not vanish near the grid boundary")
     dA, dB = diff_flat(A, grid, 1), diff_flat(B, grid, 1)
+    energy = np.sqrt((np.sum(dA**2, axis=1) * np.sum(B**2, axis=1)
+                      + np.sum(A**2, axis=1) * np.sum(dB**2, axis=1)) * grid.cell_area)
+    return A, B, dA, dB, energy
+
+
+def static_weak_residual(field: DensityField, test_bank: tuple[np.ndarray, np.ndarray],
+                         grad_f: tuple[np.ndarray, np.ndarray]) -> float:
+    """Max over the bank of | sum rho g0(grad T, grad f) h^2 | / ||grad T||.
+
+    grad_f is the flat gradient of f = ln rho - c, as reduced_residual forms it. The bank is
+    (k, n) stacks (A, B), as default_test_bank gives: each field T = a(x) b(y) must vanish near
+    the grid boundary, and grad T = (a' b, a b') pairs with rho grad f in two matrix products.
+    The grid's default bank (the object default_test_bank returns) was checked and
+    differentiated when it was built; any other bank is checked on every call.
+    """
+    grid = field.grid
+    gfx, gfy = grad_f
+    default, terms = _default_bank(grid)
+    A, B, dA, dB, energy = terms if test_bank is default else _bank_terms(test_bank, grid)
     h2 = grid.cell_area
     # sum_ij rho (a'_i b_j gfx_ij + a_i b'_j gfy_ij), for all fields at once
     pair = (np.einsum("ik,ki->k", (field.samples * gfx) @ B.T, dA)
             + np.einsum("kj,kj->k", A @ (field.samples * gfy), dB))
-    energy = np.sqrt((np.sum(dA**2, axis=1) * np.sum(B**2, axis=1)
-                      + np.sum(A**2, axis=1) * np.sum(dB**2, axis=1)) * h2)
     live = energy != 0.0
     return float(np.max(np.abs(pair[live]) * h2 / energy[live], initial=0.0))
 

@@ -632,18 +632,23 @@ _ALL_AT_DEFAULTS = """
 import json, os, sys
 from curvedks.cli import COMMANDS, main
 root = sys.argv[1]
-for command in COMMANDS:
-    cfg = os.path.join(root, command + ".config")
+# obstruction refuses its default flat factor before it builds a sphere grid, so a curved run
+# is added: the one that solves for the Gauss-Legendre nodes (a LAPACK eigensolve)
+bump = {"kind": "radial_bump", "amplitude": 0.1, "support_radius": 2.0}
+runs = [(command, command, {}) for command in COMMANDS]
+runs.append(("obstruction-curved", "obstruction", {"phi": bump}))
+for name, command, extra in runs:
+    cfg = os.path.join(root, name + ".config")
     with open(cfg, "w") as fh:
-        json.dump({"output_dir": os.path.join(root, command)}, fh)
-    print(command, main([command, "--config", cfg]))
+        json.dump({"output_dir": os.path.join(root, name), **extra}, fh)
+    print(name, main([command, "--config", cfg]))
 """
 
 
 def test_default_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # every command at its defaults, in a process with one BLAS thread and in one with two
-    # (never more): each prints the same lines and writes the same bytes, so one config
-    # gives one output on machines whose core counts differ
+    # every command at its defaults, and obstruction on a curved factor, in a process with one
+    # BLAS thread and in one with two (never more): each prints the same lines and writes the
+    # same bytes, so one config gives one output on machines whose core counts differ
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = []
     for threads in ("1", "2"):
@@ -660,7 +665,8 @@ def test_default_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     (out1, files1), (out2, files2) = runs
     assert out1 == out2
     assert sorted(files1) == sorted(files2)
-    assert len(files1) == 12    # each command's JSON, three CSVs and flow's snapshot stack
+    assert len(files1) == 13    # each run's JSON, three CSVs and flow's snapshot stack
+    assert "obstruction-curved 0" in out1.splitlines()    # NONZERO OBSTRUCTION
     assert [name for name in files1 if files1[name] != files2[name]] == []
 
 

@@ -313,23 +313,40 @@ def test_curved_geometry_is_read_only(grid64, bump_phi):
             a *= 2.0
 
 
-def test_geometry_is_kept_for_the_same_factor_and_grid_objects(grid64, bump_phi):
-    # one slot, compared by identity: a repeat shares the geometry, an equal but
-    # distinct factor or grid is sampled anew, and a flat request leaves the slot alone;
-    # the slot's reference is weak, so it keeps no geometry alive that nothing holds
-    held = weakref.ref(grid_geometry(bump_phi, grid64))
+def test_geometry_is_kept_for_the_same_factor_and_grid_objects(bump_phi):
+    # each grid object has one curved slot, compared by identity: a repeat shares the
+    # geometry, an equal but distinct factor is sampled anew and takes the slot, and a flat
+    # request or a request on another grid leaves it alone; the slot's reference is weak, so
+    # it keeps no geometry alive that nothing holds
+    grid = CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=64)
+    held = weakref.ref(grid_geometry(bump_phi, grid))
     assert held() is None
-    first = grid_geometry(bump_phi, grid64)
-    assert grid_geometry(bump_phi, grid64) is first
-    assert DensityField(grid=grid64, samples=np.ones((64, 64)), phi=bump_phi).geometry is first
-    grid_geometry(ConformalFactor.zero(), grid64)
-    assert grid_geometry(bump_phi, grid64) is first
-    twin_phi = ConformalFactor.radial_bump(0.1, 2.0, (0.0, 0.0))
+    first = grid_geometry(bump_phi, grid)
+    assert grid_geometry(bump_phi, grid) is first
+    assert DensityField(grid=grid, samples=np.ones((64, 64)), phi=bump_phi).geometry is first
+    grid_geometry(ConformalFactor.zero(), grid)
     twin_grid = CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=64)
-    for phi, grid in ((twin_phi, grid64), (bump_phi, twin_grid)):
-        other = grid_geometry(phi, grid)
-        assert other is not first and _same_bits(other.e2phi, first.e2phi)
-    assert grid_geometry(bump_phi, grid64) is not first
+    other = grid_geometry(bump_phi, twin_grid)
+    assert other is not first and _same_bits(other.e2phi, first.e2phi)
+    assert grid_geometry(bump_phi, grid) is first
+    twin_phi = ConformalFactor.radial_bump(0.1, 2.0, (0.0, 0.0))
+    other = grid_geometry(twin_phi, grid)
+    assert other is not first and _same_bits(other.e2phi, first.e2phi)
+    assert grid_geometry(bump_phi, grid) is not first
+
+
+def test_a_field_keeps_its_geometry_across_requests_on_other_grids(bump_phi, monkeypatch):
+    # ops that alternate grids, as a benchmark pass does, resample no factor that a field on
+    # each grid already holds: the potential reads the field's geometry back from its grid
+    fields = [DensityField(grid=CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=n),
+                           samples=np.ones((n, n)), phi=bump_phi) for n in (64, 96)]
+    sampled = []
+    on_grid = ConformalFactor.on_grid
+    monkeypatch.setattr(ConformalFactor, "on_grid",
+                        lambda self, grid: sampled.append(grid.n) or on_grid(self, grid))
+    for fld in fields + fields:
+        fld.potential()
+    assert sampled == []
 
 
 def test_only_geometry_reads_the_factor_fields():

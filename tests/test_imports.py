@@ -22,6 +22,9 @@ No function calls BLAS or LAPACK (np.dot, np.vdot, np.inner, np.matmul,
 np.tensordot, np.polyfit, np.linalg or the @ operator) outside a listed reason:
 a threaded BLAS sum adds in an order that follows the thread count, so a printed
 value would change with the machine. domain.line_fit fits every line instead.
+The check reads the package's own source only, so it cannot see the LAPACK
+eigensolve inside numpy's leggauss, which gives the sphere grid's nodes: the run of
+a curved obstruction at one and at two BLAS threads in tests/test_cli.py covers it.
 """
 
 import ast

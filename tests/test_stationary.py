@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lstsq_order, radial_derivative
 from curvedks import stationary
@@ -217,6 +219,32 @@ def test_default_bank_is_one_bump_evaluation_per_axis(monkeypatch):
     monkeypatch.setattr(stationary, "_bump_profile", counted)
     default_test_bank(CartesianGrid(center=(0.0, 0.0), half_width=20.0, n=64))
     assert calls == [(27, 64), (27, 64)]
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(10, 64), half_width=st.floats(0.5, 100.0),
+       cx=st.floats(-50.0, 50.0), cy=st.floats(-50.0, 50.0))
+def test_a_grid_keeps_its_radius_and_default_bank(k, half_width, cx, cy):
+    # the grid's cache holds the bits a fresh build gives, read-only: the radius, the default
+    # bank and its checked derivative stacks and norms; repeated requests on one grid object
+    # share them, an equal but distinct grid builds its own
+    g, twin = (CartesianGrid(center=(cx, cy), half_width=half_width, n=2 * k) for _ in range(2))
+
+    def kept(grid):
+        return (grid.radius(), *default_test_bank(grid), *stationary._default_bank(grid)[1][2:])
+
+    first, fresh = kept(g), kept(twin)
+    assert _bits(first[0]) == _bits(np.hypot(g.x[:, None] - cx, g.y[None, :] - cy))
+    unkept = stationary._bank_terms(tuple(a.copy() for a in default_test_bank(g)), g)
+    assert [_bits(a) for a in first[1:]] == [_bits(a) for a in unkept]
+    assert [_bits(a) for a in first] == [_bits(a) for a in fresh]
+    assert not any(a.flags.writeable for a in first)
+    assert all(a is b for a, b in zip(kept(g), first))
+    assert not any(np.shares_memory(a, b) for a, b in zip(first, fresh))
 
 
 def test_decay_envelope_critical_profile(flat_phi):
