@@ -118,8 +118,8 @@ def _flux_workspace(n: int) -> tuple[np.ndarray, ...]:
 
     Three flat float buffers (face values twice, cell slopes), a flat face
     mask, and an (n, n) array whose last column stays 0, which holds the
-    y-face velocities in the cells' layout. One size only, like
-    potential._fft_workspace; shared, so not thread-safe.
+    y-face velocities in the cells' layout. One size only, as a flow keeps one
+    grid (potential._fft_workspace grows instead); shared, so not thread-safe.
     """
     size = n * n
     return (np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool),

@@ -175,15 +175,22 @@ def _toeplitz_sum(q: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1)
+_spectrum_buffer = np.empty(0, dtype=complex)
+
+
 def _fft_workspace(n: int) -> np.ndarray:
-    """The (2n, n+1) complex spectrum buffer of one grid size, reused by every FFT lattice sum.
+    """The (2n, n+1) complex spectrum buffer of grid size n, reused by every FFT lattice sum.
 
     Each inverse row transform writes into a real view of its product's spent bottom half.
-    One size only: a larger cache keeps several n = 1024 workspaces alive. The sums run one
-    at a time; this is not thread-safe.
+    It is a view of one grow-only buffer, reallocated only when a larger n arrives, so sums
+    that alternate sizes, or run below the largest size seen, allocate nothing. The sums run
+    one at a time; this is not thread-safe.
     """
-    return np.empty((2 * n, n + 1), dtype=complex)
+    global _spectrum_buffer
+    size = 2 * n * (n + 1)
+    if _spectrum_buffer.size < size:
+        _spectrum_buffer = np.empty(size, dtype=complex)
+    return _spectrum_buffer[:size].reshape(2 * n, n + 1)
 
 
 def _padded_spectrum(q: np.ndarray, scale: complex = 1.0) -> np.ndarray:

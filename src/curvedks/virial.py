@@ -11,8 +11,9 @@ so 4 I1 + 2 I2 + I3 tends to 4m - m^2/2pi. For a flat factor that limit holds
 for every density of mass m (I2 is fixed by the antisymmetry of the Coulomb
 kernel), so the closure checks the Coulomb quadrature, not stationarity; it is
 zero at m = 8 pi. For curved factors, I3 is closed by solving the auxiliary
-problem  Delta_phi f + g_phi(df, dc) = 4 r phi_r  with one direct sparse LU
-solve of its central discretization, followed by a check of the true residual.
+problem  Delta_phi f + g_phi(df, dc) = 4 r phi_r  by one sparse LU solve of its
+central discretization on the interior cells (f = 0 on the ring, so the system
+has no identity rows), then a check of the true residual.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .domain import CartesianGrid, write_csv
-from .geometry import ConformalFactor, boundary_mask, grad_flat, grid_geometry, laplacian_flat
+from .geometry import ConformalFactor, grad_flat, grid_geometry, laplacian_flat
 from .potential import PotentialField, _circulant_sums, _kernel_spectra
 from .stationary import DensityField
 
@@ -74,37 +75,21 @@ class WeightedEllipticProblem:
 
 
 def _stencil_operators(problem: WeightedEllipticProblem) -> sparse.csc_matrix:
-    """Sparse A f = Delta0 f + grad f . grad c on interior cells, identity on the boundary.
+    """Sparse A f = Delta0 f + grad f . grad c on the (n - 2)^2 interior cells, row-major.
 
-    Central differences; the identity rows impose Dirichlet zero data.
+    Central differences as five diagonals: offsets -+(n - 2) pair x-neighbours, -+1 y-neighbours
+    (0 across a row end). The ring holds f = 0, so it adds no unknowns and no identity rows.
     """
-    # scipy.sparse is imported here and in solve_aux_pde only: it is most of
-    # the package's import time, and nothing but this solve uses it
-    from scipy import sparse
+    from scipy import sparse    # lazily: most of the package's import time, for this solve only
 
     grid = problem.rho.grid
-    n = grid.n
-    h = grid.h
-    gcx, gcy = grad_flat(problem.c.samples, grid)
-    interior = ~boundary_mask(grid)
-    index = np.arange(n * n).reshape(n, n)
-    k = index[interior]
-    ax = gcx[interior]
-    ay = gcy[interior]
-    inv_h2 = 1.0 / h**2
-    inv_2h = 0.5 / h
-
-    rows, cols, vals = [k], [k], [np.full(k.size, 4.0 * inv_h2)]
-    for off, adv in ((-n, -ax), (n, ax), (-1, -ay), (1, ay)):
-        rows.append(k)
-        cols.append(k + off)
-        vals.append(-inv_h2 + adv * inv_2h)
-    kb = index[~interior]
-    rows.append(kb)
-    cols.append(kb)
-    vals.append(np.ones(kb.size))
-    return sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n * n, n * n))
+    m, inv_h2 = grid.n - 2, 1.0 / grid.h**2
+    ax, ay = (g[1:-1, 1:-1] * (0.5 / grid.h) for g in grad_flat(problem.c.samples, grid))
+    west, east = -inv_h2 - ay, -inv_h2 + ay
+    west[:, 0] = east[:, -1] = 0.0
+    return sparse.diags([np.full(m * m, 4.0 * inv_h2), (-inv_h2 - ax).ravel()[m:],
+                         (-inv_h2 + ax).ravel()[:-m], west.ravel()[1:], east.ravel()[:-1]],
+                        [0, -m, m, -1, 1], format="csc")
 
 
 @dataclass
@@ -115,32 +100,32 @@ class AuxSolution:
 
 
 def solve_aux_pde(problem: WeightedEllipticProblem, tol: float = 1e-8) -> AuxSolution:
-    """Solve  Delta_phi f + g_phi(df, dc) = 4 r phi_r  on the grid.
+    """Solve  Delta_phi f + g_phi(df, dc) = 4 r phi_r  on the grid, with f = 0 on its ring.
 
-    In flat coordinates the equation reads Delta0 f + grad f . grad c =
-    4 r phi_r e^{2 phi}, with Dirichlet zero boundary (the data is compactly
-    supported and the continuum solution has square-integrable gradient).
-    One sparse LU factorization of the central discretization A solves it;
-    the true relative residual ||b - A f|| / ||b|| is then checked against tol.
+    In flat coordinates: Delta0 f + grad f . grad c = 4 r phi_r e^{2 phi}, Dirichlet zero (the
+    data is compactly supported, the continuum solution has square-integrable gradient). One
+    sparse LU of the interior system solves it in a fill-reducing column order, then the true
+    relative residual ||b - A f|| / ||b|| is checked against tol. The diagonal 4 / h^2 is the
+    largest entry of its column while the cell Peclet number |grad c| h / 2 is at most 1; then
+    partial pivoting exchanges no rows and the order is kept.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     grid = problem.rho.grid
-    b = problem.rhs * grid_geometry(problem.phi, grid).e2phi
-    b[boundary_mask(grid)] = 0.0
-    b = b.ravel()
+    b = (problem.rhs * grid_geometry(problem.phi, grid).e2phi)[1:-1, 1:-1].ravel()
     bnorm = float(np.sqrt(np.sum(b ** 2)))
+    f = np.zeros((grid.n, grid.n))
     if bnorm == 0.0:
-        return AuxSolution(f=np.zeros((grid.n, grid.n)), residual_trace=[0.0, 0.0],
-                           iterations=0)
+        return AuxSolution(f=f, residual_trace=[0.0, 0.0], iterations=0)
     from scipy.sparse.linalg import splu    # lazily, as in _stencil_operators
 
     A = _stencil_operators(problem)
-    x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)   # fill-reducing column order
+    x = splu(A, permc_spec="MMD_AT_PLUS_A").solve(b)
     res = float(np.sqrt(np.sum((b - A @ x) ** 2)))
     if not res <= tol * bnorm:
         raise AuxSolveError(f"relative residual {res / bnorm:.3e} above tolerance {tol:.1e}")
-    return AuxSolution(f=x.reshape(grid.n, grid.n), residual_trace=[bnorm, res], iterations=1)
+    f[1:-1, 1:-1] = x.reshape(grid.n - 2, grid.n - 2)
+    return AuxSolution(f=f, residual_trace=[bnorm, res], iterations=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from curvedks.domain import CartesianGrid
 from curvedks.geometry import (ConformalFactor, _bump_profile, boundary_mask, grad_flat,
                                laplacian_flat)
 from curvedks.stationary import DensityField, density_from_profile
-from curvedks.virial import (AuxSolveError, WeightedEllipticProblem, assemble_virial,
-                             cutoff_function, dilation_source, potential_gradient,
-                             solve_aux_pde)
+from curvedks.virial import (AuxSolveError, WeightedEllipticProblem, _stencil_operators,
+                             assemble_virial, cutoff_function, dilation_source,
+                             potential_gradient, solve_aux_pde)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,24 @@ def test_aux_solve_is_one_direct_solve(curved_problem):
     bnorm, res = sol.residual_trace
     assert res / bnorm <= 1e-12
     assert np.all(np.isfinite(sol.f)) and np.any(sol.f != 0.0)
+
+
+@pytest.mark.parametrize("n, half_width", [(48, 16.0), (96, 20.0)])
+def test_aux_factor_exchanges_no_rows(n, half_width):
+    # with the cell Peclet number |grad c| h / 2 at most 1 the diagonal leads its column, so
+    # the LU that solve_aux_pde takes exchanges no row and keeps the fill-reducing order:
+    # its fill is that of the same order pivoting on the diagonal alone
+    from scipy.sparse.linalg import splu
+    g = CartesianGrid(center=(0, 0), half_width=half_width, n=n)
+    problem = WeightedEllipticProblem.build(density_from_profile(
+        8 * np.pi, 1.0, (0.0, 0.0), ConformalFactor.radial_bump(0.1, 2.0), g))
+    gcx, gcy = grad_flat(problem.c.samples, g)
+    assert np.max(np.hypot(gcx, gcy)) * g.h / 2 <= 1.0
+    A = _stencil_operators(problem)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(lu.perm_r, lu.perm_c)
+    on_diagonal = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    assert lu.L.nnz + lu.U.nnz == on_diagonal.L.nnz + on_diagonal.U.nnz
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
